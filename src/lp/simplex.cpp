@@ -94,13 +94,13 @@ class ScopedTimer {
 /// sides are folded into slack bounds, so b == 0 throughout.
 ///
 /// SimplexCore owns everything backend-independent - the computational
-/// columns, the two-phase driver, warm starts, the ratio test, the
-/// anti-cycling state machine, and deadline/cancellation plumbing. The
-/// basis representation is behind five hooks (refactor, duals, FTRAN,
-/// pivot update, pricing) with a dense explicit-inverse and a sparse
+/// columns, the two-phase driver, warm starts, pricing, the ratio test,
+/// the anti-cycling state machine, and deadline/cancellation plumbing.
+/// The basis representation is behind four hooks (refactor, duals,
+/// FTRAN, pivot update) with a dense explicit-inverse and a sparse
 /// LU+eta implementation below. Both backends share the exact same
-/// pivot-acceptance logic, so they differ only in arithmetic path, never
-/// in what counts as optimal.
+/// pivot-selection and pivot-acceptance logic, so they differ only in
+/// arithmetic path, never in what counts as optimal.
 class SimplexCore {
  public:
   SimplexCore(const Model& model, const SimplexOptions& opt)
@@ -178,10 +178,10 @@ class SimplexCore {
   /// positions where w_ is exactly nonzero.
   virtual void ftran_entering(int q) = 0;
 
-  /// Absorbs the pivot that just put `entering` at basis position r
-  /// (replacing `leaving`) into the basis representation; w_/wnz_ still
-  /// hold the entering column's FTRAN result.
-  virtual void pivot_update(int r, int entering, int leaving) = 0;
+  /// Absorbs the pivot that just put the entering column at basis
+  /// position r into the basis representation; w_/wnz_ still hold the
+  /// entering column's FTRAN result.
+  virtual void pivot_update(int r) = 0;
 
   /// True when the representation wants a refactorization before the
   /// next pivot (interval; sparse adds the eta-growth trigger).
@@ -189,24 +189,81 @@ class SimplexCore {
     return pivots_since_refactor_ >= opt_.refactor_interval;
   }
 
-  /// Chooses the entering column, or -1 at optimality. This base
-  /// implementation is the full Dantzig scan with a Bland fallback
-  /// engaged by note_progress(); the sparse backend layers candidate-list
-  /// partial pricing on top and delegates back here under Bland's rule.
-  virtual int price(const std::vector<double>& cost) {
+  // ---- pricing -------------------------------------------------------------
+
+  /// Chooses the entering column, or -1 at optimality: the column with
+  /// the largest dual infeasibility (Dantzig's rule; near-ties keep the
+  /// earlier index, see kTieRel), or under Bland's rule (engaged by
+  /// note_progress()) the first eligible column.
+  ///
+  /// Dantzig is the only rule, on both backends. Under degenerate
+  /// alternative optima, partial pricing (candidate lists, Devex) can
+  /// reach a different optimal vertex from a warm start than from a cold
+  /// one, and the sweep pipeline requires warm and cold solves to agree
+  /// byte-for-byte: serial sweeps warm-start, while parallel, distributed
+  /// and daemon workers solve cold. A full Dantzig scan converges to the
+  /// same vertex from either start.
+  ///
+  /// The scan is the largest share of a pivot on window LPs, so it runs
+  /// on raw pointers and scalars read once per call, and the
+  /// slack/artificial singleton columns get their own loop free of
+  /// column-extent reads. Columns are visited in ascending order and each
+  /// reduced cost is reduced_cost()'s arithmetic, so the choice is
+  /// bit-for-bit that of a column-by-column scan.
+  int price(const std::vector<double>& cost) {
     ScopedTimer t(opt_.collect_timing, &stats_.pricing_ns);
+    const VarStatus* const status = status_.data();
+    const double* const lb = lb_.data();
+    const double* const ub = ub_.data();
+    const double* const c = cost.data();
+    const double* const y = y_.data();
+    const std::size_t* const start = col_start_.data();
+    const int* const row = col_row_.data();
+    const double* const val = col_val_.data();
+    const double dual_tol = opt_.dual_tol;
+    const double fixed_tol = opt_.primal_tol;
+    const bool bland = bland_;
+
     int best = -1;
-    double best_viol = opt_.dual_tol;
-    for (std::size_t j = 0; j < num_cols_; ++j) {
-      const double viol = violation(cost, static_cast<int>(j));
-      if (viol <= opt_.dual_tol) continue;
-      if (bland_) return static_cast<int>(j);
-      // Strictly-better-by-margin, so near-ties keep the earlier index
-      // (see kTieRel).
+    double best_viol = dual_tol;
+    // Basic columns never enter, nor do fixed ones unless free.
+    const auto eligible = [&](std::size_t j) {
+      const VarStatus st = status[j];
+      if (st == VarStatus::kBasic) return false;
+      return !(ub[j] - lb[j] < fixed_tol && st != VarStatus::kFree);
+    };
+    // Offers column j with reduced cost d; true when Bland's rule takes
+    // it outright.
+    const auto offer = [&](std::size_t j, double d) {
+      const VarStatus st = status[j];
+      const double viol = st == VarStatus::kAtLower   ? -d
+                          : st == VarStatus::kAtUpper ? d
+                                                      : std::abs(d);
+      if (viol <= dual_tol) return false;
+      if (bland) return true;
+      // Strictly-better-by-margin, so near-ties keep the earlier index.
       if (best < 0 || viol > best_viol * (1.0 + kTieRel)) {
         best_viol = viol;
         best = static_cast<int>(j);
       }
+      return false;
+    };
+
+    for (std::size_t j = 0; j < slack_begin_; ++j) {
+      if (!eligible(j)) continue;
+      const double d =
+          c[j] - kernels::gather_dot(start[j + 1] - start[j], row + start[j],
+                                     val + start[j], y);
+      if (offer(j, d)) return static_cast<int>(j);
+    }
+    // Slack and artificial columns hold one entry each, stored in column
+    // order after the structural nonzeros (build_columns()).
+    const std::size_t first_single = start[slack_begin_];
+    for (std::size_t j = slack_begin_; j < num_cols_; ++j) {
+      if (!eligible(j)) continue;
+      const std::size_t k = first_single + (j - slack_begin_);
+      const double d = c[j] - kernels::gather_dot(1, row + k, val + k, y);
+      if (offer(j, d)) return static_cast<int>(j);
     }
     return best;
   }
@@ -581,7 +638,7 @@ class SimplexCore {
       xval_[q] = nonbasic_value(q) + dir * t;
       status_[q] = VarStatus::kBasic;
       basis_[leave_pos] = q;
-      pivot_update(leave_pos, q, b);
+      pivot_update(leave_pos);
       ++pivots_since_refactor_;
       note_progress(t);
     }
@@ -611,19 +668,6 @@ class SimplexCore {
                                          col_row_.data() + col_start_[j],
                                          col_val_.data() + col_start_[j],
                                          y_.data());
-  }
-
-  /// How strongly column j wants to enter (0 when it does not qualify).
-  double violation(const std::vector<double>& cost, int j) const {
-    const VarStatus st = status_[j];
-    if (st == VarStatus::kBasic) return 0.0;
-    if (ub_[j] - lb_[j] < opt_.primal_tol && st != VarStatus::kFree) {
-      return 0.0;  // fixed variable can never improve
-    }
-    const double d = reduced_cost(cost, j);
-    if (st == VarStatus::kAtLower) return -d;
-    if (st == VarStatus::kAtUpper) return d;
-    return std::abs(d);  // free
   }
 
   // ---- result --------------------------------------------------------------
@@ -800,7 +844,7 @@ class DenseSimplex final : public SimplexCore {
   }
 
   /// Product-form update folded straight into the explicit inverse.
-  void pivot_update(int r, int /*entering*/, int /*leaving*/) override {
+  void pivot_update(int r) override {
     ScopedTimer t(opt_.collect_timing, &stats_.update_ns);
     const double piv = w_[r];
     double* rrow = &binv_[static_cast<std::size_t>(r) * m_];
@@ -881,26 +925,15 @@ class DenseSimplex final : public SimplexCore {
 };
 
 /// The production backend: sparse LU of the basis (sparse_lu.h) with
-/// product-form eta updates and candidate-list partial pricing. Every
-/// per-iteration step is O(nnz)-ish instead of O(m^2); the exactness
-/// story is unchanged because the drift-verification loop and the
-/// downstream certificate checker are backend-blind.
+/// product-form eta updates. Every per-iteration basis step is
+/// O(nnz)-ish instead of O(m^2); the exactness story is unchanged
+/// because the drift-verification loop and the downstream certificate
+/// checker are backend-blind.
 class SparseSimplex final : public SimplexCore {
  public:
   SparseSimplex(const Model& model, const SimplexOptions& opt)
       : SimplexCore(model, opt) {
     stats_.backend = BasisBackend::kSparse;
-    // kAuto means Dantzig here too, NOT the candidate list: partial
-    // pricing reaches different alternative-optimal vertices from warm
-    // vs cold starts, and the sweep pipeline requires warm-started and
-    // cold solves to agree byte-for-byte (serial sweeps warm-start,
-    // parallel/distributed workers solve cold). Full Dantzig converges
-    // to the same vertex from either start across the whole corpus, so
-    // it is the default; the list and Devex are opt-in throughput modes
-    // for callers that do not need cross-run identity.
-    pricing_ = opt_.pricing == PricingRule::kAuto ? PricingRule::kDantzig
-                                                  : opt_.pricing;
-    if (pricing_ == PricingRule::kDevex) refw_.assign(num_cols_, 1.0);
   }
 
  private:
@@ -971,11 +1004,8 @@ class SparseSimplex final : public SimplexCore {
     }
   }
 
-  void pivot_update(int r, int entering, int leaving) override {
+  void pivot_update(int r) override {
     ScopedTimer t(opt_.collect_timing, &stats_.update_ns);
-    if (pricing_ == PricingRule::kDevex) {
-      update_devex_weights(r, entering, leaving);
-    }
     if (lu_.push_eta(r, w_.data(), wnz_.data(), wnz_.size(),
                      kEtaStabilityTol)) {
       stats_.eta_nonzeros = std::max(
@@ -987,87 +1017,8 @@ class SparseSimplex final : public SimplexCore {
     }
   }
 
-  int price(const std::vector<double>& cost) override {
-    // Bland's rule (anti-cycling) and an explicit Dantzig request both
-    // need the full lowest-index / most-negative scan semantics of the
-    // base implementation.
-    if (bland_ || pricing_ == PricingRule::kDantzig) {
-      return SimplexCore::price(cost);
-    }
-    ScopedTimer t(opt_.collect_timing, &stats_.pricing_ns);
-    const std::size_t cap =
-        opt_.candidate_list_size > 0
-            ? static_cast<std::size_t>(opt_.candidate_list_size)
-            : 64;
-    // Re-price the surviving candidates first; most iterations are
-    // served entirely from the list.
-    int best = -1;
-    double best_score = 0.0;
-    std::size_t out = 0;
-    for (const int j : cands_) {
-      const double viol = violation(cost, j);
-      if (viol <= opt_.dual_tol) continue;
-      cands_[out++] = j;
-      const double score = scored(j, viol);
-      if (score > best_score || (score == best_score && best >= 0 && j < best)) {
-        best_score = score;
-        best = j;
-      }
-    }
-    cands_.resize(out);
-    if (best >= 0) return best;
-    // List exhausted: refill from a rotating cursor. Declaring
-    // optimality requires a full empty cycle, so partial pricing can
-    // never terminate early on a non-optimal point.
-    cands_.clear();
-    for (std::size_t scanned = 0; scanned < num_cols_; ++scanned) {
-      const int j = static_cast<int>(cursor_);
-      cursor_ = cursor_ + 1 < num_cols_ ? cursor_ + 1 : 0;
-      const double viol = violation(cost, j);
-      if (viol <= opt_.dual_tol) continue;
-      cands_.push_back(j);
-      const double score = scored(j, viol);
-      if (score > best_score || (score == best_score && best >= 0 && j < best)) {
-        best_score = score;
-        best = j;
-      }
-      if (cands_.size() >= cap) break;
-    }
-    return best;
-  }
-
-  double scored(int j, double viol) const {
-    if (pricing_ != PricingRule::kDevex) return viol;
-    return viol * viol / refw_[j];
-  }
-
-  /// Devex reference weights (approximate steepest edge), updated over
-  /// the candidate list plus the leaving variable. Uses B_old, so it must
-  /// run before the eta for this pivot is pushed.
-  void update_devex_weights(int r, int entering, int leaving) {
-    rho_.assign(m_, 0.0);
-    rho_[r] = 1.0;
-    lu_.btran(rho_.data());  // pivot row of B_old^{-1}, by original row
-    const double alpha_q = w_[r];
-    if (alpha_q == 0.0) return;
-    const double wq = refw_[entering];
-    for (const int j : cands_) {
-      if (j == entering) continue;
-      const double alpha =
-          kernels::gather_dot(col_start_[j + 1] - col_start_[j],
-                              col_row_.data() + col_start_[j],
-                              col_val_.data() + col_start_[j], rho_.data());
-      const double ratio = alpha / alpha_q;
-      refw_[j] = std::max(refw_[j], ratio * ratio * wq);
-    }
-    refw_[leaving] = std::max(wq / (alpha_q * alpha_q), 1.0);
-  }
-
   SparseLu lu_;
-  PricingRule pricing_ = PricingRule::kCandidateList;
-  std::vector<int> cands_;
-  std::size_t cursor_ = 0;
-  std::vector<double> refw_, rho_, rhs_;
+  std::vector<double> rhs_;
 };
 
 /// The backend that will actually run: a dense request on a model whose

@@ -12,16 +12,22 @@
 //   kSparse (default) - sparse LU factorization of the basis (Markowitz-
 //     style pivot ordering, sparse triangular FTRAN/BTRAN), updated per
 //     pivot by product-form eta files and refactorized on the
-//     refactor_interval / eta-growth / stability triggers, with
-//     optional candidate-list / Devex partial pricing. Per-iteration
-//     cost is O(nnz), which is what makes 100k+-task traces tractable.
+//     refactor_interval / eta-growth / stability triggers. Per-iteration
+//     basis cost is O(nnz), which is what makes 100k+-task traces
+//     tractable.
 //
-//   kDense - the original explicit O(m^2) basis inverse with full Dantzig
-//     pricing. Slower but maximally simple, it is kept as the
-//     instability fallback: solve_lp() retries a sparse solve that ends
-//     in a numerical failure on the dense backend, and the robust retry
-//     ladder's accuracy rungs (refactor-20 / bland / perturb) run dense
-//     outright (src/robust/solve_driver.cpp).
+//   kDense - the original explicit O(m^2) basis inverse. Slower but
+//     maximally simple, it is kept as the instability fallback:
+//     solve_lp() retries a sparse solve that ends in a numerical failure
+//     on the dense backend, and the robust retry ladder's accuracy rungs
+//     (refactor-20 / bland / perturb) run dense outright
+//     (src/robust/solve_driver.cpp).
+//
+// Pricing is the same on both backends: one full Dantzig scan per
+// pivot (largest dual infeasibility, near-ties to the lowest index),
+// with Bland's rule as the anti-cycling override (bland_trigger). It is
+// the only rule because warm-started and cold solves must reach the
+// same optimal vertex; the scan in simplex.cpp says why.
 //
 // The "dense is well within budget" era ended with the exact certificate
 // checker (PR 4): every accepted solve is independently re-verified in
@@ -60,30 +66,6 @@ enum class BasisBackend { kDense, kSparse };
 
 const char* to_string(BasisBackend backend);
 
-/// Entering-variable selection rule. kAuto resolves to kDantzig on both
-/// backends: under degenerate alternative optima, partial pricing can
-/// reach a different optimal vertex from a warm start than from a cold
-/// one, and the sweep pipeline requires warm and cold solves to agree
-/// byte-for-byte (serial sweeps warm-start; parallel, distributed and
-/// daemon workers solve cold). Dantzig converges to the same vertex from
-/// either start, so it stays the default; the list and Devex modes are
-/// opt-in for throughput-only callers. Bland's rule is not listed here:
-/// it is the anti-cycling override (bland_trigger) and preempts any of
-/// these.
-enum class PricingRule {
-  kAuto,
-  /// Full scan, most-negative reduced cost. O(nnz) per iteration.
-  kDantzig,
-  /// Partial pricing: a rotating scan refills a small candidate list,
-  /// iterations re-price only the list. Optimality is still certified by
-  /// a full scan (a complete empty cycle). Sparse backend only.
-  kCandidateList,
-  /// Candidate-list selection weighted by Devex reference weights
-  /// (approximate steepest edge; weights updated over the candidate
-  /// list only). Costs one extra BTRAN per pivot.
-  kDevex,
-};
-
 struct SimplexOptions {
   /// Hard cap on simplex iterations across both phases; <= 0 means the
   /// solver picks 200 * (rows + cols) + 2000.
@@ -108,10 +90,6 @@ struct SimplexOptions {
   /// kDenseBackendMaxRows rows is served sparse anyway - the explicit
   /// inverse would need O(m^2) memory the worker rlimits do not grant.
   BasisBackend basis_backend = BasisBackend::kSparse;
-  /// Entering-variable rule; kAuto picks per backend (see PricingRule).
-  PricingRule pricing = PricingRule::kAuto;
-  /// Candidate-list capacity for partial pricing.
-  int candidate_list_size = 64;
   /// Sparse backend: refactorize when the eta file exceeds this many
   /// nonzeros per row (eta_nnz > limit * m), independent of
   /// refactor_interval.

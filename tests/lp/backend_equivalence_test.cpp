@@ -6,10 +6,9 @@
 // verified optima, not two solvers making the same rounding errors.
 //
 // Also covers: the degenerate/cycling fixture (Beale) driving the
-// Bland's-rule rung on the sparse path, the opt-in pricing modes
-// reaching the same optimum, cross-backend warm starts, status parity
-// on infeasible/unbounded models, and the 100k-task scale target the
-// sparse backend exists for.
+// Bland's-rule rung on the sparse path, cross-backend warm starts,
+// status parity on infeasible/unbounded models, and the 100k-task scale
+// target the sparse backend exists for.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -135,33 +134,6 @@ TEST(BackendEquivalence, BlandRungRunsOnTheSparsePath) {
   EXPECT_NEAR(s.objective, -0.05, 1e-9);
   EXPECT_TRUE(s.stats.bland_engaged);
   EXPECT_EQ(s.stats.backend, lp::BasisBackend::kSparse);
-}
-
-TEST(BackendEquivalence, PricingModesReachTheSameOptimum) {
-  // Candidate-list and Devex pricing may walk different pivot paths and
-  // even stop at a different optimal vertex; the objective they certify
-  // must still match full Dantzig pricing.
-  const dag::TaskGraph g = apps::make_comd({.ranks = 8, .iterations = 1});
-  const core::LpFormulation form(g, model(), cluster());
-  const core::BuiltModel built =
-      form.build_model({.power_cap = 8 * 45.0});
-
-  lp::SimplexOptions base;
-  base.basis_backend = lp::BasisBackend::kSparse;
-  base.pricing = lp::PricingRule::kDantzig;
-  const lp::Solution ref = lp::solve_lp(built.model, base);
-  ASSERT_TRUE(ref.optimal());
-
-  for (const lp::PricingRule rule :
-       {lp::PricingRule::kCandidateList, lp::PricingRule::kDevex}) {
-    lp::SimplexOptions opt = base;
-    opt.pricing = rule;
-    const lp::Solution s = lp::solve_lp(built.model, opt);
-    ASSERT_TRUE(s.optimal()) << static_cast<int>(rule);
-    const double scale = std::max(1.0, std::abs(ref.objective));
-    EXPECT_LE(std::abs(s.objective - ref.objective) / scale, 1e-7)
-        << static_cast<int>(rule);
-  }
 }
 
 TEST(BackendEquivalence, WarmStartsCrossBackends) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,41 +25,71 @@ CliResult run_cli(std::vector<std::string> args) {
   return {code, out.str(), err.str()};
 }
 
-std::string temp_trace() {
-  return ::testing::TempDir() + "/cli_trace.txt";
-}
+/// Gives every test its own mkdtemp directory for the files it writes.
+/// ctest -j runs each test as a separate process, so a fixed name shared
+/// by many tests lets one test overwrite another's trace mid-run.
+class CliTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::string tmpl = ::testing::TempDir() + "cli_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl.data()), nullptr) << tmpl;
+    dir_ = tmpl;
+  }
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
 
-TEST(Cli, NoArgsPrintsUsage) {
+  std::string temp_path(const std::string& name) const {
+    return dir_ + "/" + name;
+  }
+  std::string temp_trace() const { return temp_path("cli_trace.txt"); }
+  std::string write_fixture(const std::string& name,
+                            const std::string& text) const {
+    const std::string path = temp_path(name);
+    std::ofstream f(path);
+    f << text;
+    return path;
+  }
+
+ private:
+  std::string dir_;
+};
+
+using Cli = CliTest;
+using CliLint = CliTest;
+
+TEST_F(Cli, NoArgsPrintsUsage) {
   const CliResult r = run_cli({});
   EXPECT_NE(r.code, 0);
   EXPECT_NE(r.out.find("usage:"), std::string::npos);
 }
 
-TEST(Cli, HelpIsSuccess) {
+TEST_F(Cli, HelpIsSuccess) {
   const CliResult r = run_cli({"help"});
   EXPECT_EQ(r.code, 0);
   EXPECT_NE(r.out.find("usage:"), std::string::npos);
 }
 
-TEST(Cli, UnknownCommandFails) {
+TEST_F(Cli, UnknownCommandFails) {
   const CliResult r = run_cli({"frobnicate"});
   EXPECT_NE(r.code, 0);
   EXPECT_NE(r.err.find("unknown command"), std::string::npos);
 }
 
-TEST(Cli, TraceRequiresOutput) {
+TEST_F(Cli, TraceRequiresOutput) {
   const CliResult r = run_cli({"trace", "comd"});
   EXPECT_NE(r.code, 0);
   EXPECT_NE(r.err.find("-o"), std::string::npos);
 }
 
-TEST(Cli, TraceUnknownAppFails) {
+TEST_F(Cli, TraceUnknownAppFails) {
   const CliResult r = run_cli({"trace", "doom", "-o", temp_trace()});
   EXPECT_NE(r.code, 0);
   EXPECT_NE(r.err.find("unknown app"), std::string::npos);
 }
 
-TEST(Cli, TraceThenInfo) {
+TEST_F(Cli, TraceThenInfo) {
   const CliResult w = run_cli({"trace", "comd", "-o", temp_trace(),
                                "--ranks", "4", "--iterations", "5"});
   ASSERT_EQ(w.code, 0) << w.err;
@@ -69,7 +102,7 @@ TEST(Cli, TraceThenInfo) {
   EXPECT_NE(i.out.find("min schedulable power"), std::string::npos);
 }
 
-TEST(Cli, BoundValidatesSchedule) {
+TEST_F(Cli, BoundValidatesSchedule) {
   ASSERT_EQ(run_cli({"trace", "bt", "-o", temp_trace(), "--ranks", "4",
                      "--iterations", "5"})
                 .code,
@@ -80,7 +113,7 @@ TEST(Cli, BoundValidatesSchedule) {
   EXPECT_NE(b.out.find("replay peak power"), std::string::npos);
 }
 
-TEST(Cli, BoundInfeasibleCapReturnsError) {
+TEST_F(Cli, BoundInfeasibleCapReturnsError) {
   ASSERT_EQ(run_cli({"trace", "comd", "-o", temp_trace(), "--ranks", "2",
                      "--iterations", "3"})
                 .code,
@@ -90,7 +123,7 @@ TEST(Cli, BoundInfeasibleCapReturnsError) {
   EXPECT_NE(b.err.find("infeasible"), std::string::npos);
 }
 
-TEST(Cli, BoundRequiresCap) {
+TEST_F(Cli, BoundRequiresCap) {
   ASSERT_EQ(run_cli({"trace", "comd", "-o", temp_trace(), "--ranks", "2",
                      "--iterations", "3"})
                 .code,
@@ -99,7 +132,7 @@ TEST(Cli, BoundRequiresCap) {
   EXPECT_NE(b.code, 0);
 }
 
-TEST(Cli, CompareListsAllMethods) {
+TEST_F(Cli, CompareListsAllMethods) {
   ASSERT_EQ(run_cli({"trace", "bt", "-o", temp_trace(), "--ranks", "4",
                      "--iterations", "6"})
                 .code,
@@ -111,7 +144,7 @@ TEST(Cli, CompareListsAllMethods) {
   }
 }
 
-TEST(Cli, SweepMarksInfeasibleCaps) {
+TEST_F(Cli, SweepMarksInfeasibleCaps) {
   ASSERT_EQ(run_cli({"trace", "comd", "-o", temp_trace(), "--ranks", "2",
                      "--iterations", "3"})
                 .code,
@@ -123,12 +156,12 @@ TEST(Cli, SweepMarksInfeasibleCaps) {
   EXPECT_NE(s.out.find("0.0%"), std::string::npos);  // best cap row
 }
 
-TEST(Cli, SweepWithInjectedFailureDegradesInsteadOfAborting) {
+TEST_F(Cli, SweepWithInjectedFailureDegradesInsteadOfAborting) {
   ASSERT_EQ(run_cli({"trace", "comd", "-o", temp_trace(), "--ranks", "2",
                      "--iterations", "3"})
                 .code,
             0);
-  const std::string report = ::testing::TempDir() + "/cli_sweep_report.json";
+  const std::string report = temp_path("cli_sweep_report.json");
   const CliResult s =
       run_cli({"sweep", temp_trace(), "--from", "10", "--to", "60", "--step",
                "25", "--inject-fail", "35", "--report", report});
@@ -153,7 +186,7 @@ TEST(Cli, SweepWithInjectedFailureDegradesInsteadOfAborting) {
   EXPECT_NE(json.str().find("\"verdict\":\"ok\""), std::string::npos);
 }
 
-TEST(Cli, SweepVerdictColumnPresent) {
+TEST_F(Cli, SweepVerdictColumnPresent) {
   ASSERT_EQ(run_cli({"trace", "comd", "-o", temp_trace(), "--ranks", "2",
                      "--iterations", "3"})
                 .code,
@@ -165,12 +198,12 @@ TEST(Cli, SweepVerdictColumnPresent) {
   EXPECT_NE(s.out.find("infeasible"), std::string::npos);
 }
 
-TEST(Cli, BoundWritesRunReportNextToSchedule) {
+TEST_F(Cli, BoundWritesRunReportNextToSchedule) {
   ASSERT_EQ(run_cli({"trace", "bt", "-o", temp_trace(), "--ranks", "3",
                      "--iterations", "3"})
                 .code,
             0);
-  const std::string sched = ::testing::TempDir() + "/cli_report.sched";
+  const std::string sched = temp_path("cli_report.sched");
   const CliResult b = run_cli({"bound", temp_trace(), "--socket-cap", "45",
                                "-o", sched});
   ASSERT_EQ(b.code, 0) << b.err;
@@ -183,8 +216,8 @@ TEST(Cli, BoundWritesRunReportNextToSchedule) {
             std::string::npos);
 }
 
-TEST(Cli, BoundOnCorruptTraceNamesLine) {
-  const std::string path = ::testing::TempDir() + "/cli_corrupt.trace";
+TEST_F(Cli, BoundOnCorruptTraceNamesLine) {
+  const std::string path = temp_path("cli_corrupt.trace");
   {
     std::ofstream f(path);
     f << "powerlim-trace 1\nranks 1\nvertex 0 init -1\nvertex 1 finalize -1\n"
@@ -196,20 +229,20 @@ TEST(Cli, BoundOnCorruptTraceNamesLine) {
   EXPECT_NE(b.err.find("NOT_A_NUMBER"), std::string::npos) << b.err;
 }
 
-TEST(Cli, MissingTraceFileErrors) {
+TEST_F(Cli, MissingTraceFileErrors) {
   const CliResult r = run_cli({"info", "/nonexistent/trace.txt"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("error:"), std::string::npos);
 }
 
-TEST(Cli, UnknownOptionRejected) {
+TEST_F(Cli, UnknownOptionRejected) {
   const CliResult r = run_cli({"trace", "comd", "-o", temp_trace(),
                                "--bogus", "7"});
   EXPECT_NE(r.code, 0);
   EXPECT_NE(r.err.find("unknown option"), std::string::npos);
 }
 
-TEST(Cli, ExchangeTraceRoundTrips) {
+TEST_F(Cli, ExchangeTraceRoundTrips) {
   ASSERT_EQ(run_cli({"trace", "exchange", "-o", temp_trace()}).code, 0);
   const CliResult i = run_cli({"info", temp_trace()});
   ASSERT_EQ(i.code, 0);
@@ -217,7 +250,7 @@ TEST(Cli, ExchangeTraceRoundTrips) {
 }
 
 
-TEST(Cli, TimelineRendersLanes) {
+TEST_F(Cli, TimelineRendersLanes) {
   ASSERT_EQ(run_cli({"trace", "bt", "-o", temp_trace(), "--ranks", "3",
                      "--iterations", "4"})
                 .code,
@@ -229,7 +262,7 @@ TEST(Cli, TimelineRendersLanes) {
   EXPECT_NE(t.out.find('#'), std::string::npos);
 }
 
-TEST(Cli, TimelineUnknownMethodFails) {
+TEST_F(Cli, TimelineUnknownMethodFails) {
   ASSERT_EQ(run_cli({"trace", "comd", "-o", temp_trace(), "--ranks", "2",
                      "--iterations", "3"})
                 .code,
@@ -240,12 +273,12 @@ TEST(Cli, TimelineUnknownMethodFails) {
   EXPECT_NE(t.err.find("unknown method"), std::string::npos);
 }
 
-TEST(Cli, ExportWritesCsvPair) {
+TEST_F(Cli, ExportWritesCsvPair) {
   ASSERT_EQ(run_cli({"trace", "comd", "-o", temp_trace(), "--ranks", "2",
                      "--iterations", "3"})
                 .code,
             0);
-  const std::string prefix = ::testing::TempDir() + "/cli_export";
+  const std::string prefix = temp_path("cli_export");
   const CliResult e = run_cli({"export", temp_trace(), "--socket-cap", "45",
                                "-o", prefix});
   ASSERT_EQ(e.code, 0) << e.err;
@@ -258,7 +291,7 @@ TEST(Cli, ExportWritesCsvPair) {
 }
 
 
-TEST(Cli, AnalyzeReportsImbalance) {
+TEST_F(Cli, AnalyzeReportsImbalance) {
   ASSERT_EQ(run_cli({"trace", "bt", "-o", temp_trace(), "--ranks", "4",
                      "--iterations", "3"})
                 .code,
@@ -269,7 +302,7 @@ TEST(Cli, AnalyzeReportsImbalance) {
   EXPECT_NE(a.out.find("per-rank work share"), std::string::npos);
 }
 
-TEST(Cli, EnergyReportsSavings) {
+TEST_F(Cli, EnergyReportsSavings) {
   ASSERT_EQ(run_cli({"trace", "bt", "-o", temp_trace(), "--ranks", "4",
                      "--iterations", "3"})
                 .code,
@@ -279,7 +312,7 @@ TEST(Cli, EnergyReportsSavings) {
   EXPECT_NE(e.out.find("energy saved"), std::string::npos);
 }
 
-TEST(Cli, EnergyRequiresAllowance) {
+TEST_F(Cli, EnergyRequiresAllowance) {
   ASSERT_EQ(run_cli({"trace", "comd", "-o", temp_trace(), "--ranks", "2",
                      "--iterations", "2"})
                 .code,
@@ -288,12 +321,12 @@ TEST(Cli, EnergyRequiresAllowance) {
 }
 
 
-TEST(Cli, BoundSavesAndReplayValidates) {
+TEST_F(Cli, BoundSavesAndReplayValidates) {
   ASSERT_EQ(run_cli({"trace", "bt", "-o", temp_trace(), "--ranks", "3",
                      "--iterations", "4"})
                 .code,
             0);
-  const std::string sched = ::testing::TempDir() + "/cli_saved.sched";
+  const std::string sched = temp_path("cli_saved.sched");
   const CliResult b = run_cli({"bound", temp_trace(), "--socket-cap", "45",
                                "-o", sched});
   ASSERT_EQ(b.code, 0) << b.err;
@@ -303,12 +336,12 @@ TEST(Cli, BoundSavesAndReplayValidates) {
   EXPECT_NE(r.out.find("valid"), std::string::npos);
 }
 
-TEST(Cli, ReplayRejectsMismatchedSchedule) {
+TEST_F(Cli, ReplayRejectsMismatchedSchedule) {
   ASSERT_EQ(run_cli({"trace", "bt", "-o", temp_trace(), "--ranks", "3",
                      "--iterations", "4"})
                 .code,
             0);
-  const std::string sched = ::testing::TempDir() + "/cli_saved2.sched";
+  const std::string sched = temp_path("cli_saved2.sched");
   ASSERT_EQ(run_cli({"bound", temp_trace(), "--socket-cap", "45", "-o",
                      sched})
                 .code,
@@ -324,9 +357,9 @@ TEST(Cli, ReplayRejectsMismatchedSchedule) {
 }
 
 
-TEST(Cli, PartitionSplitsMachineBudget) {
-  const std::string t1 = ::testing::TempDir() + "/cli_job1.trace";
-  const std::string t2 = ::testing::TempDir() + "/cli_job2.trace";
+TEST_F(Cli, PartitionSplitsMachineBudget) {
+  const std::string t1 = temp_path("cli_job1.trace");
+  const std::string t2 = temp_path("cli_job2.trace");
   ASSERT_EQ(run_cli({"trace", "bt", "-o", t1, "--ranks", "2",
                      "--iterations", "2"})
                 .code,
@@ -341,8 +374,8 @@ TEST(Cli, PartitionSplitsMachineBudget) {
   EXPECT_NE(r.out.find("machine makespan"), std::string::npos);
 }
 
-TEST(Cli, PartitionInfeasibleBudget) {
-  const std::string t1 = ::testing::TempDir() + "/cli_job3.trace";
+TEST_F(Cli, PartitionInfeasibleBudget) {
+  const std::string t1 = temp_path("cli_job3.trace");
   ASSERT_EQ(run_cli({"trace", "comd", "-o", t1, "--ranks", "2",
                      "--iterations", "2"})
                 .code,
@@ -353,13 +386,6 @@ TEST(Cli, PartitionInfeasibleBudget) {
 }
 
 
-std::string write_fixture(const std::string& name, const std::string& text) {
-  const std::string path = ::testing::TempDir() + "/" + name;
-  std::ofstream f(path);
-  f << text;
-  return path;
-}
-
 const char kZeroWorkTrace[] =
     "powerlim-trace 1\n"
     "ranks 1\n"
@@ -367,15 +393,15 @@ const char kZeroWorkTrace[] =
     "vertex 1 finalize -1 Finalize\n"
     "task 0 1 0 0 0 0 0.95 4 0 8\n";
 
-TEST(CliLint, CleanTracePassesWithOkSummary) {
-  const std::string path = ::testing::TempDir() + "/cli_lint_clean.trace";
+TEST_F(CliLint, CleanTracePassesWithOkSummary) {
+  const std::string path = temp_path("cli_lint_clean.trace");
   ASSERT_EQ(run_cli({"trace", "exchange", "-o", path}).code, 0);
   const CliResult r = run_cli({"lint", path});
   EXPECT_EQ(r.code, 0) << r.out << r.err;
   EXPECT_NE(r.out.find(": ok"), std::string::npos);
 }
 
-TEST(CliLint, ZeroWorkTaskIsFlaggedWithFileAndLine) {
+TEST_F(CliLint, ZeroWorkTaskIsFlaggedWithFileAndLine) {
   const std::string path =
       write_fixture("cli_lint_zero.trace", kZeroWorkTrace);
   const CliResult r = run_cli({"lint", path});
@@ -385,7 +411,7 @@ TEST(CliLint, ZeroWorkTaskIsFlaggedWithFileAndLine) {
   EXPECT_NE(r.out.find("FAILED"), std::string::npos);
 }
 
-TEST(CliLint, CyclicTraceIsFlagged) {
+TEST_F(CliLint, CyclicTraceIsFlagged) {
   const std::string path = write_fixture("cli_lint_cycle.trace",
                                          "powerlim-trace 1\n"
                                          "ranks 1\n"
@@ -402,8 +428,8 @@ TEST(CliLint, CyclicTraceIsFlagged) {
   EXPECT_NE(r.out.find("[dag-acyclic]"), std::string::npos) << r.out;
 }
 
-TEST(CliLint, MixedFilesReportPerFileSummaries) {
-  const std::string good = ::testing::TempDir() + "/cli_lint_good.trace";
+TEST_F(CliLint, MixedFilesReportPerFileSummaries) {
+  const std::string good = temp_path("cli_lint_good.trace");
   ASSERT_EQ(run_cli({"trace", "exchange", "-o", good}).code, 0);
   const std::string bad =
       write_fixture("cli_lint_bad.trace", kZeroWorkTrace);
@@ -413,17 +439,17 @@ TEST(CliLint, MixedFilesReportPerFileSummaries) {
   EXPECT_NE(r.out.find("FAILED"), std::string::npos) << r.out;
 }
 
-TEST(CliLint, MissingFileFails) {
+TEST_F(CliLint, MissingFileFails) {
   const CliResult r = run_cli({"lint", "/nonexistent/x.trace"});
   EXPECT_NE(r.code, 0);
 }
 
-TEST(CliLint, RequiresAtLeastOneFile) {
+TEST_F(CliLint, RequiresAtLeastOneFile) {
   const CliResult r = run_cli({"lint"});
   EXPECT_NE(r.code, 0);
 }
 
-TEST(CliLint, BoundRejectsVacuousZeroWorkTrace) {
+TEST_F(CliLint, BoundRejectsVacuousZeroWorkTrace) {
   // The historic bug: a zero-duration task made `bound` print an LP
   // bound of 0.0000 s. The lint gate now refuses to solve it.
   const std::string path =
@@ -435,7 +461,7 @@ TEST(CliLint, BoundRejectsVacuousZeroWorkTrace) {
   EXPECT_EQ(b.out.find("LP bound"), std::string::npos) << b.out;
 }
 
-TEST(CliLint, NoLintBypassesTheGate) {
+TEST_F(CliLint, NoLintBypassesTheGate) {
   const std::string path =
       write_fixture("cli_bound_zero2.trace", kZeroWorkTrace);
   const CliResult b =
@@ -444,7 +470,7 @@ TEST(CliLint, NoLintBypassesTheGate) {
   EXPECT_NE(b.out.find("LP bound"), std::string::npos) << b.out;
 }
 
-TEST(CliLint, SweepGateAlsoLints) {
+TEST_F(CliLint, SweepGateAlsoLints) {
   const std::string path =
       write_fixture("cli_sweep_zero.trace", kZeroWorkTrace);
   const CliResult s = run_cli({"sweep", path, "--from", "10", "--to", "60",
@@ -453,16 +479,16 @@ TEST(CliLint, SweepGateAlsoLints) {
   EXPECT_NE(s.err.find("[task-work]"), std::string::npos) << s.err;
 }
 
-TEST(Cli, DotRendersToStdout) {
+TEST_F(Cli, DotRendersToStdout) {
   ASSERT_EQ(run_cli({"trace", "exchange", "-o", temp_trace()}).code, 0);
   const CliResult d = run_cli({"dot", temp_trace()});
   ASSERT_EQ(d.code, 0) << d.err;
   EXPECT_NE(d.out.find("digraph trace"), std::string::npos);
 }
 
-TEST(Cli, DotWritesFile) {
+TEST_F(Cli, DotWritesFile) {
   ASSERT_EQ(run_cli({"trace", "exchange", "-o", temp_trace()}).code, 0);
-  const std::string out_path = ::testing::TempDir() + "/cli_graph.dot";
+  const std::string out_path = temp_path("cli_graph.dot");
   const CliResult d = run_cli({"dot", temp_trace(), "-o", out_path});
   ASSERT_EQ(d.code, 0) << d.err;
   std::ifstream f(out_path);
