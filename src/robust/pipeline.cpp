@@ -50,15 +50,6 @@ Result<core::SavedSchedule> load_schedule_checked(const std::string& path,
   }
 }
 
-std::vector<SolveOutcome> sweep_caps(const dag::TaskGraph& graph,
-                                     const machine::PowerModel& model,
-                                     const machine::ClusterSpec& cluster,
-                                     const std::vector<double>& job_caps,
-                                     const SolveDriverOptions& options) {
-  const SolveDriver driver(graph, model, cluster, options);
-  return driver.sweep(job_caps);
-}
-
 namespace {
 
 SweepRow row_from_report(const RunReport& rep) {
@@ -99,142 +90,6 @@ long current_peak_rss_kb() {
   struct rusage ru {};
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
   return static_cast<long>(ru.ru_maxrss);
-}
-
-/// Adapter from the worker pool's result record to the shared
-/// degraded-entry synthesis below.
-JournalEntry degraded_entry_for_dead_worker(
-    const dag::TaskGraph& graph, const machine::PowerModel& model,
-    const machine::ClusterSpec& cluster, const SolveDriverOptions& driver_opt,
-    double cap, const WorkerTaskResult& r) {
-  WorkerFailure failure;
-  failure.outcome = status_code_for(r.outcome);
-  failure.detail = r.detail;
-  failure.spawns = r.spawns;
-  failure.wall_ms = r.wall_ms;
-  failure.peak_rss_kb = r.peak_rss_kb;
-  return degraded_entry_for_failure(graph, model, cluster, driver_opt, cap,
-                                    failure);
-}
-
-/// The workers > 1 path: resume-filter as usual, then dispatch every
-/// pending cap through the fork-per-task pool. Results stream into the
-/// journal in completion order (each cap durable the moment it lands);
-/// rows are still assembled in request order. Basis checkpoints are
-/// skipped - workers share no warm-start cache.
-Result<ResilientSweepResult> parallel_resilient_sweep(
-    const dag::TaskGraph& graph, const machine::PowerModel& model,
-    const machine::ClusterSpec& cluster, const std::vector<double>& job_caps,
-    const ResilientSweepOptions& options) {
-  ResilientSweepResult out;
-
-  std::optional<SweepJournal> journal;
-  if (!options.journal_path.empty()) {
-    Result<SweepJournal> opened = SweepJournal::open(options.journal_path);
-    if (!opened.ok()) return opened.status();
-    journal.emplace(std::move(opened).value());
-    out.recovery = journal->recovery();
-  }
-
-  std::vector<std::optional<SweepRow>> slots(job_caps.size());
-  std::vector<std::size_t> pending;
-  for (std::size_t i = 0; i < job_caps.size(); ++i) {
-    if (journal && options.resume) {
-      const JournalEntry* e = journal->find(job_caps[i]);
-      // An untrusted record (kOk without a passed certificate) falls
-      // through to a fresh solve. The journal keeps the old record (a
-      // re-append would be dropped as a duplicate), so an untrusted cap
-      // is re-solved on every resume - deliberately: trust is a property
-      // of the record, not of how often it has been replayed.
-      if (e != nullptr &&
-          journal_entry_trusted(*e, options.driver.verify_certificate)) {
-        slots[i] = row_from_entry(*e);
-        ++out.resumed;
-        continue;
-      }
-    }
-    pending.push_back(i);
-  }
-
-  std::vector<WorkerTaskSpec> tasks;
-  tasks.reserve(pending.size());
-  for (std::size_t i : pending) {
-    const double cap = job_caps[i];
-    WorkerTaskSpec spec;
-    spec.job_cap_watts = cap;
-    spec.run = [&graph, &model, &cluster, &options, cap](int attempt) {
-      maybe_execute_worker_fault(cap, attempt);
-      const SolveDriver driver(graph, model, cluster, options.driver);
-      SolveOutcome o = driver.solve(cap);
-      o.report.worker.isolated = true;
-      o.report.worker.spawns = attempt + 1;
-      o.report.worker.retries = attempt;
-      o.report.worker.peak_rss_kb = current_peak_rss_kb();
-      return entry_from_row(row_from_report(o.report));
-    };
-    tasks.push_back(std::move(spec));
-  }
-
-  WorkerPoolOptions pool_opt;
-  pool_opt.workers = options.workers;
-  pool_opt.limits.mem_mb = options.worker_mem_mb;
-  pool_opt.limits.cpu_seconds = options.worker_cpu_s;
-  if (options.driver.cap_deadline_ms > 0.0) {
-    // Per-spawn wall budget: the cap deadline plus grace for the
-    // fallback simulation and result serialization. Catches workers
-    // wedged where the pivot-granularity deadline cannot reach.
-    pool_opt.limits.wall_seconds =
-        options.driver.cap_deadline_ms / 1000.0 + 2.0;
-  }
-
-  Status journal_error;  // first append failure, surfaced after the pool
-  bool dropped_cancelled = false;
-  const auto on_result = [&](const WorkerTaskResult& r, std::size_t task_idx) {
-    const std::size_t cap_idx = pending[task_idx];
-    JournalEntry entry;
-    if (r.outcome == WorkerOutcome::kOk) {
-      // A worker that reports kCancelled (it inherits the parent's
-      // SIGINT handling across fork) did not really settle its cap:
-      // drop the result so a resumed run re-solves it for real.
-      if (r.entry.verdict == StatusCode::kCancelled) {
-        dropped_cancelled = true;
-        return;
-      }
-      entry = r.entry;
-    } else if (r.outcome == WorkerOutcome::kSkipped) {
-      return;
-    } else {
-      entry = degraded_entry_for_dead_worker(graph, model, cluster,
-                                             options.driver,
-                                             job_caps[cap_idx], r);
-    }
-    if (journal && journal_error.ok()) {
-      const Status st = journal->append(entry);
-      if (!st.ok()) journal_error = st;
-    }
-    SweepRow row = row_from_entry(entry);
-    row.from_journal = false;
-    if (options.on_row) options.on_row(row);
-    slots[cap_idx] = std::move(row);
-    ++out.solved;
-  };
-
-  const WorkerPoolResult pool =
-      run_worker_pool(tasks, pool_opt, options.deadline, on_result);
-  out.worker_stats = pool.stats;
-  if (!journal_error.ok()) return journal_error;
-  if (pool.interrupted) {
-    out.interrupted = true;
-    out.stop = pool.stop;
-  } else if (dropped_cancelled) {
-    out.interrupted = true;
-    out.stop = util::StopReason::kCancelled;
-  }
-
-  for (auto& slot : slots) {
-    if (slot) out.rows.push_back(std::move(*slot));
-  }
-  return out;
 }
 
 /// The Byzantine gate: a remote kOk result is only as trustworthy as the
@@ -310,15 +165,13 @@ RemoteResultGate make_certificate_gate(const dag::TaskGraph& graph,
   };
 }
 
-/// The --remote path: parallel_resilient_sweep's journaling/resume
-/// skeleton dispatched through the distributed pool. The coordinator
-/// splices real transport telemetry into every settled report; remote
-/// kOk results pass the certificate gate before journaling.
-Result<ResilientSweepResult> distributed_resilient_sweep(
-    const dag::TaskGraph& graph, const machine::PowerModel& model,
-    const machine::ClusterSpec& cluster, const std::vector<double>& job_caps,
-    const ResilientSweepOptions& options) {
-  RemoteWorkerOptions remote;
+/// The remote half of the pool: parsed endpoints, the handshake that
+/// replicates this sweep's solve options, and the certificate gate.
+Status remote_pool_options(const dag::TaskGraph& graph,
+                           const machine::PowerModel& model,
+                           const machine::ClusterSpec& cluster,
+                           const ResilientSweepOptions& options,
+                           RemoteWorkerOptions* remote) {
   for (const std::string& text : options.remotes) {
     util::Endpoint ep;
     if (!util::parse_endpoint(text, &ep) || ep.port == 0) {
@@ -326,46 +179,67 @@ Result<ResilientSweepResult> distributed_resilient_sweep(
                     "bad remote endpoint '" + text +
                         "' (want host:port with a nonzero port)");
     }
-    remote.remotes.push_back(ep);
+    remote->remotes.push_back(ep);
   }
   RemoteSolveConfig wire_config;
   wire_config.cap_deadline_ms = options.driver.cap_deadline_ms;
   wire_config.validate_replay = options.driver.validate_replay;
   wire_config.verify_certificate = options.driver.verify_certificate;
   wire_config.discrete = options.driver.lp.discrete;
-  remote.handshake = encode_handshake(wire_config, graph);
+  remote->handshake = encode_handshake(wire_config, graph);
+  remote->gate = make_certificate_gate(graph, model, cluster, options);
   if (options.remote_heartbeat_ms > 0.0) {
-    remote.heartbeat_timeout_ms = options.remote_heartbeat_ms;
+    remote->heartbeat_timeout_ms = options.remote_heartbeat_ms;
   }
   if (options.remote_timeout_ms > 0.0) {
-    remote.job_timeout_ms = options.remote_timeout_ms;
+    remote->job_timeout_ms = options.remote_timeout_ms;
   } else if (options.driver.cap_deadline_ms > 0.0) {
     // The remote end enforces the cap deadline itself; this ceiling only
     // catches a peer that silently keeps heartbeating past it.
-    remote.job_timeout_ms = options.driver.cap_deadline_ms + 5000.0;
+    remote->job_timeout_ms = options.driver.cap_deadline_ms + 5000.0;
   }
+  return Status::Ok();
+}
 
-  ResilientSweepResult out;
-
-  std::optional<SweepJournal> journal;
-  if (!options.journal_path.empty()) {
-    Result<SweepJournal> opened = SweepJournal::open(options.journal_path);
-    if (!opened.ok()) return opened.status();
-    journal.emplace(std::move(opened).value());
-    out.recovery = journal->recovery();
+/// The journal record a resumed sweep may reuse for `cap`, or nullptr.
+/// An untrusted record (kOk without a passed certificate) falls through
+/// to a fresh solve. The journal keeps the old record (a re-append would
+/// be dropped as a duplicate), so an untrusted cap is re-solved on every
+/// resume - deliberately: trust is a property of the record, not of how
+/// often it has been replayed.
+const JournalEntry* resumable_record(const std::optional<SweepJournal>& journal,
+                                     const ResilientSweepOptions& options,
+                                     double cap) {
+  if (!journal || !options.resume) return nullptr;
+  const JournalEntry* e = journal->find(cap);
+  if (e == nullptr ||
+      !journal_entry_trusted(*e, options.driver.verify_certificate)) {
+    return nullptr;
   }
+  return e;
+}
 
+/// The pooled path (workers > 1 or remotes): every cap the journal does
+/// not already hold is solved in an isolated worker. Results stream
+/// into the journal in completion order (each cap durable the moment it
+/// lands); rows are still assembled in request order. Basis checkpoints
+/// are skipped - workers share no warm-start cache.
+Status pooled_sweep(const dag::TaskGraph& graph,
+                    const machine::PowerModel& model,
+                    const machine::ClusterSpec& cluster,
+                    const std::vector<double>& job_caps,
+                    const ResilientSweepOptions& options,
+                    RemoteWorkerOptions remote,
+                    std::optional<SweepJournal>& journal,
+                    ResilientSweepResult* out) {
   std::vector<std::optional<SweepRow>> slots(job_caps.size());
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < job_caps.size(); ++i) {
-    if (journal && options.resume) {
-      const JournalEntry* e = journal->find(job_caps[i]);
-      if (e != nullptr &&
-          journal_entry_trusted(*e, options.driver.verify_certificate)) {
-        slots[i] = row_from_entry(*e);
-        ++out.resumed;
-        continue;
-      }
+    const JournalEntry* e = resumable_record(journal, options, job_caps[i]);
+    if (e != nullptr) {
+      slots[i] = row_from_entry(*e);
+      ++out->resumed;
+      continue;
     }
     pending.push_back(i);
   }
@@ -379,35 +253,32 @@ Result<ResilientSweepResult> distributed_resilient_sweep(
     spec.run = [&graph, &model, &cluster, &options, cap](int attempt) {
       maybe_execute_worker_fault(cap, attempt);
       const SolveDriver driver(graph, model, cluster, options.driver);
-      SolveOutcome o = driver.solve(cap);
-      o.report.worker.isolated = true;
-      o.report.worker.spawns = attempt + 1;
-      o.report.worker.retries = attempt;
-      o.report.worker.peak_rss_kb = current_peak_rss_kb();
-      return entry_from_row(row_from_report(o.report));
+      return isolated_worker_entry(driver.solve(cap).report, attempt);
     };
     tasks.push_back(std::move(spec));
   }
 
-  WorkerPoolOptions pool_opt;
-  pool_opt.workers = options.workers;
-  pool_opt.limits.mem_mb = options.worker_mem_mb;
-  pool_opt.limits.cpu_seconds = options.worker_cpu_s;
+  WorkerPoolOptions pool;
+  pool.workers = options.workers;
+  pool.limits.mem_mb = options.worker_mem_mb;
+  pool.limits.cpu_seconds = options.worker_cpu_s;
   if (options.driver.cap_deadline_ms > 0.0) {
-    pool_opt.limits.wall_seconds =
-        options.driver.cap_deadline_ms / 1000.0 + 2.0;
+    // Per-spawn wall budget: the cap deadline plus grace for the
+    // fallback simulation and result serialization. Catches workers
+    // wedged where the pivot-granularity deadline cannot reach.
+    pool.limits.wall_seconds = options.driver.cap_deadline_ms / 1000.0 + 2.0;
   }
+  pool.remote = std::move(remote);
 
-  const RemoteResultGate gate =
-      make_certificate_gate(graph, model, cluster, options);
-
-  Status journal_error;
+  Status journal_error;  // first append failure, surfaced after the pool
   bool dropped_cancelled = false;
-  const auto on_result = [&](const WorkerTaskResult& r, std::size_t task_idx,
-                             const TransportResult& transport) {
+  const auto on_result = [&](const WorkerTaskResult& r, std::size_t task_idx) {
     const std::size_t cap_idx = pending[task_idx];
     JournalEntry entry;
     if (r.outcome == WorkerOutcome::kOk) {
+      // A worker that reports kCancelled (it inherits the parent's
+      // SIGINT handling across fork) did not really settle its cap:
+      // drop the result so a resumed run re-solves it for real.
       if (r.entry.verdict == StatusCode::kCancelled) {
         dropped_cancelled = true;
         return;
@@ -416,17 +287,18 @@ Result<ResilientSweepResult> distributed_resilient_sweep(
     } else if (r.outcome == WorkerOutcome::kSkipped) {
       return;
     } else {
-      entry = degraded_entry_for_dead_worker(graph, model, cluster,
-                                             options.driver,
-                                             job_caps[cap_idx], r);
+      WorkerFailure failure;
+      failure.outcome = status_code_for(r.outcome);
+      failure.detail = r.detail;
+      failure.spawns = r.spawns;
+      failure.wall_ms = r.wall_ms;
+      failure.peak_rss_kb = r.peak_rss_kb;
+      entry = degraded_entry_for_failure(graph, model, cluster, options.driver,
+                                         job_caps[cap_idx], failure);
     }
-    TransportTelemetry tt;
-    tt.remote = transport.remote;
-    tt.endpoint = transport.endpoint;
-    tt.retries = transport.retries;
-    tt.backoff_ms = transport.backoff_ms;
-    tt.heartbeat_misses = transport.heartbeat_misses;
-    entry.report_json = patch_transport_json(entry.report_json, tt);
+    if (!pool.remote.remotes.empty()) {
+      entry.report_json = patch_transport_json(entry.report_json, r.transport);
+    }
     if (journal && journal_error.ok()) {
       const Status st = journal->append(entry);
       if (!st.ok()) journal_error = st;
@@ -435,39 +307,48 @@ Result<ResilientSweepResult> distributed_resilient_sweep(
     row.from_journal = false;
     if (options.on_row) options.on_row(row);
     slots[cap_idx] = std::move(row);
-    ++out.solved;
+    ++out->solved;
   };
 
-  const WorkerPoolResult pool = run_distributed_pool(
-      tasks, pool_opt, remote, gate, options.deadline, on_result);
-  out.worker_stats = pool.stats;
+  const WorkerPoolResult result =
+      run_worker_pool(tasks, pool, options.deadline, on_result);
+  out->worker_stats = result.stats;
   if (!journal_error.ok()) return journal_error;
-  if (pool.interrupted) {
-    out.interrupted = true;
-    out.stop = pool.stop;
+  if (result.interrupted) {
+    out->interrupted = true;
+    out->stop = result.stop;
   } else if (dropped_cancelled) {
-    out.interrupted = true;
-    out.stop = util::StopReason::kCancelled;
+    out->interrupted = true;
+    out->stop = util::StopReason::kCancelled;
   }
 
   for (auto& slot : slots) {
-    if (slot) out.rows.push_back(std::move(*slot));
+    if (slot) out->rows.push_back(std::move(*slot));
   }
-  return out;
+  return Status::Ok();
 }
 
 }  // namespace
+
+JournalEntry isolated_worker_entry(RunReport report, int attempt) {
+  report.worker.isolated = true;
+  report.worker.spawns = attempt + 1;
+  report.worker.retries = attempt;
+  report.worker.peak_rss_kb = current_peak_rss_kb();
+  return entry_from_row(row_from_report(report));
+}
 
 Result<ResilientSweepResult> resilient_sweep(
     const dag::TaskGraph& graph, const machine::PowerModel& model,
     const machine::ClusterSpec& cluster, const std::vector<double>& job_caps,
     const ResilientSweepOptions& options) {
+  // Endpoints are checked before the journal is opened, so a bad one
+  // fails the sweep without touching (or recovering) the journal.
+  RemoteWorkerOptions remote;
   if (!options.remotes.empty()) {
-    return distributed_resilient_sweep(graph, model, cluster, job_caps,
-                                       options);
-  }
-  if (options.workers > 1) {
-    return parallel_resilient_sweep(graph, model, cluster, job_caps, options);
+    const Status st =
+        remote_pool_options(graph, model, cluster, options, &remote);
+    if (!st.ok()) return st;
   }
 
   ResilientSweepResult out;
@@ -480,6 +361,13 @@ Result<ResilientSweepResult> resilient_sweep(
     out.recovery = journal->recovery();
   }
 
+  if (options.workers > 1 || !options.remotes.empty()) {
+    const Status st = pooled_sweep(graph, model, cluster, job_caps, options,
+                                   std::move(remote), journal, &out);
+    if (!st.ok()) return st;
+    return out;
+  }
+
   SolveDriverOptions driver_opt = options.driver;
   driver_opt.deadline =
       util::Deadline::sooner(driver_opt.deadline, options.deadline);
@@ -489,14 +377,10 @@ Result<ResilientSweepResult> resilient_sweep(
   }
 
   for (double cap : job_caps) {
-    if (journal && options.resume) {
-      const JournalEntry* e = journal->find(cap);
-      if (e != nullptr &&
-          journal_entry_trusted(*e, options.driver.verify_certificate)) {
-        out.rows.push_back(row_from_entry(*e));
-        ++out.resumed;
-        continue;
-      }
+    if (const JournalEntry* e = resumable_record(journal, options, cap)) {
+      out.rows.push_back(row_from_entry(*e));
+      ++out.resumed;
+      continue;
     }
 
     util::StopReason stop = options.deadline.stop_reason();

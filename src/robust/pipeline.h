@@ -1,11 +1,16 @@
-// Fail-soft wrappers for the pipeline's file-facing entry points.
+// Fail-soft wrappers for the pipeline's file-facing entry points, and
+// the journaled cap sweep built on them.
 //
 // The lower layers report corrupt input with typed exceptions
 // (dag::TraceParseError names file/line/token; schedule IO throws
 // runtime_error). Sweep drivers and the CLI want Result<T> values they
 // can branch on instead, with every failure classified into the
-// robust::StatusCode taxonomy - these adapters do exactly that mapping
-// and nothing else.
+// robust::StatusCode taxonomy - these adapters do exactly that mapping.
+//
+// resilient_sweep() has two paths over one journal: serial in-process
+// solves (workers == 1, no remotes), and the worker pool
+// (robust/worker_pool.h) for everything else - local fork workers,
+// remote serve-workers, or both.
 #pragma once
 
 #include <functional>
@@ -30,15 +35,6 @@ namespace powerlim::robust {
 /// given, also validates that the schedule matches it (edge counts).
 [[nodiscard]] Result<core::SavedSchedule> load_schedule_checked(
     const std::string& path, const dag::TaskGraph* graph = nullptr);
-
-/// Full resilient sweep: one driver solve per cap, partial results
-/// guaranteed (a failing cap degrades, it does not abort the sweep).
-/// Returns the outcomes in cap order.
-std::vector<SolveOutcome> sweep_caps(const dag::TaskGraph& graph,
-                                     const machine::PowerModel& model,
-                                     const machine::ClusterSpec& cluster,
-                                     const std::vector<double>& job_caps,
-                                     const SolveDriverOptions& options = {});
 
 /// One row of a (possibly resumed) sweep: the same shape whether the cap
 /// was solved this run or recovered from the journal, so a resumed sweep
@@ -68,23 +64,24 @@ struct ResilientSweepOptions {
   /// workers and their caps resume next run.
   util::Deadline deadline;
   /// Process-isolated parallel solving. > 1 forks each cap's ladder into
-  /// a supervised worker (at most `workers` in flight) with crash
-  /// containment and one retry; a cap whose worker dies twice degrades
-  /// to the Static-policy bound under a worker-crashed /
-  /// resource-exhausted verdict. 1 (the default) runs today's serial
-  /// in-process path bit-for-bit. Parallel sweeps skip warm-start basis
-  /// checkpoints (workers share no cache).
+  /// a supervised worker of the worker pool (at most `workers` in
+  /// flight) with crash containment; a cap that loses every attempt the
+  /// pool allows degrades to the Static-policy bound under a
+  /// worker-crashed / resource-exhausted verdict. 1 (the default) with
+  /// no remotes runs the serial in-process path. Pooled sweeps skip
+  /// warm-start basis checkpoints (workers share no cache).
   int workers = 1;
   /// Per-worker RLIMIT_AS budget, MiB (0 = unlimited; ignored under
   /// AddressSanitizer).
   long worker_mem_mb = 0;
   /// Per-worker RLIMIT_CPU budget, seconds (0 = unlimited).
   double worker_cpu_s = 0.0;
-  /// Remote serve-worker endpoints ("host:port"). Non-empty routes the
-  /// sweep through the distributed pool (robust/remote_worker.h): remote
-  /// sessions and up to `workers` local fork workers share one queue,
-  /// every lost cap walks the reassignment ladder, and each remote kOk
-  /// result must pass the local certificate gate before it is journaled.
+  /// Remote serve-worker endpoints ("host:port"). Non-empty gives the
+  /// worker pool its remote half (robust/worker_pool.h): remote sessions
+  /// and up to `workers` local fork workers share one queue, every lost
+  /// cap walks the reassignment ladder, each remote kOk result must pass
+  /// the local certificate gate before it is journaled, and every
+  /// report carries the pool's transport telemetry.
   std::vector<std::string> remotes;
   /// Per-remote-attempt wall ceiling, ms (0 derives it from the cap
   /// deadline, or leaves it unlimited when there is none).
@@ -120,8 +117,9 @@ struct ResilientSweepResult {
   WorkerPoolStats worker_stats;
 };
 
-/// Journaled, resumable cap sweep: the crash-consistent superset of
-/// sweep_caps(). Every completed cap is durably journaled before the
+/// Journaled, resumable cap sweep: one driver solve per cap, partial
+/// results guaranteed (a failing cap degrades, it does not abort the
+/// sweep). Every completed cap is durably journaled before the
 /// next one starts; on resume=true, journaled caps are skipped and their
 /// recovered rows merged in request order with the fresh ones. Returns a
 /// Status only for journal-open failures (unwritable path); solve
@@ -144,6 +142,12 @@ struct WorkerFailure {
   double wall_ms = 0.0;
   long peak_rss_kb = 0;
 };
+
+/// The journal entry an isolated worker child ships for `report`: the
+/// report with its worker block stamped for `attempt` (the attempts the
+/// cap already lost). Local pool workers and serve-worker job children
+/// both build their result with it, so their reports match.
+JournalEntry isolated_worker_entry(RunReport report, int attempt);
 
 /// Synthesizes the degraded journal entry for a cap whose isolated
 /// worker died without shipping a result: a RunReport with one

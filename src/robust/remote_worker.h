@@ -1,21 +1,15 @@
-// Fault-tolerant distributed sweeps: remote TCP cap-solve workers
-// (tentpole of the robustness work, part 5).
+// Remote cap-solve workers: the `powerlim serve-worker --listen
+// host:port` process and the "powerlim-remote v1" protocol it speaks.
 //
-// Two halves over one protocol:
-//
-//   * serve_worker() - the `powerlim serve-worker --listen host:port`
-//     process. Accepts one scheduler connection at a time, receives the
-//     trace + solve options once per connection, then forks one child
-//     per cap-solve job exactly like the local worker pool (same rlimit
-//     budgets, same exit-code classification) and streams framed
-//     results back, with application-level heartbeats while the child
-//     solves so the scheduler can tell slow-solve from dead-peer.
-//
-//   * run_distributed_pool() - the scheduler side. Mixes remote
-//     serve-worker sessions with local fork workers in one event loop:
-//     remote sessions pull caps from the front of the queue, free local
-//     slots pull from the back, and every failure walks the
-//     reassignment ladder below.
+// serve_worker() accepts one scheduler connection at a time, receives
+// the trace + solve options once per connection, then forks one child
+// per cap-solve job through the worker pool's spawn_worker (same rlimit
+// budgets, same exit-code classification as a local pool worker) and
+// streams framed results back, with application-level heartbeats while
+// the child solves so the scheduler can tell slow-solve from dead-peer.
+// The scheduler side is the worker pool itself (robust/worker_pool.h):
+// a pool given remote endpoints dials them, and every cap it loses
+// walks the reassignment ladder documented there.
 //
 // Protocol "powerlim-remote v1", CRC-framed (robust/wire.h), over TCP:
 //
@@ -30,39 +24,20 @@
 //                         'E' attempt failure ("<code> <detail>": the
 //                             worker's child died and was classified)
 //
-// Reassignment ladder - a cap lost to disconnect, heartbeat silence,
-// job timeout, corrupt frame, or a rejected result is:
-//
-//   1. retried once on a *different* worker (never the endpoint that
-//      just lost it),
-//   2. then forced onto a local fork worker,
-//   3. then degraded to the Static-policy bound by the caller, exactly
-//      like an exhausted local ladder.
-//
-// Trust model: a remote kOk result is accepted only after the caller's
-// gate re-verifies the shipped solution artifact with the exact
-// certificate checker, locally. A buggy or malicious peer can waste one
-// attempt; it cannot poison the journal. Degraded / infeasible remote
-// verdicts carry no "too good" bound to forge (a degraded bound is
-// conservative by construction) and are accepted as reported.
-//
-// Connections are established with capped exponential backoff plus
-// deterministic jitter; a peer that fails enough consecutive connects
-// is declared dead and its pending caps drain to the survivors (and
-// ultimately to local workers, so a sweep with every remote dead
-// completes exactly like a local one).
+// Trust model: a remote kOk result is accepted only after the
+// scheduler's gate re-verifies the shipped solution artifact with the
+// exact certificate checker, locally. A buggy or malicious peer can
+// waste one attempt; it cannot poison the journal. Degraded /
+// infeasible remote verdicts carry no "too good" bound to forge (a
+// degraded bound is conservative by construction) and are accepted as
+// reported.
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "dag/graph.h"
 #include "robust/fault_injection.h"
-#include "robust/solve_driver.h"
-#include "robust/status.h"
 #include "robust/worker_pool.h"
 #include "util/deadline.h"
 #include "util/socket_io.h"
@@ -131,56 +106,5 @@ struct ServeWorkerOptions {
 /// cancellation-after-drain.
 int serve_worker(const ServeWorkerOptions& options, std::ostream& out,
                  std::ostream& err);
-
-/// Scheduler-side knobs for the remote half of a distributed pool.
-struct RemoteWorkerOptions {
-  std::vector<util::Endpoint> remotes;
-  /// Prebuilt 'T' payload (encode_handshake), sent on every (re)connect.
-  std::string handshake;
-  /// Heartbeat silence that declares a busy peer dead, ms.
-  double heartbeat_timeout_ms = 2000.0;
-  /// Per-job wall ceiling on a remote attempt, ms (0 = none; heartbeat
-  /// supervision still polices liveness).
-  double job_timeout_ms = 0.0;
-  double connect_timeout_ms = 1000.0;
-  /// Capped exponential backoff between connect attempts, with
-  /// deterministic jitter in [0.5, 1.5) seeded by `jitter_seed`.
-  double backoff_initial_ms = 25.0;
-  double backoff_max_ms = 1000.0;
-  /// Consecutive connect failures after which an endpoint is dead.
-  int max_connect_failures = 4;
-  std::uint64_t jitter_seed = 1;
-};
-
-/// Transport telemetry for one settled cap, spliced into its report by
-/// the caller (see TransportTelemetry / patch_transport_json).
-struct TransportResult {
-  bool remote = false;
-  std::string endpoint;
-  int retries = 0;
-  double backoff_ms = 0.0;
-  int heartbeat_misses = 0;
-};
-
-/// Byzantine gate: invoked for every remote kOk result with its 'S'
-/// solution artifact before acceptance. A non-ok Status rejects the
-/// result - classified like a corrupt frame, so the cap walks the
-/// reassignment ladder.
-using RemoteResultGate =
-    std::function<Status(const JournalEntry& entry,
-                         const std::string& solution_text)>;
-
-/// Runs `tasks` across the remote endpoints plus up to
-/// `local.workers` local fork workers (local.workers == 0 disables the
-/// local mixing except as the ladder's forced-local fallback, which
-/// always exists). Semantics mirror run_worker_pool: on_result fires in
-/// completion order, interrupted pools SIGKILL local children, close
-/// sessions, and leave unfinished tasks kSkipped.
-WorkerPoolResult run_distributed_pool(
-    const std::vector<WorkerTaskSpec>& tasks,
-    const WorkerPoolOptions& local, const RemoteWorkerOptions& remote,
-    const RemoteResultGate& gate, const util::Deadline& deadline,
-    const std::function<void(const WorkerTaskResult&, std::size_t,
-                             const TransportResult&)>& on_result);
 
 }  // namespace powerlim::robust

@@ -11,12 +11,19 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <deque>
+#include <new>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 
+#include "robust/fault_injection.h"
+#include "robust/remote_worker.h"
 #include "robust/wire.h"
 #include "util/log.h"
 #include "util/posix_io.h"
+#include "util/rng.h"
 
 // RLIMIT_AS under AddressSanitizer kills every worker at startup (ASan
 // reserves terabytes of shadow address space), so memory budgets are
@@ -38,53 +45,16 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
+double ms_between(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-[[noreturn]] void child_run(int write_fd, const WorkerTaskSpec& spec,
-                            int attempt, const WorkerLimits& limits,
-                            int worker_id) {
-  util::set_log_worker_id(worker_id);
-  apply_worker_limits(limits);
-  JournalEntry entry;
-  try {
-    entry = spec.run(attempt);
-  } catch (const std::bad_alloc&) {
-    _exit(kWorkerExitOom);
-  } catch (...) {
-    _exit(kWorkerExitFailure);
-  }
-  const Status st =
-      write_wire_frame(write_fd, 'R', serialize_journal_entry(entry));
-  _exit(st.ok() ? 0 : kWorkerExitFailure);
+void sleep_ms(double ms) {
+  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
-/// One spawned worker the parent is supervising.
-struct InFlight {
-  pid_t pid = -1;
-  int fd = -1;  // read end of the result pipe
-  std::size_t task = 0;
-  int attempt = 0;
-  std::string buffer;
-  Clock::time_point start;
-  bool deadline_killed = false;
-};
-
-std::string signal_detail(int sig) {
-  std::string out = "signal " + std::to_string(sig);
-  const char* name = ::strsignal(sig);
-  if (name != nullptr) {
-    out += " (";
-    out += name;
-    out += ")";
-  }
-  return out;
-}
-
-}  // namespace
-
+/// Applies the setrlimit budgets in the current (child) process. No-op
+/// for zero budgets; RLIMIT_AS is compiled out under AddressSanitizer.
 void apply_worker_limits(const WorkerLimits& limits) {
   if (limits.mem_mb > 0 && !POWERLIM_ASAN) {
     const rlim_t bytes =
@@ -99,6 +69,40 @@ void apply_worker_limits(const WorkerLimits& limits) {
     (void)::setrlimit(RLIMIT_CPU, &r);
   }
 }
+
+[[noreturn]] void child_run(int write_fd, const WorkerTaskSpec& spec,
+                            int attempt, const WorkerLimits& limits,
+                            int worker_id) {
+  util::set_log_worker_id(worker_id);
+  apply_worker_limits(limits);
+  std::optional<WorkerTaskOutput> output;
+  try {
+    output.emplace(spec.run(attempt));
+  } catch (const std::bad_alloc&) {
+    _exit(kWorkerExitOom);
+  } catch (...) {
+    _exit(kWorkerExitFailure);
+  }
+  Status st =
+      write_wire_frame(write_fd, 'R', serialize_journal_entry(output->entry));
+  if (st.ok() && !output->solution_text.empty()) {
+    st = write_wire_frame(write_fd, 'S', output->solution_text);
+  }
+  _exit(st.ok() ? 0 : kWorkerExitFailure);
+}
+
+std::string signal_detail(int sig) {
+  std::string out = "signal " + std::to_string(sig);
+  const char* name = ::strsignal(sig);
+  if (name != nullptr) {
+    out += " (";
+    out += name;
+    out += ")";
+  }
+  return out;
+}
+
+}  // namespace
 
 WorkerAttemptVerdict classify_worker_exit(bool deadline_killed,
                                           int wait_status,
@@ -210,68 +214,110 @@ StatusCode status_code_for(WorkerOutcome outcome) {
   return StatusCode::kInternal;
 }
 
+namespace {
+
+/// Per-task progress through the reassignment ladder.
+struct TaskState {
+  int failures = 0;
+  /// Session indices this cap already failed on (never retried there).
+  std::vector<std::size_t> failed_remotes;
+  bool settled = false;
+  double wall_ms = 0.0;
+  long peak_rss_kb = 0;
+  WorkerOutcome last_outcome = WorkerOutcome::kCrashed;
+  std::string last_detail;
+};
+
+/// Lost attempts that settle a cap failed: a local-only pool allows the
+/// first spawn plus one retry; the remote ladder allows attempt 0
+/// anywhere, one retry on a different worker, then forced local.
+constexpr int kLocalMaxFailures = 2;
+constexpr int kRemoteMaxFailures = 3;
+constexpr int kForceLocalAfterFailures = 2;
+
+struct Session {
+  util::Endpoint endpoint;
+  std::string name;
+  util::Rng rng{1};
+
+  enum class State { kBackoff, kHandshaking, kIdle, kBusy, kDead };
+  State state = State::kBackoff;
+  int fd = -1;
+  FrameStream stream;
+  Clock::time_point retry_at = Clock::now();
+  int connect_failures = 0;
+  double backoff_ms_total = 0.0;
+
+  // In-flight job state (kBusy).
+  std::size_t task = 0;
+  Clock::time_point job_start;
+  Clock::time_point last_heard;
+  int heartbeat_misses = 0;
+  bool miss_flagged = false;
+  bool have_entry = false;
+  JournalEntry entry;
+  // Scheduler-side fault injection for this job.
+  bool inj_stall = false;
+  bool inj_corrupt = false;
+  bool inj_slow = false;
+  bool corrupt_done = false;
+  double slow_budget_ms = 0.0;
+};
+
+struct LocalWorker {
+  pid_t pid = -1;
+  int read_fd = -1;
+  std::size_t task = 0;
+  Clock::time_point start;
+  bool deadline_killed = false;
+  std::string buffer;
+};
+
+WorkerOutcome outcome_from_wire_name(const std::string& name) {
+  if (name == "resource-exhausted") return WorkerOutcome::kResourceExhausted;
+  if (name == "timed-out") return WorkerOutcome::kTimedOut;
+  return WorkerOutcome::kCrashed;
+}
+
+}  // namespace
+
 WorkerPoolResult run_worker_pool(
     const std::vector<WorkerTaskSpec>& tasks,
     const WorkerPoolOptions& options, const util::Deadline& deadline,
     const std::function<void(const WorkerTaskResult&, std::size_t)>&
         on_result) {
+  const RemoteWorkerOptions& remote = options.remote;
+  if (!remote.remotes.empty()) util::ignore_sigpipe();
+  const int max_failures =
+      remote.remotes.empty() ? kLocalMaxFailures : kRemoteMaxFailures;
+
   WorkerPoolResult out;
   out.results.resize(tasks.size());
   out.stats.tasks = static_cast<int>(tasks.size());
-  const int max_workers = options.workers < 1 ? 1 : options.workers;
 
-  std::vector<InFlight> in_flight;
-  std::size_t next_task = 0;
+  const std::size_t max_local =
+      static_cast<std::size_t>(std::max(0, options.workers));
+
+  std::vector<TaskState> states(tasks.size());
+  std::deque<std::size_t> pending;
+  for (std::size_t i = 0; i < tasks.size(); ++i) pending.push_back(i);
+
+  std::vector<Session> sessions;
+  sessions.reserve(remote.remotes.size());
+  for (std::size_t i = 0; i < remote.remotes.size(); ++i) {
+    Session s;
+    s.endpoint = remote.remotes[i];
+    s.name = util::to_string(remote.remotes[i]);
+    s.rng = util::Rng(1 + 0x9e3779b9u * (i + 1));
+    sessions.push_back(std::move(s));
+  }
+
+  std::vector<LocalWorker> locals;
   int worker_seq = 0;
+  std::size_t settled = 0;
 
-  auto spawn = [&](std::size_t task, int attempt) -> bool {
-    // Drop inherited read ends of sibling pipes in the child; holding
-    // them is harmless for EOF but leaks fds into long-lived workers.
-    std::vector<int> sibling_fds;
-    sibling_fds.reserve(in_flight.size());
-    for (const InFlight& w : in_flight) sibling_fds.push_back(w.fd);
-    SpawnedWorker spawned;
-    if (!spawn_worker(tasks[task], attempt, options.limits, worker_seq,
-                      sibling_fds, &spawned)) {
-      return false;
-    }
-    InFlight w;
-    w.pid = spawned.pid;
-    w.fd = spawned.read_fd;
-    w.task = task;
-    w.attempt = attempt;
-    w.start = Clock::now();
-    in_flight.push_back(std::move(w));
-    ++worker_seq;
-    ++out.stats.spawned;
-    return true;
-  };
-
-  // Reaps w (which has hit pipe EOF) and applies retry/settle policy.
-  auto finalize = [&](InFlight& w) {
-    ::close(w.fd);
-    struct rusage ru = {};
-    int status = 0;
-    pid_t reaped;
-    do {
-      reaped = ::wait4(w.pid, &status, 0, &ru);
-    } while (reaped < 0 && errno == EINTR);
-    const long rss_kb = reaped == w.pid ? ru.ru_maxrss : 0;
-
-    WorkerAttemptVerdict v = classify_worker_exit(
-        w.deadline_killed, status, w.buffer, tasks[w.task].job_cap_watts);
-    WorkerTaskResult& r = out.results[w.task];
-    r.spawns = w.attempt + 1;
-    r.peak_rss_kb = std::max(r.peak_rss_kb, rss_kb);
-    r.wall_ms += ms_since(w.start);
-    if (rss_kb > out.stats.max_peak_rss_kb) {
-      out.stats.max_peak_rss_kb = rss_kb;
-    }
-
-    switch (v.outcome) {
-      case WorkerOutcome::kOk:
-        ++out.stats.clean;
-        break;
+  const auto count_failure_stat = [&](WorkerOutcome o) {
+    switch (o) {
       case WorkerOutcome::kCrashed:
         ++out.stats.crashes;
         break;
@@ -281,121 +327,586 @@ WorkerPoolResult run_worker_pool(
       case WorkerOutcome::kTimedOut:
         ++out.stats.timeouts;
         break;
-      case WorkerOutcome::kSkipped:
+      default:
         break;
     }
+  };
 
-    if (v.outcome != WorkerOutcome::kOk &&
-        w.attempt < options.max_retries &&
-        deadline.stop_reason() == util::StopReason::kNone) {
-      util::log_warn() << "cap " << tasks[w.task].job_cap_watts
-                       << " W: worker attempt " << w.attempt + 1
-                       << " failed (" << v.detail << "); retrying in a "
-                       << "fresh worker";
-      ++out.stats.retries;
-      r.detail = v.detail;
-      return std::make_pair(true, std::make_pair(w.task, w.attempt + 1));
+  const auto settle_failed = [&](std::size_t t) {
+    TaskState& ts = states[t];
+    WorkerTaskResult& r = out.results[t];
+    r.outcome = ts.last_outcome;
+    r.spawns = ts.failures;
+    r.peak_rss_kb = ts.peak_rss_kb;
+    r.wall_ms = ts.wall_ms;
+    r.detail = ts.last_detail;
+    r.transport.retries = ts.failures;
+    ts.settled = true;
+    ++settled;
+    if (on_result) on_result(r, t);
+  };
+
+  const auto settle_ok = [&](std::size_t t, JournalEntry entry,
+                             const Session* via) {
+    TaskState& ts = states[t];
+    WorkerTaskResult& r = out.results[t];
+    r.outcome = WorkerOutcome::kOk;
+    r.entry = std::move(entry);
+    r.spawns = ts.failures + 1;
+    r.peak_rss_kb = ts.peak_rss_kb;
+    r.wall_ms = ts.wall_ms;
+    r.detail.clear();
+    r.transport.retries = ts.failures;
+    ts.settled = true;
+    ++settled;
+    ++out.stats.clean;
+    if (via != nullptr) {
+      r.transport.remote = true;
+      r.transport.endpoint = via->name;
+      r.transport.backoff_ms = via->backoff_ms_total;
+      r.transport.heartbeat_misses = via->heartbeat_misses;
+      ++out.stats.remote_clean;
     }
+    if (on_result) on_result(r, t);
+  };
 
-    r.outcome = v.outcome;
-    r.entry = std::move(v.entry);
-    if (v.outcome == WorkerOutcome::kOk) {
-      r.detail.clear();
+  /// One lost attempt: charge the task, remember where it failed, and
+  /// requeue (front, so retries settle promptly) or settle failed.
+  const auto fail_attempt = [&](std::size_t t, const Session* via,
+                                WorkerOutcome outcome,
+                                const std::string& detail) {
+    TaskState& ts = states[t];
+    ++ts.failures;
+    ts.last_outcome = outcome;
+    ts.last_detail = detail;
+    count_failure_stat(outcome);
+    if (via != nullptr) {
+      ++out.stats.remote_failures;
+      ts.failed_remotes.push_back(
+          static_cast<std::size_t>(via - sessions.data()));
+    }
+    util::log_warn() << "cap " << tasks[t].job_cap_watts << " attempt "
+                     << ts.failures << "/" << max_failures << " lost"
+                     << (via ? " on " + via->name : std::string(" locally"))
+                     << ": " << detail;
+    if (ts.failures >= max_failures) {
+      settle_failed(t);
     } else {
-      r.detail = v.detail;
+      ++out.stats.retries;
+      pending.push_front(t);
     }
-    if (on_result) on_result(r, w.task);
-    return std::make_pair(false, std::make_pair(std::size_t{0}, 0));
   };
 
-  auto kill_all_in_flight = [&] {
-    for (InFlight& w : in_flight) {
-      ::kill(w.pid, SIGKILL);
-      ::close(w.fd);
-      int status = 0;
-      pid_t reaped;
-      do {
-        reaped = ::waitpid(w.pid, &status, 0);
-      } while (reaped < 0 && errno == EINTR);
-      out.results[w.task].outcome = WorkerOutcome::kSkipped;
-      out.results[w.task].detail = "pool interrupted mid-solve";
+  const auto schedule_backoff = [&](Session& s) {
+    ++s.connect_failures;
+    if (s.connect_failures >= remote.max_connect_failures) {
+      util::log_warn() << "remote " << s.name << " declared dead after "
+                       << s.connect_failures << " consecutive failures";
+      s.state = Session::State::kDead;
+      return;
     }
-    in_flight.clear();
+    const int doublings = std::min(s.connect_failures - 1, 20);
+    const double base =
+        std::min(remote.backoff_max_ms,
+                 remote.backoff_initial_ms *
+                     static_cast<double>(1 << doublings));
+    const double delay = base * s.rng.uniform(0.5, 1.5);
+    s.backoff_ms_total += delay;
+    s.retry_at = Clock::now() + std::chrono::microseconds(
+                                    static_cast<long>(delay * 1000.0));
+    s.state = Session::State::kBackoff;
   };
 
-  while (next_task < tasks.size() || !in_flight.empty()) {
-    const util::StopReason stop = deadline.stop_reason();
+  const auto close_session = [&](Session& s, bool to_backoff) {
+    if (s.fd >= 0) {
+      ::close(s.fd);
+      s.fd = -1;
+    }
+    s.stream = FrameStream();
+    s.have_entry = false;
+    if (to_backoff && s.state != Session::State::kDead) {
+      schedule_backoff(s);
+    }
+  };
+
+  /// The busy session lost its job (disconnect / silence / poison):
+  /// charge the attempt and recycle the connection through backoff.
+  const auto fail_busy_session = [&](Session& s, WorkerOutcome outcome,
+                                     const std::string& detail) {
+    const std::size_t t = s.task;
+    s.state = Session::State::kBackoff;  // close_session keeps non-dead state
+    close_session(s, true);
+    if (!states[t].settled) {
+      states[t].wall_ms += ms_between(s.job_start, Clock::now());
+      fail_attempt(t, &s, outcome, detail);
+    }
+  };
+
+  const auto session_eligible = [&](const Session& s, std::size_t t) {
+    const TaskState& ts = states[t];
+    if (ts.failures >= kForceLocalAfterFailures) return false;
+    const std::size_t idx = static_cast<std::size_t>(&s - sessions.data());
+    for (std::size_t f : ts.failed_remotes) {
+      if (f == idx) return false;
+    }
+    return true;
+  };
+
+  const auto all_remotes_dead = [&] {
+    for (const Session& s : sessions) {
+      if (s.state != Session::State::kDead) return false;
+    }
+    return true;
+  };
+
+  // A cap is forced local when its failure count says so, or when no
+  // live remote may take it (every survivor already lost it): with one
+  // remote endpoint, "retry on a different worker" collapses straight
+  // to the local rung instead of waiting for a peer that cannot exist.
+  const auto forced_local = [&](std::size_t t) {
+    if (states[t].failures >= kForceLocalAfterFailures) return true;
+    if (states[t].failures == 0) return false;
+    for (const Session& s : sessions) {
+      if (s.state != Session::State::kDead && session_eligible(s, t)) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  bool interrupted = false;
+  util::StopReason stop = util::StopReason::kNone;
+
+  while (settled < tasks.size()) {
+    stop = deadline.stop_reason();
     if (stop != util::StopReason::kNone) {
-      out.interrupted = true;
-      out.stop = stop;
-      kill_all_in_flight();
+      interrupted = true;
       break;
     }
+    const Clock::time_point now = Clock::now();
 
-    while (static_cast<int>(in_flight.size()) < max_workers &&
-           next_task < tasks.size()) {
-      if (!spawn(next_task, 0)) {
-        // fork/pipe failure: treat like a crashed first attempt so the
-        // task still settles (possibly via retry below).
-        out.results[next_task].outcome = WorkerOutcome::kCrashed;
-        out.results[next_task].detail =
-            std::string("cannot spawn worker: ") + std::strerror(errno);
-        ++out.stats.crashes;
-        if (on_result) on_result(out.results[next_task], next_task);
+    // --- session lifecycle: connect / handshake / liveness ---
+    for (Session& s : sessions) {
+      switch (s.state) {
+        case Session::State::kBackoff: {
+          if (now < s.retry_at) break;
+          std::string cerr_msg;
+          const int fd = util::connect_timeout(
+              s.endpoint, remote.connect_timeout_ms / 1000.0, &cerr_msg);
+          if (fd < 0) {
+            schedule_backoff(s);
+            break;
+          }
+          const std::string hs =
+              encode_wire_frame('T', remote.handshake);
+          if (hs.empty() ||
+              util::send_all(fd, hs.data(), hs.size(), 10.0) !=
+                  util::IoStatus::kOk) {
+            ::close(fd);
+            schedule_backoff(s);
+            break;
+          }
+          s.fd = fd;
+          s.stream = FrameStream();
+          s.state = Session::State::kHandshaking;
+          s.last_heard = now;
+          break;
+        }
+        case Session::State::kHandshaking: {
+          if (ms_between(s.last_heard, now) > remote.heartbeat_timeout_ms) {
+            close_session(s, true);
+          }
+          break;
+        }
+        case Session::State::kBusy: {
+          const double silence = ms_between(s.last_heard, now);
+          if (!s.miss_flagged &&
+              silence > remote.heartbeat_timeout_ms / 4.0) {
+            ++s.heartbeat_misses;
+            s.miss_flagged = true;
+          }
+          if (silence > remote.heartbeat_timeout_ms) {
+            fail_busy_session(
+                s, WorkerOutcome::kTimedOut,
+                "no heartbeat from " + s.name + " for " +
+                    std::to_string(static_cast<long>(silence)) +
+                    " ms (dead peer)");
+            break;
+          }
+          if (remote.job_timeout_ms > 0.0 &&
+              ms_between(s.job_start, now) > remote.job_timeout_ms) {
+            fail_busy_session(s, WorkerOutcome::kTimedOut,
+                              "remote attempt on " + s.name +
+                                  " overran its job timeout");
+          }
+          break;
+        }
+        default:
+          break;
       }
-      ++next_task;
     }
-    if (in_flight.empty()) continue;
 
-    std::vector<pollfd> fds;
-    fds.reserve(in_flight.size());
-    for (const InFlight& w : in_flight) {
-      fds.push_back({w.fd, POLLIN, 0});
-    }
-    int rc;
-    do {
-      rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 20);
-    } while (rc < 0 && errno == EINTR);
-
-    // Enforce per-spawn wall budgets before draining: a hung worker
-    // never produces POLLIN, so the kill is what un-wedges the pool
-    // (EOF follows the kill and finalize classifies kTimedOut).
-    if (options.limits.wall_seconds > 0.0) {
-      for (InFlight& w : in_flight) {
-        if (!w.deadline_killed &&
-            ms_since(w.start) > options.limits.wall_seconds * 1000.0) {
-          w.deadline_killed = true;
-          ::kill(w.pid, SIGKILL);
+    // --- dispatch: idle remotes pull from the FRONT of the queue ---
+    for (Session& s : sessions) {
+      if (s.state != Session::State::kIdle || pending.empty()) continue;
+      std::size_t pick = pending.size();
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        if (session_eligible(s, pending[i])) {
+          pick = i;
+          break;
         }
       }
-    }
+      if (pick == pending.size()) continue;
+      const std::size_t t = pending[pick];
+      pending.erase(pending.begin() + static_cast<long>(pick));
+      TaskState& ts = states[t];
+      const double cap = tasks[t].job_cap_watts;
 
-    std::vector<std::pair<std::size_t, int>> respawns;
-    for (std::size_t i = in_flight.size(); i-- > 0;) {
-      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      InFlight& w = in_flight[i];
-      char buf[1 << 16];
-      const ssize_t n = util::read_some(w.fd, buf, sizeof buf);
-      if (n > 0) {
-        w.buffer.append(buf, static_cast<std::size_t>(n));
+      const FaultPlan* plan = ScopedFaultPlan::active();
+      const bool injured = plan && plan->net_fault != NetFault::kNone &&
+                           plan->applies_to_cap(cap) &&
+                           ts.failures < plan->net_fault_attempts;
+      if (injured && plan->net_fault == NetFault::kDrop) {
+        // Scheduler-side drop: lose the connection instead of the job.
+        close_session(s, true);
+        ++out.stats.spawned;
+        fail_attempt(t, &s, WorkerOutcome::kCrashed,
+                     "injected net-drop: connection lost before dispatch");
         continue;
       }
-      // EOF (or error): the worker is done writing - settle it.
-      const auto [retry, next] = finalize(w);
-      if (retry) respawns.push_back(next);
-      in_flight.erase(in_flight.begin() + static_cast<long>(i));
+      const std::string job =
+          encode_wire_frame('J', encode_job(cap, ts.failures));
+      if (util::send_all(s.fd, job.data(), job.size(), 5.0) !=
+          util::IoStatus::kOk) {
+        close_session(s, true);
+        fail_attempt(t, &s, WorkerOutcome::kCrashed,
+                     "connection to " + s.name + " lost sending the job");
+        continue;
+      }
+      s.state = Session::State::kBusy;
+      s.task = t;
+      s.job_start = s.last_heard = Clock::now();
+      s.heartbeat_misses = 0;
+      s.miss_flagged = false;
+      s.have_entry = false;
+      s.inj_stall = injured && plan->net_fault == NetFault::kStall;
+      s.inj_corrupt = injured && plan->net_fault == NetFault::kCorrupt;
+      s.inj_slow = injured && plan->net_fault == NetFault::kSlow;
+      s.corrupt_done = false;
+      s.slow_budget_ms = 500.0;
+      ++out.stats.spawned;
     }
-    for (const auto& [task, attempt] : respawns) {
-      if (!spawn(task, attempt)) {
-        WorkerTaskResult& r = out.results[task];
-        r.outcome = WorkerOutcome::kCrashed;
-        r.detail = std::string("cannot respawn worker: ") +
-                   std::strerror(errno);
-        if (on_result) on_result(r, task);
+
+    // --- dispatch: free local slots pull from the BACK (and any cap
+    // the ladder forced local, from wherever it sits) ---
+    while (!pending.empty()) {
+      std::size_t pick = pending.size();
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        if (forced_local(pending[i])) {
+          pick = i;
+          break;
+        }
+      }
+      const bool forced = pick != pending.size();
+      // workers == 0 disables ordinary local mixing, but the ladder's
+      // forced-local rung (and a pool whose remotes all died, or that
+      // never had any) always has at least one slot - the sweep must
+      // finish even with every peer gone.
+      std::size_t slots = max_local;
+      if (forced || all_remotes_dead()) {
+        slots = std::max<std::size_t>(slots, 1);
+      }
+      if (locals.size() >= slots) break;
+      if (!forced) {
+        if (max_local == 0 && !all_remotes_dead()) break;
+        pick = all_remotes_dead() ? 0 : pending.size() - 1;
+      }
+      const std::size_t t = pending[pick];
+      pending.erase(pending.begin() + static_cast<long>(pick));
+      TaskState& ts = states[t];
+
+      std::vector<int> extra;
+      for (const LocalWorker& w : locals) extra.push_back(w.read_fd);
+      for (const Session& s : sessions) {
+        if (s.fd >= 0) extra.push_back(s.fd);
+      }
+      SpawnedWorker sw;
+      if (!spawn_worker(tasks[t], ts.failures, options.limits, worker_seq++,
+                        extra, &sw)) {
+        fail_attempt(t, nullptr, WorkerOutcome::kCrashed,
+                     std::string("cannot spawn worker: ") +
+                         std::strerror(errno));
+        continue;
+      }
+      LocalWorker w;
+      w.pid = sw.pid;
+      w.read_fd = sw.read_fd;
+      w.task = t;
+      w.start = Clock::now();
+      locals.push_back(std::move(w));
+      ++out.stats.spawned;
+    }
+
+    // --- local wall budgets: a hung worker never produces POLLIN, so
+    // the kill is what un-wedges the pool (EOF follows it) ---
+    for (LocalWorker& w : locals) {
+      if (options.limits.wall_seconds > 0.0 && !w.deadline_killed &&
+          ms_between(w.start, now) > options.limits.wall_seconds * 1000.0) {
+        ::kill(w.pid, SIGKILL);
+        w.deadline_killed = true;
+      }
+    }
+
+    // --- poll local pipes + live sockets ---
+    std::vector<struct pollfd> pfds;
+    std::vector<Session*> pfd_session;
+    for (const LocalWorker& w : locals) {
+      pfds.push_back({w.read_fd, POLLIN, 0});
+      pfd_session.push_back(nullptr);
+    }
+    for (Session& s : sessions) {
+      if (s.fd < 0) continue;
+      pfds.push_back({s.fd, POLLIN, 0});
+      pfd_session.push_back(&s);
+    }
+    if (pfds.empty()) {
+      sleep_ms(10.0);
+      continue;
+    }
+    const int ready = util::retry_eintr([&] {
+      return ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 20);
+    });
+    if (ready <= 0) continue;
+
+    // --- local pipe events ---
+    for (std::size_t i = 0; i < locals.size();) {
+      LocalWorker& w = locals[i];
+      bool finished = false;
+      if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) {
+        char buf[4096];
+        const ssize_t n = util::read_some(w.read_fd, buf, sizeof buf);
+        if (n > 0) {
+          w.buffer.append(buf, static_cast<std::size_t>(n));
+        } else if (n == 0) {
+          finished = true;
+        }
+      }
+      if (!finished) {
+        ++i;
+        continue;
+      }
+      ::close(w.read_fd);
+      int wait_status = 0;
+      struct rusage ru {};
+      util::retry_eintr([&] { return ::wait4(w.pid, &wait_status, 0, &ru); });
+      const std::size_t t = w.task;
+      TaskState& ts = states[t];
+      ts.wall_ms += ms_between(w.start, Clock::now());
+      ts.peak_rss_kb =
+          std::max(ts.peak_rss_kb, static_cast<long>(ru.ru_maxrss));
+      out.stats.max_peak_rss_kb =
+          std::max(out.stats.max_peak_rss_kb, ts.peak_rss_kb);
+      const WorkerAttemptVerdict v = classify_worker_exit(
+          w.deadline_killed, wait_status, w.buffer, tasks[t].job_cap_watts);
+      // Erase before settling so the pollfd indexing stays aligned on
+      // the next loop iteration.
+      locals.erase(locals.begin() + static_cast<long>(i));
+      pfds.erase(pfds.begin() + static_cast<long>(i));
+      pfd_session.erase(pfd_session.begin() + static_cast<long>(i));
+      if (v.outcome == WorkerOutcome::kOk) {
+        settle_ok(t, v.entry, nullptr);
+      } else {
+        fail_attempt(t, nullptr, v.outcome, v.detail);
+      }
+    }
+
+    // --- socket events ---
+    for (std::size_t i = locals.size(); i < pfds.size(); ++i) {
+      Session* sp = pfd_session[i];
+      if (sp == nullptr || sp->fd < 0) continue;
+      Session& s = *sp;
+      if (!(pfds[i].revents & (POLLIN | POLLHUP | POLLERR))) continue;
+      std::string chunk;
+      const util::IoStatus st = util::recv_some(s.fd, &chunk);
+      if (st == util::IoStatus::kDisconnected ||
+          st == util::IoStatus::kError) {
+        if (s.state == Session::State::kBusy) {
+          fail_busy_session(s, WorkerOutcome::kCrashed,
+                            "connection to " + s.name + " lost mid-job");
+        } else {
+          close_session(s, true);
+        }
+        continue;
+      }
+      if (chunk.empty()) continue;
+      if (s.state == Session::State::kBusy && s.inj_stall) {
+        // Scheduler-side stall: pretend nothing arrives. last_heard is
+        // left alone so the dead-peer timer fires.
+        continue;
+      }
+      if (s.state == Session::State::kBusy && s.inj_slow &&
+          s.slow_budget_ms > 0.0) {
+        sleep_ms(50.0);
+        s.slow_budget_ms -= 50.0;
+      }
+      if (s.state == Session::State::kBusy && s.inj_corrupt &&
+          !s.corrupt_done) {
+        chunk[chunk.size() - 1] ^= 0x01;
+        s.corrupt_done = true;
+      }
+      if (s.state == Session::State::kBusy && !s.miss_flagged &&
+          ms_between(s.last_heard, Clock::now()) >
+              remote.heartbeat_timeout_ms / 4.0) {
+        // The frame arrived, but only after a whole silent interval: a
+        // slow worker, recorded as a miss (vs a dead one, which never
+        // resets the timer and trips the timeout above).
+        ++s.heartbeat_misses;
+      }
+      s.last_heard = Clock::now();
+      s.miss_flagged = false;
+      s.stream.feed(chunk);
+
+      WireFrame f;
+      bool closed = false;
+      while (!closed && s.stream.next(&f) == WireDecode::kOk) {
+        switch (f.tag) {
+          case 'A': {
+            if (s.state != Session::State::kHandshaking) break;
+            if (f.payload == "ok") {
+              s.state = Session::State::kIdle;
+              s.connect_failures = 0;
+            } else {
+              // A config/version rejection will not heal with retries.
+              util::log_warn() << "remote " << s.name
+                               << " rejected the handshake: " << f.payload;
+              s.state = Session::State::kDead;
+              close_session(s, false);
+              closed = true;
+            }
+            break;
+          }
+          case 'H':
+            break;  // liveness only; last_heard is already updated
+          case 'R': {
+            if (s.state != Session::State::kBusy) break;
+            JournalEntry e;
+            if (!parse_journal_entry(f.payload, &e) ||
+                std::abs(e.job_cap_watts - tasks[s.task].job_cap_watts) >
+                    1e-9) {
+              fail_busy_session(s, WorkerOutcome::kCrashed,
+                                "unusable result payload from " + s.name);
+              closed = true;
+              break;
+            }
+            if (e.verdict == StatusCode::kCancelled) {
+              // The worker is draining for shutdown; the cap did not
+              // really settle.
+              const std::size_t t = s.task;
+              s.state = Session::State::kIdle;
+              states[t].wall_ms += ms_between(s.job_start, Clock::now());
+              fail_attempt(t, &s, WorkerOutcome::kCrashed,
+                           "remote worker " + s.name +
+                               " cancelled the attempt (shutting down)");
+              break;
+            }
+            if (e.verdict == StatusCode::kOk) {
+              s.entry = std::move(e);
+              s.have_entry = true;  // accept once the 'S' artifact lands
+              break;
+            }
+            // Degraded / infeasible verdicts carry no bound worth
+            // forging; accept as reported.
+            const std::size_t t = s.task;
+            s.state = Session::State::kIdle;
+            states[t].wall_ms += ms_between(s.job_start, Clock::now());
+            settle_ok(t, std::move(e), &s);
+            break;
+          }
+          case 'S': {
+            if (s.state != Session::State::kBusy || !s.have_entry) {
+              fail_busy_session(s, WorkerOutcome::kCrashed,
+                                "unexpected solution frame from " + s.name);
+              closed = true;
+              break;
+            }
+            const std::size_t t = s.task;
+            const Status verdict =
+                remote.gate ? remote.gate(s.entry, f.payload) : Status::Ok();
+            s.have_entry = false;
+            states[t].wall_ms += ms_between(s.job_start, Clock::now());
+            s.state = Session::State::kIdle;
+            if (!verdict.ok()) {
+              ++out.stats.certificate_rejects;
+              // The peer is lying but alive: keep the session for other
+              // caps; this cap never returns to it.
+              fail_attempt(t, &s, WorkerOutcome::kCrashed,
+                           "remote result from " + s.name +
+                               " rejected: " + verdict.to_string());
+            } else {
+              settle_ok(t, s.entry, &s);
+            }
+            break;
+          }
+          case 'E': {
+            if (s.state != Session::State::kBusy) break;
+            const std::size_t t = s.task;
+            s.state = Session::State::kIdle;
+            states[t].wall_ms += ms_between(s.job_start, Clock::now());
+            const std::size_t space = f.payload.find(' ');
+            const WorkerOutcome o =
+                outcome_from_wire_name(f.payload.substr(0, space));
+            fail_attempt(t, &s, o,
+                         "remote attempt on " + s.name + " failed: " +
+                             (space == std::string::npos
+                                  ? f.payload
+                                  : f.payload.substr(space + 1)));
+            break;
+          }
+          default:
+            break;  // unknown frame tags are ignored for forward compat
+        }
+      }
+      if (!closed && s.stream.poisoned()) {
+        if (s.state == Session::State::kBusy) {
+          fail_busy_session(s, WorkerOutcome::kCrashed,
+                            "wire-malformed from " + s.name + ": " +
+                                s.stream.last_error());
+        } else {
+          close_session(s, true);
+        }
       }
     }
   }
 
+  // --- teardown ---
+  if (interrupted) {
+    for (LocalWorker& w : locals) {
+      ::kill(w.pid, SIGKILL);
+      int wait_status = 0;
+      util::retry_eintr([&] { return ::waitpid(w.pid, &wait_status, 0); });
+      ::close(w.read_fd);
+      WorkerTaskResult& r = out.results[w.task];
+      r.outcome = WorkerOutcome::kSkipped;
+      r.detail = "pool interrupted mid-solve";
+    }
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      if (!states[t].settled &&
+          out.results[t].outcome == WorkerOutcome::kSkipped &&
+          out.results[t].detail.empty()) {
+        out.results[t].detail = "pool interrupted before dispatch";
+      }
+    }
+    out.interrupted = true;
+    out.stop = stop;
+  }
+  for (Session& s : sessions) {
+    if (s.fd >= 0) {
+      const std::string quit = encode_wire_frame('Q', "");
+      util::send_all(s.fd, quit.data(), quit.size(), 0.5);
+      ::close(s.fd);
+      s.fd = -1;
+    }
+  }
   return out;
 }
 

@@ -1,5 +1,6 @@
-// Process-isolated parallel sweep workers with crash containment and
-// resource budgets (tentpole of the robustness work, part 3).
+// The worker pool: process-isolated cap solves with crash containment
+// and resource budgets, run on local fork workers and, optionally, on
+// remote serve-workers (robust/remote_worker.h) in one event loop.
 //
 // A cap sweep is embarrassingly parallel - one independent LP ladder
 // per cap - but a serial in-process sweep dies whole when any single
@@ -18,11 +19,28 @@
 //   * wall deadline overrun          -> SIGKILL by the parent, timed out
 //   * clean exit, garbled frame      -> protocol error, treated as crash
 //
-// A failed task is retried once in a fresh worker; a second failure
-// surfaces as a classified WorkerTaskResult the caller degrades exactly
-// like an exhausted ladder rung. Results stream to the caller via
-// on_result in completion order, so journal appends land as caps finish
-// and a crash of the *parent* loses at most the in-flight caps.
+// With remote endpoints, idle serve-worker sessions pull caps from the
+// front of the queue and free local slots pull from the back. A cap
+// lost to disconnect, heartbeat silence, job timeout, corrupt frame, or
+// a result the certificate gate rejects walks the reassignment ladder:
+//
+//   1. retried once on a *different* worker (never the endpoint that
+//      just lost it),
+//   2. then forced onto a local fork worker,
+//   3. then settled failed.
+//
+// The attempt limit follows from the endpoint list: a local-only pool
+// gives a cap its first spawn plus one retry (2 attempts); with remotes
+// the ladder above allows 3. A cap that runs out surfaces as a
+// classified WorkerTaskResult the caller degrades exactly like an
+// exhausted ladder rung. Results stream to the caller via on_result in
+// completion order, so journal appends land as caps finish and a crash
+// of the *parent* loses at most the in-flight caps.
+//
+// Remote sessions connect with capped exponential backoff plus jitter;
+// a peer that fails enough consecutive connects is declared dead and its
+// pending caps drain to the survivors (and ultimately to local workers,
+// so a pool with every remote dead completes exactly like a local one).
 //
 // The pool is task-agnostic (the callback returns a JournalEntry), so
 // tests drive it with hostile children - allocate-forever, sleep-
@@ -33,11 +51,14 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "robust/journal.h"
+#include "robust/solve_driver.h"
 #include "robust/status.h"
 #include "util/deadline.h"
+#include "util/socket_io.h"
 
 namespace powerlim::robust {
 
@@ -75,11 +96,23 @@ const char* to_string(WorkerOutcome outcome);
 /// Maps a terminal (non-kOk) outcome onto the sweep taxonomy.
 StatusCode status_code_for(WorkerOutcome outcome);
 
-/// The task body, run in the forked child. `attempt` is 0 for the first
-/// spawn, 1 for the retry. The returned entry is wire-framed to the
-/// parent; throwing std::bad_alloc exits with kWorkerExitOom, any other
-/// exception with kWorkerExitFailure.
-using WorkerTask = std::function<JournalEntry(int attempt)>;
+/// What a task's child ships back: the result entry as an 'R' frame
+/// and, when non-empty, the solution artifact (core::write_schedule
+/// text) as an 'S' frame after it - the proof a serve-worker's result
+/// must carry for the scheduler's certificate gate. Tasks that ship no
+/// artifact return a bare JournalEntry.
+struct WorkerTaskOutput {
+  WorkerTaskOutput(JournalEntry e, std::string solution = {})
+      : entry(std::move(e)), solution_text(std::move(solution)) {}
+  JournalEntry entry;
+  std::string solution_text;
+};
+
+/// The task body, run in the forked child. `attempt` is the number of
+/// attempts the cap already lost (0 for the first spawn). Throwing
+/// std::bad_alloc exits with kWorkerExitOom, any other exception with
+/// kWorkerExitFailure.
+using WorkerTask = std::function<WorkerTaskOutput(int attempt)>;
 
 struct WorkerTaskSpec {
   /// Task identity in logs and results (the cap being solved).
@@ -92,15 +125,18 @@ struct WorkerTaskResult {
   WorkerOutcome outcome = WorkerOutcome::kSkipped;
   /// Valid when outcome == kOk.
   JournalEntry entry;
-  /// Spawns consumed (1 = clean first try, 2 = retried).
+  /// Attempts consumed (1 = clean first try).
   int spawns = 0;
-  /// Peak RSS across this task's spawns, KiB (wait4 rusage).
+  /// Peak RSS across this task's local spawns, KiB (wait4 rusage).
   long peak_rss_kb = 0;
-  /// Parent-observed wall time across this task's spawns, ms.
+  /// Parent-observed wall time across this task's attempts, ms.
   double wall_ms = 0.0;
   /// Human-readable classification of the last failure ("signal 6
   /// (SIGABRT)", "exit 86 (allocator failure)", ...); empty when clean.
   std::string detail;
+  /// Where the cap settled and how many attempts it lost first; the
+  /// caller splices it into the report when the pool had remotes.
+  TransportTelemetry transport;
 };
 
 /// Pool-wide telemetry, aggregated into RunReport/CLI output. The
@@ -114,7 +150,7 @@ struct WorkerPoolStats {
   int timeouts = 0;
   int retries = 0;
   long max_peak_rss_kb = 0;
-  /// Caps settled by a remote serve-worker (distributed pools).
+  /// Caps settled by a remote serve-worker.
   int remote_clean = 0;
   /// Remote attempts lost to disconnect / timeout / corrupt frame /
   /// rejected result.
@@ -123,12 +159,44 @@ struct WorkerPoolStats {
   int certificate_rejects = 0;
 };
 
+/// Byzantine gate: invoked for every remote kOk result with its 'S'
+/// solution artifact before acceptance. A non-ok Status rejects the
+/// result - classified like a corrupt frame, so the cap walks the
+/// reassignment ladder.
+using RemoteResultGate =
+    std::function<Status(const JournalEntry& entry,
+                         const std::string& solution_text)>;
+
+/// The remote half of a pool. Every field but `remotes` is ignored
+/// while `remotes` is empty.
+struct RemoteWorkerOptions {
+  /// Serve-worker endpoints; empty runs a local-only pool.
+  std::vector<util::Endpoint> remotes;
+  /// Prebuilt 'T' payload (encode_handshake), sent on every (re)connect.
+  std::string handshake;
+  /// Re-verifies each remote kOk result; empty accepts as reported.
+  RemoteResultGate gate;
+  /// Heartbeat silence that declares a busy peer dead, ms.
+  double heartbeat_timeout_ms = 2000.0;
+  /// Per-job wall ceiling on a remote attempt, ms (0 = none; heartbeat
+  /// supervision still polices liveness).
+  double job_timeout_ms = 0.0;
+  double connect_timeout_ms = 1000.0;
+  /// Capped exponential backoff between connect attempts, with
+  /// deterministic jitter in [0.5, 1.5).
+  double backoff_initial_ms = 25.0;
+  double backoff_max_ms = 1000.0;
+  /// Consecutive connect failures after which an endpoint is dead.
+  int max_connect_failures = 4;
+};
+
 struct WorkerPoolOptions {
-  /// Max children in flight. Clamped to >= 1.
+  /// Max local children in flight. A local-only pool clamps it to >= 1;
+  /// with remotes, 0 keeps local workers for the ladder's forced-local
+  /// rung and for a pool whose remotes all died.
   int workers = 2;
   WorkerLimits limits;
-  /// Extra spawns after a failed attempt (the ISSUE ladder: one retry).
-  int max_retries = 1;
+  RemoteWorkerOptions remote;
 };
 
 struct WorkerPoolResult {
@@ -136,35 +204,31 @@ struct WorkerPoolResult {
   std::vector<WorkerTaskResult> results;
   WorkerPoolStats stats;
   /// True when the deadline/cancel stopped the pool early; unfinished
-  /// tasks are kSkipped and in-flight workers were SIGKILLed.
+  /// tasks are kSkipped, in-flight workers were SIGKILLed, and remote
+  /// sessions were closed.
   bool interrupted = false;
   util::StopReason stop = util::StopReason::kNone;
 };
 
-/// Runs every task in a forked worker, at most `options.workers`
-/// concurrently. `on_result` (optional) fires in the parent as each
-/// task settles, in completion order - the journaling hook. `deadline`
-/// is checked between dispatches and enforced on in-flight workers.
+/// Runs every task on local fork workers and the configured remotes.
+/// `on_result` (optional) fires in the parent as each task settles, in
+/// completion order - the journaling hook. `deadline` is checked
+/// between dispatches and enforced on in-flight workers.
 WorkerPoolResult run_worker_pool(
     const std::vector<WorkerTaskSpec>& tasks,
     const WorkerPoolOptions& options, const util::Deadline& deadline = {},
     const std::function<void(const WorkerTaskResult&, std::size_t)>&
         on_result = {});
 
-// --- building blocks shared with the distributed pool / serve-worker ---
-
-/// Applies the setrlimit budgets in the current (child) process. No-op
-/// for zero budgets; RLIMIT_AS is compiled out under AddressSanitizer.
-void apply_worker_limits(const WorkerLimits& limits);
+// --- building blocks shared with the serve-worker's job child ---
 
 /// What one worker *attempt* came back as, before retry policy.
 struct WorkerAttemptVerdict {
   WorkerOutcome outcome = WorkerOutcome::kCrashed;
   /// Valid when outcome == kOk.
   JournalEntry entry;
-  /// Optional 'S' frame shipped after the result: the solution artifact
-  /// (core::write_schedule text) a remote verifies against the
-  /// certificate gate. Empty for local pool workers.
+  /// The optional 'S' frame shipped after the result (see
+  /// WorkerTaskOutput); empty when the task shipped none.
   std::string solution_text;
   std::string detail;
 };

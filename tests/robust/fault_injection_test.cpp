@@ -267,7 +267,7 @@ TEST(FaultInjection, SweepWithOneFailingCapFinishesWithPerCapVerdicts) {
   plan.only_job_cap = 2 * 35.0;  // only the middle cap fails
   const ScopedFaultPlan scope(plan);
 
-  const auto outcomes = sweep_caps(g, kModel, kCluster, caps);
+  const auto outcomes = SolveDriver(g, kModel, kCluster).sweep(caps);
   ASSERT_EQ(outcomes.size(), 3u);
 
   EXPECT_EQ(outcomes[0].report.verdict, StatusCode::kInfeasibleCap);

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <regex>
 #include <string>
 #include <vector>
@@ -15,6 +14,7 @@
 #include "apps/benchmarks.h"
 #include "machine/power_model.h"
 #include "robust/fault_injection.h"
+#include "scratch_dir.h"
 
 namespace powerlim::robust {
 namespace {
@@ -24,10 +24,6 @@ const machine::ClusterSpec kCluster{};
 
 dag::TaskGraph small_graph() {
   return apps::make_comd({.ranks = 2, .iterations = 3, .seed = 17});
-}
-
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
 }
 
 /// Neutralizes the designated telemetry fields so serial and parallel
@@ -189,8 +185,9 @@ TEST(ParallelSweep, InjectedOomDegradesAsResourceExhausted) {
 TEST(ParallelSweep, JournaledParallelRunResumesAndMatches) {
   const dag::TaskGraph g = small_graph();
   const std::vector<double> caps = {2 * 45.0, 2 * 55.0, 2 * 65.0};
-  const std::string path = temp_path("parallel_resume.j");
-  std::remove(path.c_str());
+  const ScratchDir scratch("parallel_pipeline");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("parallel_resume.j");
 
   ResilientSweepOptions popt;
   popt.workers = 2;
@@ -224,8 +221,9 @@ TEST(ParallelSweep, JournaledParallelRunResumesAndMatches) {
 TEST(ParallelSweep, ExpiredDeadlineInterruptsAndResumes) {
   const dag::TaskGraph g = small_graph();
   const std::vector<double> caps = {2 * 45.0, 2 * 55.0};
-  const std::string path = temp_path("parallel_deadline.j");
-  std::remove(path.c_str());
+  const ScratchDir scratch("parallel_pipeline");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("parallel_deadline.j");
 
   ResilientSweepOptions popt;
   popt.workers = 2;

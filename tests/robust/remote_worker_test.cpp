@@ -1,9 +1,10 @@
 // Remote serve-worker + distributed pool contract, below the CLI:
 // protocol round-trips, a real serve-worker process driven over a raw
 // socket (handshake, job, heartbeats, result + solution artifact,
-// version rejection, graceful SIGTERM drain), and run_distributed_pool
-// semantics (remote settling, dead-endpoint drain to local, Byzantine
-// gate rejection walking the reassignment ladder).
+// version rejection, graceful SIGTERM drain), and the worker pool's
+// remote semantics (remote settling, dead-endpoint drain to local,
+// Byzantine gate rejection walking the reassignment ladder, the ladder's
+// attempt limit).
 #include "robust/remote_worker.h"
 
 #include <signal.h>
@@ -277,7 +278,7 @@ TEST(ServeWorker, SigtermDrainsGracefullyMidConnection) {
   EXPECT_EQ(wait_exit(child.pid), 0);
 }
 
-// --- run_distributed_pool semantics ---
+// --- worker pool semantics with remotes ---
 
 struct PoolFixture {
   dag::TaskGraph graph = small_graph();
@@ -322,15 +323,16 @@ TEST(DistributedPool, AllCapsSettleRemotelyWithLocalWorkersDisabled) {
   ASSERT_GT(child.ep.port, 0);
   PoolFixture fix({120.0, 110.0, 100.0});
   fix.remote.remotes = {child.ep};
-  WorkerPoolOptions local;
-  local.workers = 0;  // remote-only: locals exist only as ladder fallback
+  WorkerPoolOptions pool;
+  pool.workers = 0;  // remote-only: locals exist only as ladder fallback
+  pool.remote = fix.remote;
 
-  std::vector<TransportResult> transports;
-  const WorkerPoolResult res = run_distributed_pool(
-      fix.tasks, local, fix.remote, RemoteResultGate{}, util::Deadline{},
-      [&](const WorkerTaskResult& r, std::size_t, const TransportResult& t) {
+  std::vector<TransportTelemetry> transports;
+  const WorkerPoolResult res = run_worker_pool(
+      fix.tasks, pool, util::Deadline{},
+      [&](const WorkerTaskResult& r, std::size_t) {
         EXPECT_EQ(r.outcome, WorkerOutcome::kOk);
-        transports.push_back(t);
+        transports.push_back(r.transport);
       });
   kill(child.pid, SIGTERM);
   wait_exit(child.pid);
@@ -343,7 +345,7 @@ TEST(DistributedPool, AllCapsSettleRemotelyWithLocalWorkersDisabled) {
   EXPECT_EQ(res.stats.remote_clean, 3);
   EXPECT_EQ(res.stats.remote_failures, 0);
   ASSERT_EQ(transports.size(), 3u);
-  for (const TransportResult& t : transports) {
+  for (const TransportTelemetry& t : transports) {
     EXPECT_TRUE(t.remote);
     EXPECT_EQ(t.endpoint, util::to_string(child.ep));
     EXPECT_EQ(t.retries, 0);
@@ -362,12 +364,11 @@ TEST(DistributedPool, DeadEndpointDrainsToLocalWorkers) {
   PoolFixture fix({120.0, 110.0});
   fix.remote.remotes = {{"127.0.0.1", dead_port}};
   fix.remote.max_connect_failures = 2;
-  WorkerPoolOptions local;
-  local.workers = 2;
+  WorkerPoolOptions pool;
+  pool.workers = 2;
+  pool.remote = fix.remote;
 
-  const WorkerPoolResult res =
-      run_distributed_pool(fix.tasks, local, fix.remote, RemoteResultGate{},
-                           util::Deadline{}, {});
+  const WorkerPoolResult res = run_worker_pool(fix.tasks, pool);
   ASSERT_EQ(res.results.size(), 2u);
   for (const WorkerTaskResult& r : res.results) {
     EXPECT_EQ(r.outcome, WorkerOutcome::kOk) << r.detail;
@@ -384,20 +385,19 @@ TEST(DistributedPool, GateRejectionWalksReassignmentLadder) {
   ASSERT_GT(child.ep.port, 0);
   PoolFixture fix({120.0});
   fix.remote.remotes = {child.ep};
-  WorkerPoolOptions local;
+  WorkerPoolOptions pool;
   // No ordinary local mixing: the cap must go remote first, get
   // rejected, and come back through the ladder's forced-local rung.
-  local.workers = 0;
-
-  const RemoteResultGate reject_all =
-      [](const JournalEntry&, const std::string&) {
-        return Status(StatusCode::kCertificateFailed, "test gate says no");
-      };
-  std::vector<TransportResult> transports;
-  const WorkerPoolResult res = run_distributed_pool(
-      fix.tasks, local, fix.remote, reject_all, util::Deadline{},
-      [&](const WorkerTaskResult&, std::size_t, const TransportResult& t) {
-        transports.push_back(t);
+  pool.workers = 0;
+  pool.remote = fix.remote;
+  pool.remote.gate = [](const JournalEntry&, const std::string&) {
+    return Status(StatusCode::kCertificateFailed, "test gate says no");
+  };
+  std::vector<TransportTelemetry> transports;
+  const WorkerPoolResult res = run_worker_pool(
+      fix.tasks, pool, util::Deadline{},
+      [&](const WorkerTaskResult& r, std::size_t) {
+        transports.push_back(r.transport);
       });
   kill(child.pid, SIGTERM);
   wait_exit(child.pid);
@@ -412,6 +412,33 @@ TEST(DistributedPool, GateRejectionWalksReassignmentLadder) {
   ASSERT_EQ(transports.size(), 1u);
   EXPECT_FALSE(transports[0].remote);
   EXPECT_GE(transports[0].retries, 1);
+}
+
+TEST(DistributedPool, CrashOnEveryAttemptUsesTheWholeRemoteLadder) {
+  // With remotes the ladder allows three attempts, where a local-only
+  // pool allows two (WorkerPool.CrashOnEveryAttemptSettlesWorkerCrashed).
+  // The only endpoint is dead, so every attempt runs - and dies - on the
+  // one local worker.
+  std::string error;
+  const int lfd = util::listen_tcp("127.0.0.1", 0, &error);
+  ASSERT_GE(lfd, 0) << error;
+  const int dead_port = util::bound_port(lfd);
+  ::close(lfd);
+
+  PoolFixture fix({90.0});
+  fix.tasks[0].run = [](int) -> JournalEntry { std::abort(); };
+  fix.remote.remotes = {{"127.0.0.1", dead_port}};
+  WorkerPoolOptions pool;
+  pool.workers = 1;
+  pool.remote = fix.remote;
+
+  const WorkerPoolResult res = run_worker_pool(fix.tasks, pool);
+  ASSERT_EQ(res.results.size(), 1u);
+  EXPECT_EQ(res.results[0].outcome, WorkerOutcome::kCrashed);
+  EXPECT_EQ(res.results[0].spawns, 3);
+  EXPECT_EQ(res.stats.crashes, 3);
+  EXPECT_EQ(res.stats.remote_clean, 0);
+  EXPECT_FALSE(res.interrupted);
 }
 
 }  // namespace

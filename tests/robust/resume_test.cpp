@@ -60,7 +60,7 @@ TEST(ResilientSweep, UnjournaledMatchesSweepCaps) {
   EXPECT_FALSE(res->interrupted);
 
   const std::vector<SolveOutcome> plain =
-      sweep_caps(g, kModel, kCluster, caps);
+      SolveDriver(g, kModel, kCluster).sweep(caps);
   for (std::size_t i = 0; i < caps.size(); ++i) {
     EXPECT_EQ(res->rows[i].verdict, plain[i].report.verdict);
     EXPECT_EQ(res->rows[i].bound_seconds, plain[i].report.bound_seconds);

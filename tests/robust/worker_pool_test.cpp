@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -21,6 +20,7 @@
 #include <vector>
 
 #include "robust/status.h"
+#include "scratch_dir.h"
 #include "util/deadline.h"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -250,9 +250,9 @@ TEST(WorkerPool, ExternalSigkillMidSolveIsRetriedAndSweepContinues) {
   // Satellite contract: SIGKILLing a worker mid-solve (a real external
   // kill, not an injected fault) leaves the sweep running - the cap is
   // retried in a fresh worker and every other task still settles.
-  const std::string pidfile =
-      ::testing::TempDir() + "worker_pool_victim.pid";
-  std::remove(pidfile.c_str());
+  const ScratchDir scratch("worker_pool");
+  ASSERT_TRUE(scratch.ok());
+  const std::string pidfile = scratch.path("victim.pid");
 
   WorkerTaskSpec victim;
   victim.job_cap_watts = 60.0;
@@ -284,7 +284,6 @@ TEST(WorkerPool, ExternalSigkillMidSolveIsRetriedAndSweepContinues) {
   const WorkerPoolResult res =
       run_worker_pool({victim, clean_task(100.0)}, {});
   killer.join();
-  std::remove(pidfile.c_str());
 
   ASSERT_EQ(res.results.size(), 2u);
   EXPECT_EQ(res.results[0].outcome, WorkerOutcome::kOk);

@@ -2,13 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <stdlib.h>
-
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "scratch_dir.h"
 
 namespace powerlim::cli {
 namespace {
@@ -25,23 +24,13 @@ CliResult run_cli(std::vector<std::string> args) {
   return {code, out.str(), err.str()};
 }
 
-/// Gives every test its own mkdtemp directory for the files it writes.
-/// ctest -j runs each test as a separate process, so a fixed name shared
-/// by many tests lets one test overwrite another's trace mid-run.
+/// Gives every test its own scratch directory for the files it writes.
 class CliTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    std::string tmpl = ::testing::TempDir() + "cli_XXXXXX";
-    ASSERT_NE(::mkdtemp(tmpl.data()), nullptr) << tmpl;
-    dir_ = tmpl;
-  }
-  void TearDown() override {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
+  void SetUp() override { ASSERT_TRUE(scratch_.ok()); }
 
   std::string temp_path(const std::string& name) const {
-    return dir_ + "/" + name;
+    return scratch_.path(name);
   }
   std::string temp_trace() const { return temp_path("cli_trace.txt"); }
   std::string write_fixture(const std::string& name,
@@ -53,7 +42,7 @@ class CliTest : public ::testing::Test {
   }
 
  private:
-  std::string dir_;
+  ScratchDir scratch_{"cli"};
 };
 
 using Cli = CliTest;

@@ -19,8 +19,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "scratch_dir.h"
 #include "tools/cli.h"
 
 namespace powerlim::cli {
@@ -36,10 +38,6 @@ CliResult run_cli(std::vector<std::string> args) {
   std::ostringstream out, err;
   const int code = run(args, out, err);
   return {code, out.str(), err.str()};
-}
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
 }
 
 std::string read_file(const std::string& path) {
@@ -129,12 +127,8 @@ struct Worker {
   int port = 0;
 };
 
-Worker start_worker(std::vector<std::string> extra_args) {
-  static int counter = 0;
-  const std::string port_file =
-      temp_path("dsw_port_" + std::to_string(::getpid()) + "_" +
-                std::to_string(counter++));
-  std::remove(port_file.c_str());
+Worker launch_worker(const std::string& port_file,
+                     std::vector<std::string> extra_args) {
   std::vector<std::string> args = {"serve-worker", "--listen",
                                    "127.0.0.1:0", "--port-file", port_file};
   args.insert(args.end(), extra_args.begin(), extra_args.end());
@@ -173,18 +167,22 @@ std::string endpoint(const Worker& w) {
 }
 
 /// Shared fixture: one trace + one serial reference sweep, built once
-/// (the serial run is the byte-identity oracle for every leg).
+/// per test process in its own scratch directory (the serial run is the
+/// byte-identity oracle for every leg); every test also gets a scratch
+/// directory of its own for the files it writes.
 class DistributedSweepCli : public ::testing::Test {
  protected:
   static constexpr int kCaps = 32;
 
   static void SetUpTestSuite() {
-    trace_ = new std::string(temp_path("dist_trace"));
+    suite_dir_ = new ScratchDir("dist_suite");
+    ASSERT_TRUE(suite_dir_->ok());
+    trace_ = new std::string(suite_dir_->path("dist_trace"));
     ASSERT_EQ(run_cli({"trace", "comd", "-o", *trace_, "--ranks", "2",
                        "--iterations", "3"})
                   .code,
               0);
-    serial_report_ = new std::string(temp_path("dist_serial.json"));
+    serial_report_ = new std::string(suite_dir_->path("dist_serial.json"));
     std::vector<std::string> args = base_args();
     args.insert(args.end(), {"--report", *serial_report_});
     serial_ = new CliResult(run_cli(args));
@@ -195,6 +193,21 @@ class DistributedSweepCli : public ::testing::Test {
     delete trace_;
     delete serial_report_;
     delete serial_;
+    delete suite_dir_;
+  }
+
+  void SetUp() override { ASSERT_TRUE(scratch_.ok()); }
+
+  std::string temp_path(const std::string& name) const {
+    return scratch_.path(name);
+  }
+
+  /// Starts a serve-worker whose port file lives in this test's
+  /// scratch directory.
+  Worker start_worker(std::vector<std::string> extra_args) {
+    return launch_worker(
+        temp_path("port_" + std::to_string(workers_started_++)),
+        std::move(extra_args));
   }
 
   // 30..107.5 step 2.5 = 32 caps (the acceptance sweep).
@@ -207,11 +220,17 @@ class DistributedSweepCli : public ::testing::Test {
     return head_lines(serial_->out, 2 + kCaps);
   }
 
+  static ScratchDir* suite_dir_;
   static std::string* trace_;
   static std::string* serial_report_;
   static CliResult* serial_;
+
+ private:
+  ScratchDir scratch_{"dist"};
+  int workers_started_ = 0;
 };
 
+ScratchDir* DistributedSweepCli::suite_dir_ = nullptr;
 std::string* DistributedSweepCli::trace_ = nullptr;
 std::string* DistributedSweepCli::serial_report_ = nullptr;
 CliResult* DistributedSweepCli::serial_ = nullptr;
@@ -224,7 +243,6 @@ TEST_F(DistributedSweepCli, TwoWorkersByteIdenticalToSerialAndResumes) {
 
   const std::string report = temp_path("dist_two.json");
   const std::string journal = temp_path("dist_two.jnl");
-  std::remove(journal.c_str());
   std::vector<std::string> args = base_args();
   args.insert(args.end(),
               {"--remote", endpoint(w1) + "," + endpoint(w2), "--workers",
@@ -269,7 +287,6 @@ TEST_F(DistributedSweepCli, SurvivesSigkillOfAWorkerMidSweep) {
   // so the kill lands while caps are still in flight (or immediately
   // after a very fast sweep - either way the sweep must finish clean).
   const std::string journal = temp_path("dist_kill.jnl");
-  std::remove(journal.c_str());
   const pid_t killer = fork();
   ASSERT_GE(killer, 0);
   if (killer == 0) {

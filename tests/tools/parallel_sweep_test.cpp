@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -22,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "scratch_dir.h"
 #include "tools/cli.h"
 
 namespace powerlim::cli {
@@ -37,10 +37,6 @@ CliResult run_cli(std::vector<std::string> args) {
   std::ostringstream out, err;
   const int code = run(args, out, err);
   return {code, out.str(), err.str()};
-}
-
-std::string temp_path(const char* name) {
-  return ::testing::TempDir() + name;
 }
 
 std::string read_file(const std::string& path) {
@@ -94,12 +90,26 @@ std::string strip_telemetry(const std::string& json) {
   return std::regex_replace(s, kFill, "\"lu_fill_ratio\":0");
 }
 
-TEST(ParallelSweepCli, CrashInjectedParallelMatchesSerialByteForByte) {
+/// Gives every test its own scratch directory for the files it writes.
+class ParallelSweepCliTest : public ::testing::Test {
+ protected:
+  void SetUp() override { ASSERT_TRUE(scratch_.ok()); }
+
+  std::string temp_path(const std::string& name) const {
+    return scratch_.path(name);
+  }
+
+ private:
+  ScratchDir scratch_{"parallel_sweep"};
+};
+
+using ParallelSweepCli = ParallelSweepCliTest;
+
+TEST_F(ParallelSweepCli, CrashInjectedParallelMatchesSerialByteForByte) {
   const std::string trace = temp_path("par_trace");
   const std::string serial_report = temp_path("par_serial.json");
   const std::string parallel_report = temp_path("par_parallel.json");
   const std::string journal = temp_path("par_journal");
-  std::remove(journal.c_str());
   ASSERT_EQ(run_cli({"trace", "comd", "-o", trace, "--ranks", "2",
                      "--iterations", "3"})
                 .code,
@@ -150,7 +160,7 @@ TEST(ParallelSweepCli, CrashInjectedParallelMatchesSerialByteForByte) {
   EXPECT_EQ(count_records(journal), n_caps);
 }
 
-TEST(ParallelSweepCli, WorkerFaultNamesParse) {
+TEST_F(ParallelSweepCli, WorkerFaultNamesParse) {
   const std::string trace = temp_path("par_trace2");
   ASSERT_EQ(run_cli({"trace", "comd", "-o", trace, "--ranks", "2",
                      "--iterations", "3"})
@@ -172,17 +182,16 @@ TEST(ParallelSweepCli, WorkerFaultNamesParse) {
   EXPECT_NE(bad.code, 0);
 }
 
-TEST(ParallelSweepCli, WorkersRejectsZero) {
+TEST_F(ParallelSweepCli, WorkersRejectsZero) {
   const CliResult r = run_cli({"sweep", "nofile", "--from", "40", "--to",
                                "60", "--workers", "0"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("--workers"), std::string::npos);
 }
 
-TEST(ParallelSweepCli, SigkilledParallelSweepResumesByteIdentical) {
+TEST_F(ParallelSweepCli, SigkilledParallelSweepResumesByteIdentical) {
   const std::string trace = temp_path("par_kill_trace");
   const std::string journal = temp_path("par_kill_journal");
-  std::remove(journal.c_str());
   // Big enough that the SIGKILL lands while caps are still in flight.
   ASSERT_EQ(run_cli({"trace", "comd", "-o", trace, "--ranks", "4",
                      "--iterations", "24"})

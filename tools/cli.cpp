@@ -600,6 +600,20 @@ std::string rows_report_json(const std::vector<robust::SweepRow>& rows) {
   return js.str();
 }
 
+/// Splits a comma-separated endpoint list ("h1:p1,h2:p2").
+std::vector<std::string> split_endpoints(const std::string& text) {
+  std::vector<std::string> out;
+  std::string rest = text;
+  while (!rest.empty()) {
+    const std::size_t comma = rest.find(',');
+    const std::string one = rest.substr(0, comma);
+    if (!one.empty()) out.push_back(one);
+    if (comma == std::string::npos) break;
+    rest.erase(0, comma + 1);
+  }
+  return out;
+}
+
 int cmd_sweep(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   if (p.positional.size() != 1) {
     err << "sweep: expected one trace file\n";
@@ -684,14 +698,7 @@ int cmd_sweep(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   ropt.worker_mem_mb = opt_int(p, "--worker-mem-mb", 0);
   if (const auto s = opt_double(p, "--worker-cpu-s")) ropt.worker_cpu_s = *s;
   if (const auto it = p.options.find("--remote"); it != p.options.end()) {
-    std::string rest = it->second;
-    while (!rest.empty()) {
-      const std::size_t comma = rest.find(',');
-      const std::string one = rest.substr(0, comma);
-      if (!one.empty()) ropt.remotes.push_back(one);
-      if (comma == std::string::npos) break;
-      rest.erase(0, comma + 1);
-    }
+    ropt.remotes = split_endpoints(it->second);
     if (ropt.remotes.empty()) {
       err << "sweep: --remote needs at least one host:port\n";
       return 2;
@@ -834,20 +841,6 @@ int cmd_serve_worker(const ParsedArgs& p, std::ostream& out,
   }
   opt.cancel = &global_cancel();
   return robust::serve_worker(opt, out, err);
-}
-
-/// Splits a comma-separated endpoint list ("h1:p1,h2:p2").
-std::vector<std::string> split_endpoints(const std::string& text) {
-  std::vector<std::string> out;
-  std::string rest = text;
-  while (!rest.empty()) {
-    const std::size_t comma = rest.find(',');
-    const std::string one = rest.substr(0, comma);
-    if (!one.empty()) out.push_back(one);
-    if (comma == std::string::npos) break;
-    rest.erase(0, comma + 1);
-  }
-  return out;
 }
 
 /// Per-socket watt range -> job-level caps, the same arithmetic
