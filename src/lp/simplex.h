@@ -20,8 +20,8 @@
 //     maximally simple, it is kept as the instability fallback:
 //     solve_lp() retries a sparse solve that ends in a numerical failure
 //     on the dense backend, and the robust retry ladder's accuracy rungs
-//     (refactor-20 / bland / perturb) run dense outright
-//     (src/robust/solve_driver.cpp).
+//     (refactor-20 / bland / perturb) run dense outright after numerical
+//     failures (src/robust/solve_driver.cpp).
 //
 // Pricing is the same on both backends: one full Dantzig scan per
 // pivot (largest dual infeasibility, near-ties to the lowest index),

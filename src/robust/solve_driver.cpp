@@ -23,6 +23,16 @@ namespace {
 constexpr const char* kRungs[] = {"warm", "cold", "refactor-20", "bland",
                                   "perturb"};
 constexpr int kNumRungs = 5;
+constexpr int kBlandRung = 3;
+
+/// The rung to try after `rung` failed with `outcome`; kNumRungs ends the
+/// ladder. A replay cap violation judges the vertex, not the numerics, so
+/// it jumps to bland, the one rung that can reach another optimal vertex
+/// (solve_driver.h says why), and ends the ladder at bland or later.
+int next_rung(int rung, StatusCode outcome) {
+  if (outcome != StatusCode::kReplayCapViolation) return rung + 1;
+  return rung < kBlandRung ? kBlandRung : kNumRungs;
+}
 
 bool retryable(StatusCode code) {
   switch (code) {
@@ -314,20 +324,28 @@ struct SolveDriver::Impl {
     return util::Deadline::sooner(per_cap, options.deadline);
   }
 
+  /// `after_replay_violation`: the previous attempt solved accurately and
+  /// only its vertex failed replay, so bland keeps the base numerics
+  /// (sparse by default) and changes nothing but the pricing rule.
   core::LpScheduleOptions rung_options(int rung, double job_cap,
-                                       const util::Deadline& deadline) const {
+                                       const util::Deadline& deadline,
+                                       bool after_replay_violation) const {
     core::LpScheduleOptions o = options.lp;
     o.power_cap = job_cap;
     o.simplex.deadline = deadline;
+    if (after_replay_violation && rung == kBlandRung) {
+      o.simplex.bland_trigger = 0;
+      return o;
+    }
     switch (rung) {
       case 0:  // warm: base options, sweeper cache in play
       case 1:  // cold: cache dropped by caller
         break;
-      // The accuracy rungs (2+) run the dense backend outright: they are
-      // reached only after the fast sparse path failed twice, and the
-      // explicit inverse removes the eta-update drift dimension entirely
-      // (lp::solve_lp serves the request sparse anyway when the model
-      // exceeds lp::kDenseBackendMaxRows rows).
+      // After numerical, iteration-limit, unbounded, internal or
+      // certificate failures the accuracy rungs (2+) run the dense backend
+      // outright: the explicit inverse removes the eta-update drift
+      // dimension entirely (lp::solve_lp serves the request sparse anyway
+      // when the model exceeds lp::kDenseBackendMaxRows rows).
       case 2:  // refactor-20
         o.simplex.refactor_interval = 20;
         o.simplex.basis_backend = lp::BasisBackend::kDense;
@@ -421,7 +439,8 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
   bool deadline_hit = false;
 
   const int rungs = im.options.enable_ladder ? kNumRungs : 1;
-  for (int r = 0; r < rungs; ++r) {
+  bool after_replay_violation = false;
+  for (int r = 0; r < rungs;) {
     switch (deadline.stop_reason()) {
       case util::StopReason::kCancelled:
         rep.verdict = StatusCode::kCancelled;
@@ -444,7 +463,8 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
       att.detail = std::string("injected ") + lp::to_string(plan->forced_status);
     } else {
       if (r > 0) im.sweeper->clear_warm_starts();
-      core::LpScheduleOptions o = im.rung_options(r, job_cap_watts, deadline);
+      core::LpScheduleOptions o =
+          im.rung_options(r, job_cap_watts, deadline, after_replay_violation);
       if (faulted && plan->coefficient_noise_magnitude > 0.0) {
         const double mag = plan->coefficient_noise_magnitude;
         const std::uint64_t seed = plan->seed;
@@ -550,6 +570,8 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
       rep.detail = detail;
       return out;
     }
+    after_replay_violation = outcome == StatusCode::kReplayCapViolation;
+    r = next_rung(r, outcome);
   }
 
   // Ladder exhausted (or its wall budget died): classify by the final

@@ -12,16 +12,27 @@
 //   5. "perturb"     - cap nudged down by 1e-7 relative + looser tols
 //                      (breaks ties that stall degenerate bases)
 //
-// and, when every rung fails, degrades to the Static-policy bound: the
-// uniform-RAPL schedule is always simulable, so the sweep still reports
-// an achievable (if conservative) time for the cap, clearly marked
-// `degraded`. Only genuinely retryable failures walk the ladder -
-// infeasible caps and bad inputs return immediately.
+// and, when the ladder ends without an accepted solve, degrades to the
+// Static-policy bound: the uniform-RAPL schedule is always simulable, so
+// the sweep still reports an achievable (if conservative) time for the
+// cap, clearly marked `degraded`. Only genuinely retryable failures
+// walk the ladder - infeasible caps and bad inputs return immediately.
 //
 // An optimal LP solve is additionally *replay-validated*: the schedule is
 // executed in the simulator and checked against the cap in the RAPL
 // windowed-average sense (sim::check_cap); a violating schedule is
 // treated as a failed attempt (kReplayCapViolation), not returned.
+//
+// Why a rung failed picks the next one. Numerical, iteration-limit,
+// unbounded, internal and certificate failures walk every rung in
+// order, and only on that path do rungs 3-5 force the dense backend,
+// the accuracy anchor. A replay cap violation judges the optimal
+// vertex, not the numerics: "cold" and "refactor-20" keep Dantzig
+// pricing (on every violating cap of an 8x12 census they reported
+// warm's violation again), and "perturb" is "bland" with the cap 1e-7
+// lower. So the ladder jumps to "bland" on the base backend (sparse by
+// default) with only Bland's rule switched on, and a violation at
+// "bland" or later ends the ladder.
 //
 // Every attempt is recorded in a RunReport (rung, outcome, iterations,
 // degenerate pivots, refactorizations, Bland engagement, primal
@@ -79,7 +90,8 @@ struct SolveAttempt {
   double primal_infeasibility = 0.0;
   /// Sparse-backend basis telemetry (schema 8): summed peak eta-file
   /// nonzeros and worst LU fill ratio across windows. Both 0 when the
-  /// attempt ran on the dense backend (the accuracy rungs do).
+  /// attempt ran on the dense backend (the accuracy rungs do after
+  /// numerical failures).
   long eta_nonzeros = 0;
   double lu_fill_ratio = 0.0;
   /// Barrier window whose solve failed (-1: none / not window-local).

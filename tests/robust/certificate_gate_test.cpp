@@ -25,7 +25,9 @@ const machine::PowerModel& test_model() {
 }
 
 double comfortable_cap(const dag::TaskGraph& g) {
-  const SolveDriver probe(g, test_model(), machine::ClusterSpec{}, {});
+  // SolveDriver keeps a pointer to the cluster: it must outlive `probe`.
+  const machine::ClusterSpec cluster;
+  const SolveDriver probe(g, test_model(), cluster, {});
   const SolveOutcome out = probe.solve(1e6);
   return out.report.min_feasible_power_watts * 1.3;
 }

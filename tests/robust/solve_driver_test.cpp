@@ -1,15 +1,18 @@
 // SolveDriver behavior on healthy inputs: clean solves, pre-checks,
-// report structure. Ladder-under-fault behavior lives in
-// fault_injection_test.cpp.
+// report structure, and the ladder walk after a replay cap violation.
+// Ladder-under-fault behavior lives in fault_injection_test.cpp.
 #include "robust/solve_driver.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "apps/benchmarks.h"
 #include "core/windowed.h"
 #include "machine/power_model.h"
+#include "robust/fault_injection.h"
 
 namespace powerlim::robust {
 namespace {
@@ -19,6 +22,12 @@ const machine::ClusterSpec kCluster{};
 
 dag::TaskGraph small_graph() {
   return apps::make_comd({.ranks = 2, .iterations = 3, .seed = 17});
+}
+
+std::vector<std::string> rungs(const RunReport& report) {
+  std::vector<std::string> out;
+  for (const SolveAttempt& att : report.attempts) out.push_back(att.rung);
+  return out;
 }
 
 TEST(SolveDriver, CleanSolveIsOkOnFirstRung) {
@@ -105,6 +114,69 @@ TEST(SolveDriver, RepeatedSolvesWarmStartAndAgree) {
   // The warm-started re-solve must not be more expensive than cold.
   EXPECT_LE(second.report.attempts[0].iterations,
             first.report.attempts[0].iterations);
+}
+
+// A replay cap violation judges the optimal vertex, not the numerics:
+// cold and refactor-20 keep Dantzig pricing and perturb is bland with a
+// 1e-7 lower cap, so the ladder tries bland once, on the base (sparse)
+// backend, and then degrades to Static.
+TEST(SolveDriver, ReplayViolationRetriesOnlyBlandThenDegrades) {
+  const dag::TaskGraph g =
+      apps::make_lulesh({.ranks = 8, .iterations = 12, .seed = 17});
+  const SolveDriver driver(g, kModel, kCluster);
+  const SolveOutcome res = driver.solve(8 * 50.0);
+  EXPECT_EQ(res.report.verdict, StatusCode::kReplayCapViolation)
+      << res.report.detail;
+  EXPECT_TRUE(res.report.degraded);
+  EXPECT_EQ(res.report.fallback, "static-policy");
+  EXPECT_NEAR(res.report.bound_seconds, 82.0302538599, 1e-9);
+  ASSERT_EQ(rungs(res.report), (std::vector<std::string>{"warm", "bland"}));
+  for (const SolveAttempt& att : res.report.attempts) {
+    EXPECT_EQ(att.outcome, StatusCode::kReplayCapViolation) << att.rung;
+  }
+  const SolveAttempt& bland = res.report.attempts[1];
+  EXPECT_TRUE(bland.bland_engaged);
+  EXPECT_GT(bland.eta_nonzeros, 0);  // 0 would mean the dense backend
+}
+
+// The Bland retry can reach another optimal vertex that passes replay.
+TEST(SolveDriver, BlandVertexRescuesAReplayViolation) {
+  const dag::TaskGraph g =
+      apps::make_lulesh({.ranks = 8, .iterations = 12, .seed = 8});
+  const SolveDriver driver(g, kModel, kCluster);
+  const SolveOutcome res = driver.solve(8 * 55.0);
+  ASSERT_TRUE(res.ok()) << res.report.detail;
+  EXPECT_FALSE(res.report.degraded);
+  ASSERT_EQ(rungs(res.report), (std::vector<std::string>{"warm", "bland"}));
+  EXPECT_EQ(res.report.attempts[0].outcome, StatusCode::kReplayCapViolation);
+  EXPECT_EQ(res.report.attempts[1].outcome, StatusCode::kOk);
+  EXPECT_TRUE(res.report.replay.checked);
+  EXPECT_TRUE(res.report.replay.check.ok);
+  EXPECT_TRUE(res.report.certificate.checked);
+  EXPECT_TRUE(res.report.certificate.ok);
+}
+
+// After numerical failures bland keeps the dense accuracy backend, and
+// a replay violation there still ends the ladder: perturb is skipped.
+TEST(SolveDriver, ReplayViolationAtDenseBlandEndsTheLadder) {
+  const dag::TaskGraph g =
+      apps::make_lulesh({.ranks = 8, .iterations = 12, .seed = 17});
+  FaultPlan plan;
+  plan.fail_attempts = 3;  // "warm", "cold" and "refactor-20" fail injected
+  plan.forced_status = lp::SolveStatus::kNumericalError;
+  const ScopedFaultPlan scope(plan);
+  const SolveDriver driver(g, kModel, kCluster);
+  const SolveOutcome res = driver.solve(8 * 50.0);
+  EXPECT_EQ(res.report.verdict, StatusCode::kReplayCapViolation)
+      << res.report.detail;
+  EXPECT_TRUE(res.report.degraded);
+  ASSERT_EQ(rungs(res.report),
+            (std::vector<std::string>{"warm", "cold", "refactor-20",
+                                      "bland"}));
+  const SolveAttempt& bland = res.report.attempts[3];
+  EXPECT_FALSE(bland.injected);
+  EXPECT_EQ(bland.outcome, StatusCode::kReplayCapViolation);
+  EXPECT_EQ(bland.eta_nonzeros, 0);  // the dense backend
 }
 
 TEST(SolveDriver, ReportSerializesToJson) {

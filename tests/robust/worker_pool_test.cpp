@@ -7,6 +7,7 @@
 
 #include <signal.h>
 #include <sys/types.h>
+#include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -267,7 +268,13 @@ TEST(WorkerPool, ExternalSigkillMidSolveIsRetriedAndSweepContinues) {
     return make_entry(60.0);
   };
 
-  std::thread killer([&] {
+  // The killer is a forked process, not a thread: the pool forks the
+  // retry right after the kill, and a killer thread that has returned but
+  // is not yet joined would be inherited by that child (under TSan the
+  // child then fails its exit-time thread-leak check).
+  const pid_t killer = ::fork();
+  ASSERT_GE(killer, 0);
+  if (killer == 0) {
     const auto start = std::chrono::steady_clock::now();
     while (std::chrono::steady_clock::now() - start <
            std::chrono::seconds(25)) {
@@ -275,15 +282,16 @@ TEST(WorkerPool, ExternalSigkillMidSolveIsRetriedAndSweepContinues) {
       pid_t pid = 0;
       if (f >> pid && pid > 0) {
         ::kill(pid, SIGKILL);
-        return;
+        ::_exit(0);
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-  });
+    ::_exit(1);
+  }
 
   const WorkerPoolResult res =
       run_worker_pool({victim, clean_task(100.0)}, {});
-  killer.join();
+  ::waitpid(killer, nullptr, 0);
 
   ASSERT_EQ(res.results.size(), 2u);
   EXPECT_EQ(res.results[0].outcome, WorkerOutcome::kOk);

@@ -28,7 +28,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -37,6 +36,7 @@
 #include <vector>
 
 #include "robust/wire.h"
+#include "scratch_dir.h"
 #include "serve/client.h"
 #include "serve/loadgen.h"
 #include "serve/protocol.h"
@@ -64,10 +64,6 @@ CliResult run_cli(std::vector<std::string> args) {
   std::ostringstream out, err;
   const int code = run(args, out, err);
   return {code, out.str(), err.str()};
-}
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
 }
 
 std::string read_file(const std::string& path) {
@@ -166,15 +162,11 @@ struct Daemon {
   }
 };
 
-Daemon start_daemon(const std::string& state_dir,
-                    std::vector<std::string> extra_args) {
-  static int counter = 0;
-  const std::string port_file =
-      temp_path("ha_port_" + std::to_string(::getpid()) + "_" +
-                std::to_string(counter++));
+Daemon launch_daemon(const std::string& port_file,
+                     const std::string& state_dir,
+                     std::vector<std::string> extra_args) {
   Daemon d;
   d.state_dir = state_dir;
-  std::remove(port_file.c_str());
   std::vector<std::string> args = {"serve",       "--listen",
                                    "127.0.0.1:0", "--port-file",
                                    port_file,     "--state-dir",
@@ -203,14 +195,6 @@ Daemon start_daemon(const std::string& state_dir,
 
 std::string endpoint_str(const Daemon& d) {
   return "127.0.0.1:" + std::to_string(d.endpoint.port);
-}
-
-Daemon start_standby(const std::string& state_dir, const Daemon& primary,
-                     std::vector<std::string> extra_args) {
-  std::vector<std::string> args = {"--standby-of", endpoint_str(primary),
-                                   "--repl-heartbeat-ms", "25"};
-  args.insert(args.end(), extra_args.begin(), extra_args.end());
-  return start_daemon(state_dir, args);
 }
 
 /// All replicated artifacts (journals + trace snapshots) of two state
@@ -265,19 +249,23 @@ int journaled_rows(const std::string& state_dir) {
   return n;
 }
 
-/// Fixture: one trace + the offline sweep oracle, built once.
+/// Fixture: one trace + the offline sweep oracle, built once per test
+/// process in its own scratch directory; every test also gets a scratch
+/// directory of its own for state dirs, port files and reports.
 class FailoverTest : public ::testing::Test {
  protected:
   // 30..60 step 2.5 = 13 caps, enough runway to SIGKILL mid-sweep.
   static constexpr int kCaps = 13;
 
   static void SetUpTestSuite() {
-    trace_ = new std::string(temp_path("ha_trace"));
+    suite_dir_ = new ScratchDir("ha_suite");
+    ASSERT_TRUE(suite_dir_->ok());
+    trace_ = new std::string(suite_dir_->path("ha_trace"));
     ASSERT_EQ(run_cli({"trace", "comd", "-o", *trace_, "--ranks", "2",
                        "--iterations", "3"})
                   .code,
               0);
-    offline_report_ = new std::string(temp_path("ha_offline.json"));
+    offline_report_ = new std::string(suite_dir_->path("ha_offline.json"));
     offline_ = new CliResult(
         run_cli({"sweep", *trace_, "--from", "30", "--to", "60", "--step",
                  "2.5", "--report", *offline_report_}));
@@ -288,6 +276,30 @@ class FailoverTest : public ::testing::Test {
     delete trace_;
     delete offline_report_;
     delete offline_;
+    delete suite_dir_;
+  }
+
+  void SetUp() override { ASSERT_TRUE(scratch_.ok()); }
+
+  std::string temp_path(const std::string& name) const {
+    return scratch_.path(name);
+  }
+
+  /// Starts a daemon whose port file lives in this test's scratch
+  /// directory.
+  Daemon start_daemon(const std::string& state_dir,
+                      std::vector<std::string> extra_args) {
+    return launch_daemon(
+        temp_path("port_" + std::to_string(daemons_started_++)), state_dir,
+        std::move(extra_args));
+  }
+
+  Daemon start_standby(const std::string& state_dir, const Daemon& primary,
+                       std::vector<std::string> extra_args) {
+    std::vector<std::string> args = {"--standby-of", endpoint_str(primary),
+                                     "--repl-heartbeat-ms", "25"};
+    args.insert(args.end(), extra_args.begin(), extra_args.end());
+    return start_daemon(state_dir, args);
   }
 
   static std::vector<std::string> query_args(const std::string& server) {
@@ -299,26 +311,26 @@ class FailoverTest : public ::testing::Test {
     return head_lines(offline_->out, 2 + kCaps);
   }
 
-  static std::string fresh_state(const std::string& name) {
-    const std::string dir = temp_path(name);
-    std::filesystem::remove_all(dir);
-    return dir;
-  }
-
+  static ScratchDir* suite_dir_;
   static std::string* trace_;
   static std::string* offline_report_;
   static CliResult* offline_;
+
+ private:
+  ScratchDir scratch_{"ha"};
+  int daemons_started_ = 0;
 };
 
+ScratchDir* FailoverTest::suite_dir_ = nullptr;
 std::string* FailoverTest::trace_ = nullptr;
 std::string* FailoverTest::offline_report_ = nullptr;
 CliResult* FailoverTest::offline_ = nullptr;
 
 TEST_F(FailoverTest, StandbyReplicatesByteIdenticalAndServesReadOnly) {
-  Daemon primary = start_daemon(fresh_state("ha_rep_p"),
+  Daemon primary = start_daemon(temp_path("ha_rep_p"),
                                 {"--repl-heartbeat-ms", "25"});
   ASSERT_GT(primary.endpoint.port, 0);
-  Daemon standby = start_standby(fresh_state("ha_rep_s"), primary, {});
+  Daemon standby = start_standby(temp_path("ha_rep_s"), primary, {});
   ASSERT_GT(standby.endpoint.port, 0);
 
   const CliResult q = run_cli(query_args(endpoint_str(primary)));
@@ -360,10 +372,10 @@ TEST_F(FailoverTest, StandbyReplicatesByteIdenticalAndServesReadOnly) {
 
 TEST_F(FailoverTest, SigkillPromoteServesByteIdenticalTableZeroResolves) {
   Daemon primary = start_daemon(
-      fresh_state("ha_kill_p"),
+      temp_path("ha_kill_p"),
       {"--repl-heartbeat-ms", "25", "--max-active", "1"});
   ASSERT_GT(primary.endpoint.port, 0);
-  Daemon standby = start_standby(fresh_state("ha_kill_s"), primary, {});
+  Daemon standby = start_standby(temp_path("ha_kill_s"), primary, {});
   ASSERT_GT(standby.endpoint.port, 0);
 
   // A client child drives the sweep; the kill lands once the standby
@@ -431,10 +443,10 @@ TEST_F(FailoverTest, SigkillPromoteServesByteIdenticalTableZeroResolves) {
 }
 
 TEST_F(FailoverTest, StaleEpochDeposedPrimaryRefusedAndFenced) {
-  Daemon old_primary = start_daemon(fresh_state("ha_split_p"),
+  Daemon old_primary = start_daemon(temp_path("ha_split_p"),
                                     {"--repl-heartbeat-ms", "25"});
   ASSERT_GT(old_primary.endpoint.port, 0);
-  Daemon standby = start_standby(fresh_state("ha_split_s"), old_primary, {});
+  Daemon standby = start_standby(temp_path("ha_split_s"), old_primary, {});
   ASSERT_GT(standby.endpoint.port, 0);
 
   const CliResult q = run_cli({"query", *trace_, "--server",
@@ -485,10 +497,10 @@ TEST_F(FailoverTest, StaleEpochDeposedPrimaryRefusedAndFenced) {
 }
 
 TEST_F(FailoverTest, StandbyAutoPromotesOnHeartbeatSilence) {
-  Daemon primary = start_daemon(fresh_state("ha_auto_p"),
+  Daemon primary = start_daemon(temp_path("ha_auto_p"),
                                 {"--repl-heartbeat-ms", "25"});
   ASSERT_GT(primary.endpoint.port, 0);
-  Daemon standby = start_standby(fresh_state("ha_auto_s"), primary,
+  Daemon standby = start_standby(temp_path("ha_auto_s"), primary,
                                  {"--promote-after-ms", "300"});
   ASSERT_GT(standby.endpoint.port, 0);
 
@@ -524,10 +536,10 @@ TEST_F(FailoverTest, StandbyAutoPromotesOnHeartbeatSilence) {
 }
 
 TEST_F(FailoverTest, SighupMidReplicationDoesNotTearTheStream) {
-  Daemon primary = start_daemon(fresh_state("ha_hup_p"),
+  Daemon primary = start_daemon(temp_path("ha_hup_p"),
                                 {"--repl-heartbeat-ms", "25"});
   ASSERT_GT(primary.endpoint.port, 0);
-  Daemon standby = start_standby(fresh_state("ha_hup_s"), primary, {});
+  Daemon standby = start_standby(temp_path("ha_hup_s"), primary, {});
   ASSERT_GT(standby.endpoint.port, 0);
 
   // Pepper the primary with journal-reopen requests while a sweep
@@ -561,7 +573,7 @@ TEST_F(FailoverTest, SighupMidReplicationDoesNotTearTheStream) {
 }
 
 TEST_F(FailoverTest, HostileReplBytesDropThatConnectionOnly) {
-  Daemon primary = start_daemon(fresh_state("ha_hostile_p"),
+  Daemon primary = start_daemon(temp_path("ha_hostile_p"),
                                 {"--repl-heartbeat-ms", "25"});
   ASSERT_GT(primary.endpoint.port, 0);
 
@@ -623,7 +635,7 @@ TEST_F(FailoverTest, HostileReplBytesDropThatConnectionOnly) {
 }
 
 TEST_F(FailoverTest, LoadgenReplayDrivesQueuedRequestFile) {
-  Daemon primary = start_daemon(fresh_state("ha_replay_p"), {});
+  Daemon primary = start_daemon(temp_path("ha_replay_p"), {});
   ASSERT_GT(primary.endpoint.port, 0);
 
   const std::string replay = temp_path("ha_replay.txt");
