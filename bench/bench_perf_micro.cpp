@@ -1,10 +1,9 @@
 // Google-benchmark microbenchmarks for the substrates themselves: simplex
-// solve throughput (dense and sparse basis backends side by side, with a
-// per-pivot FTRAN/BTRAN/pricing/ratio time breakdown), windowed LP
-// end-to-end, discrete-event engine throughput, and frontier
-// construction. These are not paper figures; they document the cost
-// profile of the toolchain. CI archives the JSON form of this output as
-// BENCH_perf_micro.json on every push (--benchmark_out).
+// solve throughput (with a per-pivot FTRAN/BTRAN/pricing/ratio time
+// breakdown), windowed LP end-to-end, discrete-event engine throughput,
+// and frontier construction. These are not paper figures; they document
+// the cost profile of the toolchain. CI archives the JSON form of this
+// output as BENCH_perf_micro.json on every push (--benchmark_out).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -30,16 +29,14 @@ const machine::PowerModel& model() {
   return m;
 }
 
-/// Shared solve loop for the backend benchmarks: solves `m` repeatedly on
-/// `backend` with per-bucket timing enabled, then reports simplex
-/// iterations/sec plus the per-pivot cost of each phase of a pivot
-/// (FTRAN, BTRAN, pricing, ratio test, eta/inverse update, refactor).
-/// The buckets come from SimplexStats::*_ns (collect_timing), so the
-/// breakdown is the solver's own accounting, not an external profile.
-void solve_backend_loop(benchmark::State& state, const lp::Model& m,
-                        lp::BasisBackend backend) {
+/// Shared solve loop for the simplex benchmarks: solves `m` repeatedly
+/// with per-bucket timing enabled, then reports simplex iterations/sec
+/// plus the per-pivot cost of each phase of a pivot (FTRAN, BTRAN,
+/// pricing, ratio test, eta update, refactor). The buckets come from
+/// SimplexStats::*_ns (collect_timing), so the breakdown is the solver's
+/// own accounting, not an external profile.
+void solve_loop(benchmark::State& state, const lp::Model& m) {
   lp::SimplexOptions opt;
-  opt.basis_backend = backend;
   opt.collect_timing = true;
   long iters = 0;
   lp::SimplexStats acc;
@@ -75,63 +72,41 @@ void solve_backend_loop(benchmark::State& state, const lp::Model& m,
 
 /// Paper-scale LPs: one barrier window of the CoMD trace at the given
 /// rank count, solved through the same lp::Model the production windowed
-/// pipeline builds. Arg 0 = ranks, arg 1 = backend (0 dense, 1 sparse);
-/// CI diffs the dense and sparse rows of this benchmark side by side.
+/// pipeline builds. Arg = ranks.
 void BM_SimplexPaperWindow(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
-  const lp::BasisBackend backend = state.range(1) != 0
-                                       ? lp::BasisBackend::kSparse
-                                       : lp::BasisBackend::kDense;
   const dag::TaskGraph g = apps::make_comd({.ranks = ranks, .iterations = 1});
   const machine::ClusterSpec cluster;
   const core::LpFormulation form(g, model(), cluster);
   const core::BuiltModel built =
       form.build_model({.power_cap = ranks * 45.0});
-  solve_backend_loop(state, built.model, backend);
+  solve_loop(state, built.model);
 }
-BENCHMARK(BM_SimplexPaperWindow)
-    ->ArgNames({"ranks", "sparse"})
-    ->Args({8, 0})
-    ->Args({8, 1})
-    ->Args({32, 0})
-    ->Args({32, 1})
-    ->Args({64, 0})
-    ->Args({64, 1});
+BENCHMARK(BM_SimplexPaperWindow)->ArgName("ranks")->Arg(8)->Arg(32)->Arg(64);
 
 /// Paper-scale whole-trace LP: the full CoMD run formulated as ONE LP,
 /// no barrier decomposition — the problem size the paper's Section 5
-/// scaling discussion is about, and the case the sparse backend was
-/// built for (the windowed path keeps each window small; the whole-trace
-/// LP grows with iterations and is where dense O(m^2) pivots drown).
+/// scaling discussion is about (the windowed path keeps each window
+/// small; the whole-trace LP grows with iterations).
 void BM_SimplexWholeTrace(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
-  const lp::BasisBackend backend = state.range(1) != 0
-                                       ? lp::BasisBackend::kSparse
-                                       : lp::BasisBackend::kDense;
   const dag::TaskGraph g =
       apps::make_comd({.ranks = ranks, .iterations = 12});
   const machine::ClusterSpec cluster;
   const core::LpFormulation form(g, model(), cluster);
   const core::BuiltModel built =
       form.build_model({.power_cap = ranks * 45.0});
-  solve_backend_loop(state, built.model, backend);
+  solve_loop(state, built.model);
 }
 BENCHMARK(BM_SimplexWholeTrace)
-    ->ArgNames({"ranks", "sparse"})
-    ->Args({8, 0})
-    ->Args({8, 1})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({32, 0})
-    ->Args({32, 1})
+    ->ArgName("ranks")
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
 /// Banded synthetic LP: bandwidth-4 >= rows over box variables. This is
-/// the sparse backend's best case (near-fill-free LU, O(band) FTRANs)
-/// and the dense backend's worst (every pivot still touches the full
-/// m^2 inverse), so the dense/sparse gap here is the headline speedup
-/// the sparse rewrite exists to deliver. Sizes stay below
-/// lp::kDenseBackendMaxRows so the dense rows are genuinely dense.
+/// the sparse LU's best case (near-fill-free factors, O(band) FTRANs).
 lp::Model banded_model(int m) {
   util::Rng rng(7);
   lp::Model mod(lp::Sense::kMinimize);
@@ -151,21 +126,14 @@ lp::Model banded_model(int m) {
 }
 
 void BM_SimplexBandedSynthetic(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  const lp::BasisBackend backend = state.range(1) != 0
-                                       ? lp::BasisBackend::kSparse
-                                       : lp::BasisBackend::kDense;
-  const lp::Model m = banded_model(rows);
-  solve_backend_loop(state, m, backend);
+  const lp::Model m = banded_model(static_cast<int>(state.range(0)));
+  solve_loop(state, m);
 }
 BENCHMARK(BM_SimplexBandedSynthetic)
-    ->ArgNames({"rows", "sparse"})
-    ->Args({128, 0})
-    ->Args({128, 1})
-    ->Args({512, 0})
-    ->Args({512, 1})
-    ->Args({1536, 0})
-    ->Args({1536, 1})
+    ->ArgName("rows")
+    ->Arg(128)
+    ->Arg(512)
+    ->Arg(1536)
     ->Unit(benchmark::kMillisecond);
 
 void BM_LpFormulationSingleWindow(benchmark::State& state) {

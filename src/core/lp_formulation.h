@@ -141,9 +141,9 @@ struct LpScheduleResult {
   long refactor_count = 0;
   bool bland_engaged = false;
   double primal_infeasibility = 0.0;
-  /// Sparse-backend basis telemetry (schema 8): peak eta-file length
-  /// between refactorizations and worst LU fill ratio nnz(L+U)/nnz(B).
-  /// Both 0 on the dense backend / in discrete mode.
+  /// Basis telemetry (schema 8): peak eta-file length between
+  /// refactorizations and worst LU fill ratio nnz(L+U)/nnz(B). Both 0 in
+  /// discrete mode.
   long eta_nonzeros = 0;
   double lu_fill_ratio = 0.0;
   /// Per-row duals of the solved model (minimization form), aligned with

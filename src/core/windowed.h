@@ -43,8 +43,8 @@ struct WindowedLpResult {
   long refactor_count = 0;
   bool bland_engaged = false;
   double primal_infeasibility = 0.0;
-  /// Sparse-backend basis telemetry: summed peak eta-file nonzeros and
-  /// the worst LU fill ratio across windows (0 on the dense backend).
+  /// Basis telemetry: summed peak eta-file nonzeros and the worst LU
+  /// fill ratio across windows.
   long eta_nonzeros = 0;
   double lu_fill_ratio = 0.0;
   /// Index of the window whose solve failed (-1 when optimal): localizes

@@ -30,39 +30,27 @@ const char* to_string(SolveStatus status) {
   return "?";
 }
 
-const char* to_string(BasisBackend backend) {
-  switch (backend) {
-    case BasisBackend::kDense:
-      return "dense";
-    case BasisBackend::kSparse:
-      return "sparse";
-  }
-  return "?";
-}
-
 namespace {
 
 enum class VarStatus : char { kAtLower, kAtUpper, kBasic, kFree };
 
-/// Eta pivots below this magnitude are refused by the sparse backend:
-/// a 1/piv that large amplifies drift faster than the refactorization
-/// interval can repair, so the update is replaced by an immediate
-/// refactorization of the (already-updated) basis.
+/// Eta pivots below this magnitude are refused: a 1/piv that large
+/// amplifies drift faster than the refactorization interval can repair,
+/// so the update is replaced by an immediate refactorization of the
+/// (already-updated) basis.
 constexpr double kEtaStabilityTol = 1e-7;
 
-/// Pivot magnitude below which a basis is declared singular (shared by
-/// both backends; the dense Gauss-Jordan historically used 1e-12).
+/// Pivot magnitude below which a basis is declared singular.
 constexpr double kSingularTol = 1e-12;
 
 /// Relative margin under which two pricing violations / ratio-test pivot
 /// magnitudes are treated as tied, with the earlier index winning.
 /// Symmetric traces produce columns whose reduced costs are *exactly*
-/// equal in real arithmetic; the two backends (and warm vs cold pivot
-/// paths within one backend) compute them with different rounding, so a
-/// strict comparison would break such ties by +-1ulp noise and send
-/// otherwise-identical solves to different optimal bases. The sweep
-/// pipeline's byte-identity contract (warm serial == cold worker) needs
-/// tie-breaks that noise cannot flip.
+/// equal in real arithmetic; warm and cold pivot paths compute them
+/// with different rounding, so a strict comparison would break such
+/// ties by +-1ulp noise and send otherwise-identical solves to
+/// different optimal bases. The sweep pipeline's byte-identity contract
+/// (warm serial == cold worker) needs tie-breaks that noise cannot flip.
 constexpr double kTieRel = 1e-9;
 
 /// RAII wall-clock bucket: adds the elapsed nanoseconds to *sink on
@@ -93,14 +81,9 @@ class ScopedTimer {
 /// A_full = [A_structural | -I_slack | sigma*I_artificial]. Row right-hand
 /// sides are folded into slack bounds, so b == 0 throughout.
 ///
-/// SimplexCore owns everything backend-independent - the computational
-/// columns, the two-phase driver, warm starts, pricing, the ratio test,
-/// the anti-cycling state machine, and deadline/cancellation plumbing.
-/// The basis representation is behind four hooks (refactor, duals,
-/// FTRAN, pivot update) with a dense explicit-inverse and a sparse
-/// LU+eta implementation below. Both backends share the exact same
-/// pivot-selection and pivot-acceptance logic, so they differ only in
-/// arithmetic path, never in what counts as optimal.
+/// SimplexCore owns the computational columns, the basis factorization,
+/// the two-phase driver, warm starts, pricing, the ratio test, the
+/// anti-cycling state machine, and deadline/cancellation plumbing.
 class SimplexCore {
  public:
   SimplexCore(const Model& model, const SimplexOptions& opt)
@@ -110,7 +93,6 @@ class SimplexCore {
         n_(model.num_variables()) {
     build_columns();
   }
-  virtual ~SimplexCore() = default;
 
   Solution run(WarmStart* warm = nullptr) {
     // An already-dead deadline exits before any setup work: the retry
@@ -144,7 +126,7 @@ class SimplexCore {
     for (int attempt = 0;; ++attempt) {
       if (!iterate(cost_)) return finish(stop_status_, warm);
       if (unbounded_) return finish(SolveStatus::kUnbounded, warm);
-      refactor();
+      if (!refactor()) return finish(SolveStatus::kNumericalError, warm);
       if (!basics_within_bounds()) {
         if (attempt >= 2) return finish(SolveStatus::kNumericalError, warm);
         const SolveStatus p1 = phase_one();  // full cold restart
@@ -158,35 +140,105 @@ class SimplexCore {
     return finish(SolveStatus::kOptimal, warm);
   }
 
- protected:
-  // ---- backend hooks -------------------------------------------------------
+ private:
+  // ---- basis ---------------------------------------------------------------
+  //
+  // The basis is a sparse LU factorization (sparse_lu.h) plus a
+  // product-form eta file, so every per-pivot basis step costs O(nnz)
+  // rather than O(m^2). The exactness story rests on the drift-
+  // verification loop in run() and on the downstream certificate
+  // checker. A refactorization that finds the basis singular returns
+  // false, and the pass ends with kNumericalError.
 
-  /// Seeds the basis representation for the crash basis just laid down by
-  /// initialize_point() (a signed diagonal: slack -1 or artificial -+1).
-  virtual void on_basis_initialized() = 0;
+  /// Factors basis_ afresh, wiping the eta file; false when the basis is
+  /// singular (no pivot above kSingularTol in some column).
+  bool factor_current_basis() {
+    if (!lu_.factor(col_start_.data(), col_row_.data(), col_val_.data(),
+                    basis_.data(), m_, kSingularTol)) {
+      return false;
+    }
+    stats_.lu_fill_ratio = std::max(stats_.lu_fill_ratio, lu_.fill_ratio());
+    return true;
+  }
 
-  /// Rebuilds the basis representation exactly from basis_ and recomputes
-  /// the basic values from the nonbasic point. Resets
-  /// pivots_since_refactor_ and counts into refactor_count_. Throws
-  /// std::runtime_error on a singular basis.
-  virtual void refactor() = 0;
+  /// Rebuilds the factorization exactly from basis_ and recomputes the
+  /// basic values from the nonbasic point. Resets pivots_since_refactor_
+  /// and counts into refactor_count_. False on a singular basis.
+  bool refactor() {
+    ScopedTimer t(opt_.collect_timing, &stats_.factor_ns);
+    pivots_since_refactor_ = 0;
+    ++refactor_count_;
+    if (!factor_current_basis()) return false;
+    // Recompute basic values exactly: x_B = B^{-1} * (0 - N x_N). The
+    // eta file is empty right after factor(), so this is a pure LU solve.
+    rhs_.assign(m_, 0.0);
+    for (std::size_t j = 0; j < num_cols_; ++j) {
+      if (status_[j] == VarStatus::kBasic) continue;
+      const double v = xval_[j];
+      if (v == 0.0) continue;
+      kernels::scatter_axpy(col_start_[j + 1] - col_start_[j], -v,
+                            col_row_.data() + col_start_[j],
+                            col_val_.data() + col_start_[j], rhs_.data());
+    }
+    lu_.ftran(rhs_.data());
+    for (std::size_t p = 0; p < m_; ++p) xval_[basis_[p]] = rhs_[p];
+    return true;
+  }
 
-  /// y_ := duals for `cost` at the current basis (indexed by row).
-  virtual void compute_duals(const std::vector<double>& cost) = 0;
+  /// True when the factorization wants a rebuild before the next pivot:
+  /// the refactor interval ran out or the eta file outgrew its budget.
+  bool should_refactor() const {
+    return pivots_since_refactor_ >= opt_.refactor_interval ||
+           static_cast<double>(lu_.eta_nonzeros()) >
+               opt_.eta_growth_limit * static_cast<double>(m_);
+  }
+
+  /// y_ := duals for `cost` at the current basis (indexed by row):
+  /// y^T = c_B^T B^{-1}, i.e. y = B^{-T} c_B.
+  void compute_duals(const std::vector<double>& cost) {
+    ScopedTimer t(opt_.collect_timing, &stats_.btran_ns);
+    ++stats_.btran_calls;
+    y_.resize(m_);
+    for (std::size_t p = 0; p < m_; ++p) y_[p] = cost[basis_[p]];
+    lu_.btran(y_.data());
+  }
 
   /// w_ := B^{-1} A_q (indexed by basis position) and wnz_ := the sorted
   /// positions where w_ is exactly nonzero.
-  virtual void ftran_entering(int q) = 0;
+  void ftran_entering(int q) {
+    ScopedTimer t(opt_.collect_timing, &stats_.ftran_ns);
+    ++stats_.ftran_calls;
+    // Clear only last iteration's support instead of O(m) memset.
+    if (w_.size() != m_) {
+      w_.assign(m_, 0.0);
+    } else {
+      for (const int i : wnz_) w_[i] = 0.0;
+    }
+    for (std::size_t k = col_start_[q]; k < col_start_[q + 1]; ++k) {
+      w_[col_row_[k]] += col_val_[k];
+    }
+    lu_.ftran(w_.data());
+    wnz_.clear();
+    for (std::size_t i = 0; i < m_; ++i) {
+      if (w_[i] != 0.0) wnz_.push_back(static_cast<int>(i));
+    }
+  }
 
   /// Absorbs the pivot that just put the entering column at basis
-  /// position r into the basis representation; w_/wnz_ still hold the
-  /// entering column's FTRAN result.
-  virtual void pivot_update(int r) = 0;
-
-  /// True when the representation wants a refactorization before the
-  /// next pivot (interval; sparse adds the eta-growth trigger).
-  virtual bool should_refactor() const {
-    return pivots_since_refactor_ >= opt_.refactor_interval;
+  /// position r; w_/wnz_ still hold the entering column's FTRAN result.
+  /// False when the pivot forced a refactorization that found the basis
+  /// singular.
+  bool pivot_update(int r) {
+    ScopedTimer t(opt_.collect_timing, &stats_.update_ns);
+    if (lu_.push_eta(r, w_.data(), wnz_.data(), wnz_.size(),
+                     kEtaStabilityTol)) {
+      stats_.eta_nonzeros = std::max(
+          stats_.eta_nonzeros, static_cast<long>(lu_.eta_nonzeros()));
+      return true;
+    }
+    // Pivot too small to absorb as an eta: the basis already changed,
+    // so rebuild the factorization before anyone ftran/btrans it.
+    return refactor();
   }
 
   // ---- pricing -------------------------------------------------------------
@@ -196,10 +248,10 @@ class SimplexCore {
   /// earlier index, see kTieRel), or under Bland's rule (engaged by
   /// note_progress()) the first eligible column.
   ///
-  /// Dantzig is the only rule, on both backends. Under degenerate
-  /// alternative optima, partial pricing (candidate lists, Devex) can
-  /// reach a different optimal vertex from a warm start than from a cold
-  /// one, and the sweep pipeline requires warm and cold solves to agree
+  /// Dantzig is the only rule. Under degenerate alternative optima,
+  /// partial pricing (candidate lists, Devex) can reach a different
+  /// optimal vertex from a warm start than from a cold one, and the
+  /// sweep pipeline requires warm and cold solves to agree
   /// byte-for-byte: serial sweeps warm-start, while parallel, distributed
   /// and daemon workers solve cold. A full Dantzig scan converges to the
   /// same vertex from either start.
@@ -408,7 +460,9 @@ class SimplexCore {
       }
     }
     pivots_since_refactor_ = 0;
-    on_basis_initialized();
+    // A signed diagonal of +-1 entries: it factors with zero fill and is
+    // never singular.
+    factor_current_basis();
   }
 
   /// Cold start: crash basis + phase I. Returns kOptimal when a feasible
@@ -488,11 +542,7 @@ class SimplexCore {
           break;
       }
     }
-    try {
-      refactor();  // rebuilds the basis representation, computes x_B
-    } catch (const std::exception&) {
-      return false;
-    }
+    if (!refactor()) return false;  // rebuilds the factors, computes x_B
     // The warmed point must be primal feasible for a pure phase-II solve.
     for (std::size_t i = 0; i < m_; ++i) {
       const int b = basis_[i];
@@ -514,8 +564,9 @@ class SimplexCore {
 
   /// Runs the simplex loop to optimality for the given cost vector.
   /// Returns false if the iteration limit / deadline / cancellation hit
-  /// (stop_status_ says which). Sets unbounded_ when the problem is
-  /// unbounded for this cost (only possible in phase II).
+  /// or the basis would not factorize (stop_status_ says which). Sets
+  /// unbounded_ when the problem is unbounded for this cost (only
+  /// possible in phase II).
   bool iterate(const std::vector<double>& cost) {
     degenerate_run_ = 0;
     unbounded_ = false;
@@ -535,7 +586,10 @@ class SimplexCore {
         return false;
       }
       ++iterations_;
-      if (should_refactor()) refactor();
+      if (should_refactor() && !refactor()) {
+        stop_status_ = SolveStatus::kNumericalError;
+        return false;
+      }
 
       compute_duals(cost);
       const int q = price(cost);
@@ -638,7 +692,10 @@ class SimplexCore {
       xval_[q] = nonbasic_value(q) + dir * t;
       status_[q] = VarStatus::kBasic;
       basis_[leave_pos] = q;
-      pivot_update(leave_pos);
+      if (!pivot_update(leave_pos)) {
+        stop_status_ = SolveStatus::kNumericalError;
+        return false;
+      }
       ++pivots_since_refactor_;
       note_progress(t);
     }
@@ -778,6 +835,8 @@ class SimplexCore {
   std::vector<int> basis_;
   std::vector<double> y_, w_;
   std::vector<int> wnz_;  // support of w_ (sorted basis positions)
+  SparseLu lu_;
+  std::vector<double> rhs_;  // refactor()'s basic-value solve
 
   SimplexStats stats_;
   long iterations_ = 0;
@@ -789,259 +848,10 @@ class SimplexCore {
   bool bland_ = false;
   bool bland_used_ = false;
   bool unbounded_ = false;
-  /// Why iterate() returned false (iteration limit, deadline, cancel).
+  /// Why iterate() returned false (iteration limit, deadline, cancel,
+  /// singular basis).
   SolveStatus stop_status_ = SolveStatus::kIterationLimit;
 };
-
-/// The original backend: an explicit dense basis inverse, updated by
-/// product form in O(m^2) per pivot and rebuilt by Gauss-Jordan in
-/// O(m^3). Kept verbatim as the robustness fallback; pivot selection is
-/// identical to the historical solver, so results are too.
-class DenseSimplex final : public SimplexCore {
- public:
-  DenseSimplex(const Model& model, const SimplexOptions& opt)
-      : SimplexCore(model, opt) {
-    stats_.backend = BasisBackend::kDense;
-  }
-
- private:
-  void on_basis_initialized() override {
-    // The crash basis is a signed diagonal; its inverse is itself.
-    binv_.assign(m_ * m_, 0.0);
-    for (std::size_t i = 0; i < m_; ++i) {
-      binv_[i * m_ + i] = col_val_[col_start_[basis_[i]]];
-    }
-  }
-
-  // y = c_B^T * Binv
-  void compute_duals(const std::vector<double>& cost) override {
-    ScopedTimer t(opt_.collect_timing, &stats_.btran_ns);
-    ++stats_.btran_calls;
-    y_.assign(m_, 0.0);
-    for (std::size_t k = 0; k < m_; ++k) {
-      const double cb = cost[basis_[k]];
-      if (cb == 0.0) continue;
-      kernels::axpy(m_, cb, &binv_[k * m_], y_.data());
-    }
-  }
-
-  // w = Binv * A_q
-  void ftran_entering(int q) override {
-    ScopedTimer t(opt_.collect_timing, &stats_.ftran_ns);
-    ++stats_.ftran_calls;
-    w_.assign(m_, 0.0);
-    for (std::size_t k = col_start_[q]; k < col_start_[q + 1]; ++k) {
-      const int row = col_row_[k];
-      const double v = col_val_[k];
-      for (std::size_t i = 0; i < m_; ++i) {
-        w_[i] += binv_[i * m_ + row] * v;
-      }
-    }
-    wnz_.clear();
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (w_[i] != 0.0) wnz_.push_back(static_cast<int>(i));
-    }
-  }
-
-  /// Product-form update folded straight into the explicit inverse.
-  void pivot_update(int r) override {
-    ScopedTimer t(opt_.collect_timing, &stats_.update_ns);
-    const double piv = w_[r];
-    double* rrow = &binv_[static_cast<std::size_t>(r) * m_];
-    kernels::scale(m_, 1.0 / piv, rrow);
-    for (std::size_t k = 0; k < m_; ++k) {
-      if (static_cast<int>(k) == r) continue;
-      const double f = w_[k];
-      if (f == 0.0) continue;
-      kernels::axpy(m_, -f, rrow, &binv_[k * m_]);
-    }
-  }
-
-  /// Rebuilds Binv by Gauss-Jordan with partial pivoting and recomputes the
-  /// basic values exactly from the nonbasic point.
-  void refactor() override {
-    ScopedTimer t(opt_.collect_timing, &stats_.factor_ns);
-    pivots_since_refactor_ = 0;
-    ++refactor_count_;
-    // Dense B from basis columns.
-    std::vector<double> B(m_ * m_, 0.0);
-    for (std::size_t p = 0; p < m_; ++p) {
-      const int j = basis_[p];
-      for (std::size_t k = col_start_[j]; k < col_start_[j + 1]; ++k) {
-        B[static_cast<std::size_t>(col_row_[k]) * m_ + p] = col_val_[k];
-      }
-    }
-    // Invert [B | I] -> [I | Binv].
-    std::vector<double> inv(m_ * m_, 0.0);
-    for (std::size_t i = 0; i < m_; ++i) inv[i * m_ + i] = 1.0;
-    for (std::size_t col = 0; col < m_; ++col) {
-      std::size_t piv_row = col;
-      double piv = std::abs(B[col * m_ + col]);
-      for (std::size_t r = col + 1; r < m_; ++r) {
-        if (std::abs(B[r * m_ + col]) > piv) {
-          piv = std::abs(B[r * m_ + col]);
-          piv_row = r;
-        }
-      }
-      if (piv < kSingularTol) {
-        throw std::runtime_error("singular simplex basis");
-      }
-      if (piv_row != col) {
-        for (std::size_t c = 0; c < m_; ++c) {
-          std::swap(B[piv_row * m_ + c], B[col * m_ + c]);
-          std::swap(inv[piv_row * m_ + c], inv[col * m_ + c]);
-        }
-      }
-      const double p = B[col * m_ + col];
-      const double ip = 1.0 / p;
-      kernels::scale(m_, ip, &B[col * m_]);
-      kernels::scale(m_, ip, &inv[col * m_]);
-      for (std::size_t r = 0; r < m_; ++r) {
-        if (r == col) continue;
-        const double f = B[r * m_ + col];
-        if (f == 0.0) continue;
-        kernels::axpy(m_, -f, &B[col * m_], &B[r * m_]);
-        kernels::axpy(m_, -f, &inv[col * m_], &inv[r * m_]);
-      }
-    }
-    binv_ = std::move(inv);
-
-    // Recompute basic values: x_B = Binv * (0 - N x_N).
-    std::vector<double> rhs(m_, 0.0);
-    for (std::size_t j = 0; j < num_cols_; ++j) {
-      if (status_[j] == VarStatus::kBasic) continue;
-      const double v = xval_[j];
-      if (v == 0.0) continue;
-      for (std::size_t k = col_start_[j]; k < col_start_[j + 1]; ++k) {
-        rhs[col_row_[k]] -= col_val_[k] * v;
-      }
-    }
-    for (std::size_t i = 0; i < m_; ++i) {
-      xval_[basis_[i]] = kernels::dot(m_, &binv_[i * m_], rhs.data());
-    }
-  }
-
-  std::vector<double> binv_;  // dense m x m, row-major
-};
-
-/// The production backend: sparse LU of the basis (sparse_lu.h) with
-/// product-form eta updates. Every per-iteration basis step is
-/// O(nnz)-ish instead of O(m^2); the exactness story is unchanged
-/// because the drift-verification loop and the downstream certificate
-/// checker are backend-blind.
-class SparseSimplex final : public SimplexCore {
- public:
-  SparseSimplex(const Model& model, const SimplexOptions& opt)
-      : SimplexCore(model, opt) {
-    stats_.backend = BasisBackend::kSparse;
-  }
-
- private:
-  void factor_current_basis() {
-    if (!lu_.factor(col_start_.data(), col_row_.data(), col_val_.data(),
-                    basis_.data(), m_, kSingularTol)) {
-      throw std::runtime_error("singular simplex basis");
-    }
-    stats_.lu_fill_ratio = std::max(stats_.lu_fill_ratio, lu_.fill_ratio());
-  }
-
-  void on_basis_initialized() override {
-    // The signed-diagonal crash basis factors with zero fill.
-    factor_current_basis();
-  }
-
-  void refactor() override {
-    ScopedTimer t(opt_.collect_timing, &stats_.factor_ns);
-    pivots_since_refactor_ = 0;
-    ++refactor_count_;
-    factor_current_basis();
-    // Recompute basic values exactly: x_B = B^{-1} * (0 - N x_N). The
-    // eta file is empty right after factor(), so this is a pure LU solve.
-    rhs_.assign(m_, 0.0);
-    for (std::size_t j = 0; j < num_cols_; ++j) {
-      if (status_[j] == VarStatus::kBasic) continue;
-      const double v = xval_[j];
-      if (v == 0.0) continue;
-      kernels::scatter_axpy(col_start_[j + 1] - col_start_[j], -v,
-                            col_row_.data() + col_start_[j],
-                            col_val_.data() + col_start_[j], rhs_.data());
-    }
-    lu_.ftran(rhs_.data());
-    for (std::size_t p = 0; p < m_; ++p) xval_[basis_[p]] = rhs_[p];
-  }
-
-  bool should_refactor() const override {
-    return pivots_since_refactor_ >= opt_.refactor_interval ||
-           static_cast<double>(lu_.eta_nonzeros()) >
-               opt_.eta_growth_limit * static_cast<double>(m_);
-  }
-
-  // y^T = c_B^T B^{-1}, i.e. y = B^{-T} c_B.
-  void compute_duals(const std::vector<double>& cost) override {
-    ScopedTimer t(opt_.collect_timing, &stats_.btran_ns);
-    ++stats_.btran_calls;
-    y_.resize(m_);
-    for (std::size_t p = 0; p < m_; ++p) y_[p] = cost[basis_[p]];
-    lu_.btran(y_.data());
-  }
-
-  void ftran_entering(int q) override {
-    ScopedTimer t(opt_.collect_timing, &stats_.ftran_ns);
-    ++stats_.ftran_calls;
-    // Clear only last iteration's support instead of O(m) memset.
-    if (w_.size() != m_) {
-      w_.assign(m_, 0.0);
-    } else {
-      for (const int i : wnz_) w_[i] = 0.0;
-    }
-    for (std::size_t k = col_start_[q]; k < col_start_[q + 1]; ++k) {
-      w_[col_row_[k]] += col_val_[k];
-    }
-    lu_.ftran(w_.data());
-    wnz_.clear();
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (w_[i] != 0.0) wnz_.push_back(static_cast<int>(i));
-    }
-  }
-
-  void pivot_update(int r) override {
-    ScopedTimer t(opt_.collect_timing, &stats_.update_ns);
-    if (lu_.push_eta(r, w_.data(), wnz_.data(), wnz_.size(),
-                     kEtaStabilityTol)) {
-      stats_.eta_nonzeros = std::max(
-          stats_.eta_nonzeros, static_cast<long>(lu_.eta_nonzeros()));
-    } else {
-      // Pivot too small to absorb as an eta: the basis already changed,
-      // so rebuild the factorization before anyone ftran/btrans it.
-      refactor();
-    }
-  }
-
-  SparseLu lu_;
-  std::vector<double> rhs_;
-};
-
-/// The backend that will actually run: a dense request on a model whose
-/// explicit inverse would not fit the worker memory budget is served
-/// sparse (see kDenseBackendMaxRows).
-BasisBackend effective_backend(const Model& model,
-                               const SimplexOptions& options) {
-  if (options.basis_backend == BasisBackend::kDense &&
-      model.num_constraints() <= kDenseBackendMaxRows) {
-    return BasisBackend::kDense;
-  }
-  return BasisBackend::kSparse;
-}
-
-Solution run_once(const Model& model, const SimplexOptions& options,
-                  WarmStart* warm) {
-  if (effective_backend(model, options) == BasisBackend::kDense) {
-    DenseSimplex solver(model, options);
-    return solver.run(warm);
-  }
-  SparseSimplex solver(model, options);
-  return solver.run(warm);
-}
 
 }  // namespace
 
@@ -1051,21 +861,18 @@ Solution solve_lp(const Model& model, const SimplexOptions& options) {
 
 Solution solve_lp(const Model& model, const SimplexOptions& options,
                   WarmStart* warm) {
-  Solution sol = run_once(model, options, warm);
+  Solution sol = SimplexCore(model, options).run(warm);
   if (sol.status == SolveStatus::kNumericalError &&
       options.deadline.stop_reason() == util::StopReason::kNone) {
-    // Numerical trouble: retry once in high-accuracy mode (refactor far
-    // more often, stricter pivots). A failed *sparse* pass additionally
-    // drops to the dense explicit-inverse backend - the instability
-    // fallback rung - whenever the model is small enough for it.
+    // Numerical trouble (drift the verification loop could not repair,
+    // or a basis that would not factorize): retry once in high-accuracy
+    // mode, refactoring far more often and with stricter pivots.
     SimplexOptions retry = options;
     retry.refactor_interval = 20;
     retry.pivot_tol = std::max(options.pivot_tol, 1e-8);
-    if (effective_backend(model, options) == BasisBackend::kSparse &&
-        model.num_constraints() <= kDenseBackendMaxRows) {
-      retry.basis_backend = BasisBackend::kDense;
-    }
-    sol = run_once(model, retry, warm);  // retry cold: a cleared warm is ignored
+    // Retry cold: the failed pass cleared `warm`, and a cleared warm
+    // start is ignored.
+    sol = SimplexCore(model, retry).run(warm);
   }
   return sol;
 }

@@ -1,5 +1,4 @@
-// Bounded-variable revised primal simplex with two swappable basis
-// backends.
+// Bounded-variable revised primal simplex over a sparse LU basis.
 //
 // Two-phase method: phase I drives artificial variables to zero starting
 // from a mixed crash basis, phase II optimizes the real objective.
@@ -7,36 +6,27 @@
 // degenerate pivots, and every optimal finish is re-verified at an
 // exactly refactorized point before it is returned.
 //
-// Basis backends (SimplexOptions::basis_backend):
+// The basis is a sparse LU factorization (lp/sparse_lu.h: Markowitz-
+// style pivot ordering, sparse triangular FTRAN/BTRAN), updated per
+// pivot by product-form eta files and refactorized on the
+// refactor_interval / eta-growth / stability triggers. Per-iteration
+// basis cost is O(nnz), which is what makes 100k+-task traces tractable.
+// A basis that will not factorize ends the pass with kNumericalError,
+// like drift the verification loop cannot repair; solve_lp() then
+// retries once in a high-accuracy mode.
 //
-//   kSparse (default) - sparse LU factorization of the basis (Markowitz-
-//     style pivot ordering, sparse triangular FTRAN/BTRAN), updated per
-//     pivot by product-form eta files and refactorized on the
-//     refactor_interval / eta-growth / stability triggers. Per-iteration
-//     basis cost is O(nnz), which is what makes 100k+-task traces
-//     tractable.
+// Pricing is one full Dantzig scan per pivot (largest dual
+// infeasibility, near-ties to the lowest index), with Bland's rule as
+// the anti-cycling override (bland_trigger). It is the only rule
+// because warm-started and cold solves must reach the same optimal
+// vertex; the scan in simplex.cpp says why.
 //
-//   kDense - the original explicit O(m^2) basis inverse. Slower but
-//     maximally simple, it is kept as the instability fallback:
-//     solve_lp() retries a sparse solve that ends in a numerical failure
-//     on the dense backend, and the robust retry ladder's accuracy rungs
-//     (refactor-20 / bland / perturb) run dense outright after numerical
-//     failures (src/robust/solve_driver.cpp).
-//
-// Pricing is the same on both backends: one full Dantzig scan per
-// pivot (largest dual infeasibility, near-ties to the lowest index),
-// with Bland's rule as the anti-cycling override (bland_trigger). It is
-// the only rule because warm-started and cold solves must reach the
-// same optimal vertex; the scan in simplex.cpp says why.
-//
-// The "dense is well within budget" era ended with the exact certificate
-// checker (PR 4): every accepted solve is independently re-verified in
-// dyadic-rational arithmetic downstream, so the core is free to be fast
-// and the checker - not solver conservatism - carries correctness.
-// Inner loops shared by both backends live in lp/kernels.h.
+// Every accepted solve is independently re-verified in dyadic-rational
+// arithmetic downstream (check/certificate.h), so the core is free to be
+// fast and the checker - not a second, more conservative engine -
+// carries correctness. The inner loops live in lp/kernels.h.
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -61,11 +51,6 @@ enum class SolveStatus {
 
 const char* to_string(SolveStatus status);
 
-/// Which basis representation the solver keeps between pivots.
-enum class BasisBackend { kDense, kSparse };
-
-const char* to_string(BasisBackend backend);
-
 struct SimplexOptions {
   /// Hard cap on simplex iterations across both phases; <= 0 means the
   /// solver picks 200 * (rows + cols) + 2000.
@@ -73,7 +58,7 @@ struct SimplexOptions {
   /// Refactorize the basis every this many pivots. Refactoring is the
   /// accuracy lever: product-form updates drift slowly, so this trades
   /// speed for accuracy. solve_lp() retries once in a high-accuracy mode
-  /// if the fast pass ends with a feasibility check failure.
+  /// (every 20 pivots) if the fast pass ends in a numerical failure.
   int refactor_interval = 100;
   /// Primal feasibility tolerance on variable bounds.
   double primal_tol = 1e-7;
@@ -85,14 +70,8 @@ struct SimplexOptions {
   /// <= 0 engages Bland's rule from the very first pivot (the retry
   /// ladder's last-resort anti-cycling mode).
   int bland_trigger = 100;
-  /// Basis representation. kSparse is the production default; kDense is
-  /// the robustness fallback. A dense request on a model with more than
-  /// kDenseBackendMaxRows rows is served sparse anyway - the explicit
-  /// inverse would need O(m^2) memory the worker rlimits do not grant.
-  BasisBackend basis_backend = BasisBackend::kSparse;
-  /// Sparse backend: refactorize when the eta file exceeds this many
-  /// nonzeros per row (eta_nnz > limit * m), independent of
-  /// refactor_interval.
+  /// Refactorize when the eta file exceeds this many nonzeros per row
+  /// (eta_nnz > limit * m), independent of refactor_interval.
   double eta_growth_limit = 16.0;
   /// Collect per-bucket wall-clock timings (SimplexStats::*_ns). Off by
   /// default: the clock reads cost more than a sparse pivot on small
@@ -105,20 +84,12 @@ struct SimplexOptions {
   util::Deadline deadline;
 };
 
-/// Hard row ceiling for the dense backend (see
-/// SimplexOptions::basis_backend). 2048 rows ~ 32 MiB of explicit
-/// inverse; beyond that the dense path is a memory hazard, not a
-/// fallback.
-inline constexpr std::size_t kDenseBackendMaxRows = 2048;
-
 /// Per-solve counters and (optional) per-bucket timings. Counters are
 /// deterministic for a given model/options/warm-start and are surfaced
 /// into RunReport solver telemetry; the *_ns buckets are wall-clock
 /// telemetry (bench only) and are zero unless
 /// SimplexOptions::collect_timing was set.
 struct SimplexStats {
-  /// Backend that produced the accepted result (dense|sparse).
-  BasisBackend backend = BasisBackend::kDense;
   long iterations = 0;
   /// Pivots that made no primal progress (step <= primal_tol). A high
   /// count flags degeneracy; it is what arms the Bland's-rule fallback.
@@ -131,12 +102,11 @@ struct SimplexStats {
   long bound_flips = 0;
   long ftran_calls = 0;
   long btran_calls = 0;
-  /// Peak eta-file length (nonzeros) between refactorizations. 0 on the
-  /// dense backend, whose product-form update is folded into the
-  /// explicit inverse.
+  /// Peak eta-file length (nonzeros) between refactorizations.
   long eta_nonzeros = 0;
   /// Worst fill ratio nnz(L + U) / nnz(B) across factorizations (1.0 is
-  /// fill-free; 0 when the backend never factorized, e.g. dense).
+  /// fill-free; 0 when no basis was factorized, e.g. a model without
+  /// rows).
   double lu_fill_ratio = 0.0;
   /// Wall-clock per bucket, nanoseconds (collect_timing only).
   double ftran_ns = 0.0;
@@ -153,8 +123,7 @@ struct SimplexStats {
 /// where only bounds change between solves. solve_lp() verifies primal
 /// feasibility of the warmed basis under the new bounds and silently
 /// falls back to a cold start when it does not hold (e.g. after a cap
-/// decrease), so warm starting is always safe. Snapshots are backend-
-/// agnostic: a dense solve can seed a sparse one and vice versa.
+/// decrease), so warm starting is always safe.
 struct WarmStart {
   std::vector<char> status;  // internal column statuses
   std::vector<int> basis;    // basic column per row

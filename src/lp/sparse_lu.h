@@ -1,5 +1,5 @@
 // Sparse LU basis factorization with product-form eta updates - the
-// engine behind SimplexOptions::basis_backend == kSparse.
+// basis representation of the simplex (lp/simplex.h).
 //
 // Factorization: left-looking Gilbert-Peierls column LU with partial
 // (max-magnitude) row pivoting over a Markowitz-style column pre-order

@@ -324,42 +324,28 @@ struct SolveDriver::Impl {
     return util::Deadline::sooner(per_cap, options.deadline);
   }
 
-  /// `after_replay_violation`: the previous attempt solved accurately and
-  /// only its vertex failed replay, so bland keeps the base numerics
-  /// (sparse by default) and changes nothing but the pricing rule.
+  /// The options of one rung. They depend on the rung alone; which rung
+  /// runs next is next_rung()'s business.
   core::LpScheduleOptions rung_options(int rung, double job_cap,
-                                       const util::Deadline& deadline,
-                                       bool after_replay_violation) const {
+                                       const util::Deadline& deadline) const {
     core::LpScheduleOptions o = options.lp;
     o.power_cap = job_cap;
     o.simplex.deadline = deadline;
-    if (after_replay_violation && rung == kBlandRung) {
-      o.simplex.bland_trigger = 0;
-      return o;
-    }
     switch (rung) {
       case 0:  // warm: base options, sweeper cache in play
       case 1:  // cold: cache dropped by caller
         break;
-      // After numerical, iteration-limit, unbounded, internal or
-      // certificate failures the accuracy rungs (2+) run the dense backend
-      // outright: the explicit inverse removes the eta-update drift
-      // dimension entirely (lp::solve_lp serves the request sparse anyway
-      // when the model exceeds lp::kDenseBackendMaxRows rows).
       case 2:  // refactor-20
         o.simplex.refactor_interval = 20;
-        o.simplex.basis_backend = lp::BasisBackend::kDense;
         break;
-      case 3:  // bland
-        o.simplex.refactor_interval = 20;
+      case 3:  // bland: only the pricing rule changes (a pass that fails
+               // numerically is retried at refactor-20 by lp::solve_lp)
         o.simplex.bland_trigger = 0;
-        o.simplex.basis_backend = lp::BasisBackend::kDense;
         break;
       case 4:  // perturb: nudge the cap off the degenerate vertex and
                // accept slightly looser feasibility
         o.simplex.refactor_interval = 20;
         o.simplex.bland_trigger = 0;
-        o.simplex.basis_backend = lp::BasisBackend::kDense;
         o.power_cap = job_cap * (1.0 - 1e-7);
         o.simplex.primal_tol = 1e-6;
         o.simplex.dual_tol = 1e-6;
@@ -439,7 +425,6 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
   bool deadline_hit = false;
 
   const int rungs = im.options.enable_ladder ? kNumRungs : 1;
-  bool after_replay_violation = false;
   for (int r = 0; r < rungs;) {
     switch (deadline.stop_reason()) {
       case util::StopReason::kCancelled:
@@ -463,8 +448,7 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
       att.detail = std::string("injected ") + lp::to_string(plan->forced_status);
     } else {
       if (r > 0) im.sweeper->clear_warm_starts();
-      core::LpScheduleOptions o =
-          im.rung_options(r, job_cap_watts, deadline, after_replay_violation);
+      core::LpScheduleOptions o = im.rung_options(r, job_cap_watts, deadline);
       if (faulted && plan->coefficient_noise_magnitude > 0.0) {
         const double mag = plan->coefficient_noise_magnitude;
         const std::uint64_t seed = plan->seed;
@@ -570,7 +554,6 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
       rep.detail = detail;
       return out;
     }
-    after_replay_violation = outcome == StatusCode::kReplayCapViolation;
     r = next_rung(r, outcome);
   }
 

@@ -23,16 +23,16 @@
 // windowed-average sense (sim::check_cap); a violating schedule is
 // treated as a failed attempt (kReplayCapViolation), not returned.
 //
-// Why a rung failed picks the next one. Numerical, iteration-limit,
-// unbounded, internal and certificate failures walk every rung in
-// order, and only on that path do rungs 3-5 force the dense backend,
-// the accuracy anchor. A replay cap violation judges the optimal
-// vertex, not the numerics: "cold" and "refactor-20" keep Dantzig
-// pricing (on every violating cap of an 8x12 census they reported
-// warm's violation again), and "perturb" is "bland" with the cap 1e-7
-// lower. So the ladder jumps to "bland" on the base backend (sparse by
-// default) with only Bland's rule switched on, and a violation at
-// "bland" or later ends the ladder.
+// Why a rung failed picks the next one; what a rung changes depends on
+// the rung alone, and every rung runs the one simplex (lp/simplex.h).
+// Numerical, iteration-limit, unbounded, internal and certificate
+// failures walk every rung in order. A replay cap violation judges the
+// optimal vertex, not the numerics: "cold" and "refactor-20" keep
+// Dantzig pricing (on every violating cap of an 8x12 census they
+// reported warm's violation again), and "perturb" is "bland" with the
+// cap 1e-7 lower. So the ladder jumps to "bland", which switches on
+// only Bland's rule, and a violation at "bland" or later ends the
+// ladder.
 //
 // Every attempt is recorded in a RunReport (rung, outcome, iterations,
 // degenerate pivots, refactorizations, Bland engagement, primal
@@ -70,9 +70,9 @@ namespace powerlim::robust {
 /// epoch the serving daemon held and whether it served as "primary" or
 /// "standby" - empty/zero offline, excluded from byte-identity.
 /// Schema 8 added `eta_nonzeros` and `lu_fill_ratio` to each ladder
-/// attempt (sparse simplex basis telemetry; 0 on the dense backend) -
-/// designated solver telemetry, excluded from byte-identity comparisons
-/// alongside iterations/refactor_count.
+/// attempt (simplex basis telemetry) - designated solver telemetry,
+/// excluded from byte-identity comparisons alongside
+/// iterations/refactor_count.
 inline constexpr int kRunReportSchemaVersion = 8;
 
 /// One rung of the ladder, as executed.
@@ -88,10 +88,9 @@ struct SolveAttempt {
   long refactor_count = 0;
   bool bland_engaged = false;
   double primal_infeasibility = 0.0;
-  /// Sparse-backend basis telemetry (schema 8): summed peak eta-file
-  /// nonzeros and worst LU fill ratio across windows. Both 0 when the
-  /// attempt ran on the dense backend (the accuracy rungs do after
-  /// numerical failures).
+  /// Basis telemetry (schema 8): summed peak eta-file nonzeros and worst
+  /// LU fill ratio across windows. Both 0 when the attempt factorized no
+  /// basis (an injected outcome, for one).
   long eta_nonzeros = 0;
   double lu_fill_ratio = 0.0;
   /// Barrier window whose solve failed (-1: none / not window-local).

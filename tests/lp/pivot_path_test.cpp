@@ -10,9 +10,9 @@
 // requires every later build to reproduce them.
 //
 // Corpus: the largest barrier window of a CoMD and a LULESH trace, each
-// at two socket caps, on both basis backends, under the default
-// anti-cycling trigger and with Bland's rule from the first pivot
-// (bland_trigger = 0, the retry ladder's last-resort rung).
+// at two socket caps, under the default anti-cycling trigger and with
+// Bland's rule from the first pivot (bland_trigger = 0, the retry
+// ladder's bland rung).
 //
 // A deliberate change of pivot path (a new pricing rule, a different
 // crash basis) must re-record the table; the failure message prints
@@ -37,7 +37,6 @@ namespace {
 struct PinnedSolve {
   const char* app;
   double socket_cap;
-  lp::BasisBackend backend;
   int bland_trigger;
   long iterations;
   long degenerate_pivots;
@@ -45,27 +44,16 @@ struct PinnedSolve {
   std::uint64_t objective_bits;
 };
 
-constexpr lp::BasisBackend kDense = lp::BasisBackend::kDense;
-constexpr lp::BasisBackend kSparse = lp::BasisBackend::kSparse;
-
 // clang-format off
 const PinnedSolve kPinned[] = {
-    {"comd", 45, kDense, 100, 160, 31, 2, 0x3ffc25c5448efd3d},
-    {"comd", 45, kDense, 0, 463, 14, 5, 0x3ffc25c5448efd3c},
-    {"comd", 45, kSparse, 100, 160, 31, 8, 0x3ffc25c5448efd3d},
-    {"comd", 45, kSparse, 0, 463, 14, 26, 0x3ffc25c5448efd3c},
-    {"comd", 70, kDense, 100, 128, 19, 2, 0x3ff6350f9b5706c3},
-    {"comd", 70, kDense, 0, 547, 14, 6, 0x3ff6350f9b5706c8},
-    {"comd", 70, kSparse, 100, 128, 19, 6, 0x3ff6350f9b5706c7},
-    {"comd", 70, kSparse, 0, 547, 14, 31, 0x3ff6350f9b5706c4},
-    {"lulesh", 40, kDense, 100, 306, 108, 3, 0x40178961a7d09a1e},
-    {"lulesh", 40, kDense, 0, 1638, 489, 17, 0x40178961a7d09a1e},
-    {"lulesh", 40, kSparse, 100, 306, 108, 13, 0x40178961a7d09a1e},
-    {"lulesh", 40, kSparse, 0, 1604, 455, 76, 0x40178961a7d09a1e},
-    {"lulesh", 70, kDense, 100, 123, 59, 2, 0x401664d959b6b91b},
-    {"lulesh", 70, kDense, 0, 684, 314, 7, 0x401664d959b6b90d},
-    {"lulesh", 70, kSparse, 100, 123, 59, 3, 0x401664d959b6b915},
-    {"lulesh", 70, kSparse, 0, 688, 318, 20, 0x401664d959b6b915},
+    {"comd", 45, 100, 160, 31, 8, 0x3ffc25c5448efd3d},
+    {"comd", 45, 0, 463, 14, 26, 0x3ffc25c5448efd3c},
+    {"comd", 70, 100, 128, 19, 6, 0x3ff6350f9b5706c7},
+    {"comd", 70, 0, 547, 14, 31, 0x3ff6350f9b5706c4},
+    {"lulesh", 40, 100, 306, 108, 13, 0x40178961a7d09a1e},
+    {"lulesh", 40, 0, 1604, 455, 76, 0x40178961a7d09a1e},
+    {"lulesh", 70, 100, 123, 59, 3, 0x401664d959b6b915},
+    {"lulesh", 70, 0, 688, 318, 20, 0x401664d959b6b915},
 };
 // clang-format on
 
@@ -89,10 +77,9 @@ dag::TaskGraph corpus_trace(const std::string& app) {
 std::string row_text(const PinnedSolve& p) {
   char buf[200];
   std::snprintf(buf, sizeof buf,
-                "{\"%s\", %g, %s, %d, %ld, %ld, %ld, 0x%llx},", p.app,
-                p.socket_cap, p.backend == kDense ? "kDense" : "kSparse",
-                p.bland_trigger, p.iterations, p.degenerate_pivots,
-                p.refactor_count,
+                "{\"%s\", %g, %d, %ld, %ld, %ld, 0x%llx},", p.app,
+                p.socket_cap, p.bland_trigger, p.iterations,
+                p.degenerate_pivots, p.refactor_count,
                 static_cast<unsigned long long>(p.objective_bits));
   return buf;
 }
@@ -106,11 +93,9 @@ TEST(PivotPath, WindowCorpusTakesThePinnedPivots) {
     const core::BuiltModel built = form.build_model(
         {.power_cap = want.socket_cap * win.graph.num_ranks()});
     lp::SimplexOptions opt;
-    opt.basis_backend = want.backend;
     opt.bland_trigger = want.bland_trigger;
     const lp::Solution sol = lp::solve_lp(built.model, opt);
     ASSERT_TRUE(sol.optimal()) << row_text(want);
-    EXPECT_EQ(sol.stats.backend, want.backend) << row_text(want);
 
     PinnedSolve got = want;
     got.iterations = sol.stats.iterations;

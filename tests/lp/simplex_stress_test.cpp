@@ -1,12 +1,19 @@
 // Stress tests for the simplex: pathological scaling, heavy degeneracy,
-// big-M rows (the flow ILP's diet), long dependency chains, and dense
-// equality systems.
+// big-M rows (the flow ILP's diet), long dependency chains, dense
+// equality systems, and a window LP whose Bland path reaches a singular
+// basis.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "apps/benchmarks.h"
+#include "core/lp_formulation.h"
+#include "dag/windows.h"
 #include "lp/model.h"
 #include "lp/simplex.h"
+#include "machine/power_model.h"
 #include "util/rng.h"
 
 namespace powerlim::lp {
@@ -226,6 +233,40 @@ TEST(SimplexStress, RepeatedSolvesAreStable) {
     ASSERT_TRUE(again.optimal());
     EXPECT_DOUBLE_EQ(first.objective, again.objective);
   }
+}
+
+// Under Bland's rule from the first pivot, window 1 of a LULESH 8x12
+// trace at 30 W per socket walks into a basis that will not factorize.
+// That ends the pass as a numerical failure, and solve_lp's
+// high-accuracy retry (refactor every 20 pivots, pivot_tol 1e-8) solves
+// the window; nothing throws.
+TEST(SimplexStress, SingularBasisIsRetriedAsANumericalFailure) {
+  const dag::TaskGraph g =
+      apps::make_lulesh({.ranks = 8, .iterations = 12, .seed = 17});
+  const std::vector<dag::Window> windows = dag::split_at_barriers(g);
+  ASSERT_GT(windows.size(), 1u);
+  const machine::PowerModel power{machine::SocketSpec{}};
+  const machine::ClusterSpec cluster{};
+  const core::LpFormulation form(windows[1].graph, power, cluster);
+  const core::BuiltModel built = form.build_model({.power_cap = 8 * 30.0});
+  ASSERT_EQ(built.model.num_constraints(), 96u);
+
+  SimplexOptions opt;
+  opt.bland_trigger = 0;
+  const Solution sol = solve_lp(built.model, opt);
+  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(sol.objective, 7.27941987165, 1e-9);
+
+  // The answer is the retry pass's: the same solve run directly in the
+  // retry's options takes the same pivots to the same bits.
+  SimplexOptions retry = opt;
+  retry.refactor_interval = 20;
+  retry.pivot_tol = 1e-8;
+  const Solution direct = solve_lp(built.model, retry);
+  ASSERT_EQ(direct.status, SolveStatus::kOptimal);
+  EXPECT_EQ(sol.stats.iterations, direct.stats.iterations);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sol.objective),
+            std::bit_cast<std::uint64_t>(direct.objective));
 }
 
 }  // namespace

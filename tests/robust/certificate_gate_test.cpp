@@ -5,7 +5,6 @@
 // records.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -15,6 +14,7 @@
 #include "robust/journal.h"
 #include "robust/pipeline.h"
 #include "robust/solve_driver.h"
+#include "scratch_dir.h"
 
 namespace powerlim::robust {
 namespace {
@@ -131,15 +131,13 @@ TEST(CertificateGate, StatusRoundTrips) {
 
 class JournalTrustTest : public ::testing::Test {
  protected:
-  std::string path_;
-
   void SetUp() override {
-    path_ = ::testing::TempDir() + "trust_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".journal";
-    std::remove(path_.c_str());
+    ASSERT_TRUE(scratch_.ok());
+    path_ = scratch_.path("trust.journal");
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+
+  ScratchDir scratch_{"trust"};
+  std::string path_;
 };
 
 TEST_F(JournalTrustTest, PredicateRequiresPassedCertificateForOkRecords) {

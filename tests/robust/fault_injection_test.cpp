@@ -13,6 +13,7 @@
 #include "machine/power_model.h"
 #include "robust/pipeline.h"
 #include "robust/solve_driver.h"
+#include "scratch_dir.h"
 
 namespace powerlim::robust {
 namespace {
@@ -61,7 +62,9 @@ TEST(FaultPlan, CapScoping) {
 
 TEST(FaultInjection, TruncatedTraceFailsSoftWithProvenance) {
   const std::string text = truncate_trace_text(serialized_trace(), 0.6);
-  const std::string path = ::testing::TempDir() + "/truncated.trace";
+  const ScratchDir scratch("fault_injection");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("truncated.trace");
   {
     std::ofstream f(path);
     f << text;
@@ -76,7 +79,9 @@ TEST(FaultInjection, TruncatedTraceFailsSoftWithProvenance) {
 TEST(FaultInjection, GarbledTokenFailsSoftNamingToken) {
   const std::string text = garble_trace_token(serialized_trace(), 99);
   ASSERT_NE(text, serialized_trace());  // a token was actually replaced
-  const std::string path = ::testing::TempDir() + "/garbled.trace";
+  const ScratchDir scratch("fault_injection");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("garbled.trace");
   {
     std::ofstream f(path);
     f << text;
@@ -94,7 +99,9 @@ TEST(FaultInjection, GarblingIsDeterministic) {
 }
 
 TEST(FaultInjection, HealthyTraceStillLoads) {
-  const std::string path = ::testing::TempDir() + "/healthy.trace";
+  const ScratchDir scratch("fault_injection");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("healthy.trace");
   {
     std::ofstream f(path);
     f << serialized_trace();

@@ -118,8 +118,8 @@ TEST(SolveDriver, RepeatedSolvesWarmStartAndAgree) {
 
 // A replay cap violation judges the optimal vertex, not the numerics:
 // cold and refactor-20 keep Dantzig pricing and perturb is bland with a
-// 1e-7 lower cap, so the ladder tries bland once, on the base (sparse)
-// backend, and then degrades to Static.
+// 1e-7 lower cap, so the ladder tries bland once and then degrades to
+// Static.
 TEST(SolveDriver, ReplayViolationRetriesOnlyBlandThenDegrades) {
   const dag::TaskGraph g =
       apps::make_lulesh({.ranks = 8, .iterations = 12, .seed = 17});
@@ -136,7 +136,7 @@ TEST(SolveDriver, ReplayViolationRetriesOnlyBlandThenDegrades) {
   }
   const SolveAttempt& bland = res.report.attempts[1];
   EXPECT_TRUE(bland.bland_engaged);
-  EXPECT_GT(bland.eta_nonzeros, 0);  // 0 would mean the dense backend
+  EXPECT_GT(bland.eta_nonzeros, 0);  // the LU's eta file was used
 }
 
 // The Bland retry can reach another optimal vertex that passes replay.
@@ -156,8 +156,8 @@ TEST(SolveDriver, BlandVertexRescuesAReplayViolation) {
   EXPECT_TRUE(res.report.certificate.ok);
 }
 
-// After numerical failures bland keeps the dense accuracy backend, and
-// a replay violation there still ends the ladder: perturb is skipped.
+// After numerical failures the ladder reaches bland in order, and a
+// replay violation there still ends the ladder: perturb is skipped.
 TEST(SolveDriver, ReplayViolationAtDenseBlandEndsTheLadder) {
   const dag::TaskGraph g =
       apps::make_lulesh({.ranks = 8, .iterations = 12, .seed = 17});
@@ -176,7 +176,27 @@ TEST(SolveDriver, ReplayViolationAtDenseBlandEndsTheLadder) {
   const SolveAttempt& bland = res.report.attempts[3];
   EXPECT_FALSE(bland.injected);
   EXPECT_EQ(bland.outcome, StatusCode::kReplayCapViolation);
-  EXPECT_EQ(bland.eta_nonzeros, 0);  // the dense backend
+}
+
+// At 30 W the bland solve of one window reaches a singular basis. That is
+// a numerical failure lp::solve_lp retries, not an internal error that
+// walks on to perturb: bland's vertex is reached, violates replay, and
+// the ladder ends.
+TEST(SolveDriver, SingularBasisAtBlandIsRetriedInsideTheSolve) {
+  const dag::TaskGraph g =
+      apps::make_lulesh({.ranks = 8, .iterations = 12, .seed = 17});
+  const SolveDriver driver(g, kModel, kCluster);
+  const SolveOutcome res = driver.solve(8 * 30.0);
+  EXPECT_EQ(res.report.verdict, StatusCode::kReplayCapViolation)
+      << res.report.detail;
+  EXPECT_TRUE(res.report.degraded);
+  EXPECT_EQ(res.report.fallback, "static-policy");
+  EXPECT_NEAR(res.report.bound_seconds, 119.81722482748313, 1e-9);
+  ASSERT_EQ(rungs(res.report), (std::vector<std::string>{"warm", "bland"}));
+  for (const SolveAttempt& att : res.report.attempts) {
+    EXPECT_NE(att.outcome, StatusCode::kInternal)
+        << att.rung << ": " << att.detail;
+  }
 }
 
 TEST(SolveDriver, ReportSerializesToJson) {

@@ -34,6 +34,16 @@
 #ifndef POWERLIM_TEST_ASAN
 #define POWERLIM_TEST_ASAN 0
 #endif
+#if defined(__SANITIZE_THREAD__)
+#define POWERLIM_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define POWERLIM_TEST_TSAN 1
+#endif
+#endif
+#ifndef POWERLIM_TEST_TSAN
+#define POWERLIM_TEST_TSAN 0
+#endif
 
 namespace powerlim::robust {
 namespace {
@@ -165,6 +175,12 @@ TEST(WorkerPool, ThrownExceptionBecomesCrashExitCode) {
 TEST(WorkerPool, RealMemoryBudgetTriggersResourceExhaustion) {
   if (POWERLIM_TEST_ASAN) {
     GTEST_SKIP() << "RLIMIT_AS is compiled out under AddressSanitizer";
+  }
+  if (POWERLIM_TEST_TSAN) {
+    // The worker then dies inside TSan's own allocator (kCrashed) before
+    // it can reach the bad_alloc path this test is about.
+    GTEST_SKIP() << "ThreadSanitizer's allocator cannot run under a 64 MiB "
+                    "RLIMIT_AS";
   }
   // The worker genuinely allocates past a real RLIMIT_AS budget; the
   // bad_alloc -> kWorkerExitOom path must classify, not crash the pool.

@@ -97,7 +97,6 @@ const char* kUsage =
     "            any error)\n"
     "  bound    FILE --socket-cap W [--discrete] [-o SCHEDULE]\n"
     "           [--report FILE] [--deadline-ms MS] [--no-lint]\n"
-    "           [--backend dense|sparse]\n"
     "           (solves through the retry/degradation ladder; the trace\n"
     "            must pass lint first (--no-lint to force); -o also\n"
     "            writes SCHEDULE.runreport.json; --deadline-ms bounds\n"
@@ -108,7 +107,6 @@ const char* kUsage =
     "            |net-drop|net-stall|net-corrupt|net-slow]\n"
     "           [--journal FILE [--resume]] [--no-lint]\n"
     "           [--deadline-ms MS] [--cap-deadline-ms MS]\n"
-    "           [--backend dense|sparse]\n"
     "           [--workers N [--worker-mem-mb M] [--worker-cpu-s S]]\n"
     "           [--remote HOST:PORT[,HOST:PORT...]\n"
     "            [--remote-timeout-ms MS] [--remote-heartbeat-ms MS]]\n"
@@ -256,27 +254,6 @@ std::optional<double> opt_double(const ParsedArgs& p, const std::string& key) {
 const machine::PowerModel& model() {
   static const machine::PowerModel m{machine::SocketSpec{}};
   return m;
-}
-
-/// Applies `--backend dense|sparse` to the simplex options the ladder's
-/// base rungs inherit (the accuracy rungs force dense regardless; see
-/// robust::SolveDriver). Returns false after diagnosing an unknown
-/// value. Remote serve-workers solve with their own configuration - this
-/// flag governs local and forked-worker solves only.
-bool apply_backend_flag(const ParsedArgs& p, const char* cmd,
-                        lp::SimplexOptions* simplex, std::ostream& err) {
-  const auto it = p.options.find("--backend");
-  if (it == p.options.end()) return true;
-  if (it->second == "dense") {
-    simplex->basis_backend = lp::BasisBackend::kDense;
-  } else if (it->second == "sparse") {
-    simplex->basis_backend = lp::BasisBackend::kSparse;
-  } else {
-    err << cmd << ": --backend wants dense|sparse, got '" << it->second
-        << "'\n";
-    return false;
-  }
-  return true;
 }
 
 int cmd_trace(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
@@ -436,7 +413,6 @@ int cmd_bound(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
 
   robust::SolveDriverOptions dopt;
   dopt.lp.discrete = p.flags.count("--discrete") > 0;
-  if (!apply_backend_flag(p, "bound", &dopt.lp.simplex, err)) return 2;
   if (const auto ms = opt_double(p, "--deadline-ms")) {
     dopt.cap_deadline_ms = *ms;
   }
@@ -681,9 +657,6 @@ int cmd_sweep(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
 
   robust::ResilientSweepOptions ropt;
   ropt.driver.cancel = &global_cancel();
-  if (!apply_backend_flag(p, "sweep", &ropt.driver.lp.simplex, err)) {
-    return 2;
-  }
   if (const auto ms = opt_double(p, "--cap-deadline-ms")) {
     ropt.driver.cap_deadline_ms = *ms;
   }
@@ -1536,7 +1509,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     if (cmd == "bound") {
       return cmd_bound(parse(args, 1,
                              {"--socket-cap", "-o", "--report",
-                              "--deadline-ms", "--backend"},
+                              "--deadline-ms"},
                              {"--discrete", "--no-lint"}),
                        out, err);
     }
@@ -1554,7 +1527,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
                               "--workers", "--worker-mem-mb",
                               "--worker-cpu-s", "--remote",
                               "--remote-timeout-ms",
-                              "--remote-heartbeat-ms", "--backend"},
+                              "--remote-heartbeat-ms"},
                              {"--resume", "--no-lint"}),
                        out, err);
     }
