@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "lp/chain_pricing.h"
 #include "lp/kernels.h"
 #include "lp/sparse_lu.h"
 
@@ -32,8 +33,6 @@ const char* to_string(SolveStatus status) {
 
 namespace {
 
-enum class VarStatus : char { kAtLower, kAtUpper, kBasic, kFree };
-
 /// Eta pivots below this magnitude are refused: a 1/piv that large
 /// amplifies drift faster than the refactorization interval can repair,
 /// so the update is replaced by an immediate refactorization of the
@@ -42,16 +41,6 @@ constexpr double kEtaStabilityTol = 1e-7;
 
 /// Pivot magnitude below which a basis is declared singular.
 constexpr double kSingularTol = 1e-12;
-
-/// Relative margin under which two pricing violations / ratio-test pivot
-/// magnitudes are treated as tied, with the earlier index winning.
-/// Symmetric traces produce columns whose reduced costs are *exactly*
-/// equal in real arithmetic; warm and cold pivot paths compute them
-/// with different rounding, so a strict comparison would break such
-/// ties by +-1ulp noise and send otherwise-identical solves to
-/// different optimal bases. The sweep pipeline's byte-identity contract
-/// (warm serial == cold worker) needs tie-breaks that noise cannot flip.
-constexpr double kTieRel = 1e-9;
 
 /// RAII wall-clock bucket: adds the elapsed nanoseconds to *sink on
 /// destruction. A null sink (timing disabled) costs two pointer tests
@@ -92,6 +81,10 @@ class SimplexCore {
         m_(model.num_constraints()),
         n_(model.num_variables()) {
     build_columns();
+    chains_ = chain::find_chains(n_, col_start_.data(), col_row_.data(),
+                                 col_val_.data(), lb_.data(), ub_.data(),
+                                 cost_.data(), opt_.primal_tol);
+    chain_scratch_.resize(chains_.max_size);
   }
 
   Solution run(WarmStart* warm = nullptr) {
@@ -256,10 +249,16 @@ class SimplexCore {
   /// and daemon workers solve cold. A full Dantzig scan converges to the
   /// same vertex from either start.
   ///
-  /// The scan is the largest share of a pivot on window LPs, so it runs
-  /// on raw pointers and scalars read once per call, and the
-  /// slack/artificial singleton columns get their own loop free of
-  /// column-extent reads. Columns are visited in ascending order and each
+  /// Pricing is the largest share of a pivot on window LPs. Columns that
+  /// form a convex chain (lp/chain_pricing.h: a task's configuration
+  /// shares) are priced by chain::walk, which evaluates a few reduced
+  /// costs per chain and skips the rest only where a certified bound
+  /// shows they cannot change the choice. It runs where the chain's
+  /// reduced cost is linear: under Dantzig's rule, in phase I, and in
+  /// phase II when the chain's costs are zero. Every other column is
+  /// scanned on raw pointers and scalars read once per call, the
+  /// slack/artificial singleton columns in their own loop free of
+  /// column-extent reads. Columns are offered in ascending order and each
   /// reduced cost is reduced_cost()'s arithmetic, so the choice is
   /// bit-for-bit that of a column-by-column scan.
   int price(const std::vector<double>& cost) {
@@ -276,8 +275,8 @@ class SimplexCore {
     const double fixed_tol = opt_.primal_tol;
     const bool bland = bland_;
 
-    int best = -1;
-    double best_viol = dual_tol;
+    chain::Incumbent inc;
+    inc.viol = dual_tol;
     // Basic columns never enter, nor do fixed ones unless free.
     const auto eligible = [&](std::size_t j) {
       const VarStatus st = status[j];
@@ -293,15 +292,36 @@ class SimplexCore {
                                                       : std::abs(d);
       if (viol <= dual_tol) return false;
       if (bland) return true;
-      // Strictly-better-by-margin, so near-ties keep the earlier index.
-      if (best < 0 || viol > best_viol * (1.0 + kTieRel)) {
-        best_viol = viol;
-        best = static_cast<int>(j);
-      }
+      inc.offer(static_cast<int>(j), viol, dual_tol);
       return false;
     };
-
-    for (std::size_t j = 0; j < slack_begin_; ++j) {
+    // The structural columns: chains walked, every other column scanned.
+    // The scan is written out twice rather than shared through a helper
+    // lambda: compiled out of line, it made Bland-pass pricing up to
+    // twice as slow.
+    std::size_t j = 0;
+    if (!bland) {
+      const bool phase_two = &cost == &cost_;
+      for (const chain::Chain& ch : chains_.chains) {
+        if (phase_two && !ch.zero_cost) continue;  // scanned below
+        for (; j < static_cast<std::size_t>(ch.begin); ++j) {
+          if (!eligible(j)) continue;
+          offer(j, c[j] - kernels::gather_dot(start[j + 1] - start[j],
+                                              row + start[j], val + start[j],
+                                              y));
+        }
+        const std::size_t nnz = ch.nnz;
+        const auto value = [&](int k) {
+          const std::size_t col = ch.begin + k;
+          return c[col] - kernels::gather_dot(nnz, row + start[col],
+                                              val + start[col], y);
+        };
+        chain::walk(chain::classify(chains_, ch, y), ch.begin, ch.size,
+                    status + ch.begin, dual_tol, value, inc, chain_scratch_);
+        j = ch.begin + ch.size;
+      }
+    }
+    for (; j < slack_begin_; ++j) {
       if (!eligible(j)) continue;
       const double d =
           c[j] - kernels::gather_dot(start[j + 1] - start[j], row + start[j],
@@ -317,7 +337,7 @@ class SimplexCore {
       const double d = c[j] - kernels::gather_dot(1, row + k, val + k, y);
       if (offer(j, d)) return static_cast<int>(j);
     }
-    return best;
+    return inc.best;
   }
 
   // ---- setup -------------------------------------------------------------
@@ -835,6 +855,8 @@ class SimplexCore {
   std::vector<int> basis_;
   std::vector<double> y_, w_;
   std::vector<int> wnz_;  // support of w_ (sorted basis positions)
+  chain::ChainSet chains_;
+  chain::Scratch chain_scratch_;
   SparseLu lu_;
   std::vector<double> rhs_;  // refactor()'s basic-value solve
 

@@ -15,11 +15,13 @@
 // like drift the verification loop cannot repair; solve_lp() then
 // retries once in a high-accuracy mode.
 //
-// Pricing is one full Dantzig scan per pivot (largest dual
-// infeasibility, near-ties to the lowest index), with Bland's rule as
-// the anti-cycling override (bland_trigger). It is the only rule
-// because warm-started and cold solves must reach the same optimal
-// vertex; the scan in simplex.cpp says why.
+// Pricing is Dantzig's rule (largest dual infeasibility, near-ties to
+// the lowest index), with Bland's rule as the anti-cycling override
+// (bland_trigger). It is the only rule because warm-started and cold
+// solves must reach the same optimal vertex; price() in simplex.cpp says
+// why. Each pivot chooses exactly the column a full scan would, but runs
+// of columns that form a convex chain (a task's configuration shares)
+// are priced from a few reduced costs each (lp/chain_pricing.h).
 //
 // Every accepted solve is independently re-verified in dyadic-rational
 // arithmetic downstream (check/certificate.h), so the core is free to be

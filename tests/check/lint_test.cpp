@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -14,6 +13,7 @@
 #include "core/pareto.h"
 #include "dag/trace_io.h"
 #include "machine/power_model.h"
+#include "scratch_dir.h"
 
 namespace powerlim::check {
 namespace {
@@ -202,19 +202,16 @@ TEST(LintModel, DetectsUncoveredEventAndFreeColumn) {
 
 class LintFileTest : public ::testing::Test {
  protected:
-  std::string path_;
-
-  void TearDown() override {
-    if (!path_.empty()) std::remove(path_.c_str());
-  }
+  void SetUp() override { ASSERT_TRUE(scratch_.ok()); }
 
   void write_file(const std::string& text) {
-    path_ = ::testing::TempDir() + "lint_fixture_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".trace";
+    path_ = scratch_.path("fixture.trace");
     std::ofstream f(path_);
     f << text;
   }
+
+  ScratchDir scratch_{"lint"};
+  std::string path_;
 };
 
 TEST_F(LintFileTest, CleanFilePasses) {

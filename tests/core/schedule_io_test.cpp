@@ -7,6 +7,7 @@
 #include "apps/benchmarks.h"
 #include "core/windowed.h"
 #include "machine/power_model.h"
+#include "scratch_dir.h"
 #include "sim/replay.h"
 
 namespace powerlim::core {
@@ -104,7 +105,9 @@ TEST(ScheduleIo, ErrorsCarryLineNumbers) {
 TEST(ScheduleIo, FileRoundTrip) {
   const dag::TaskGraph g = apps::make_sp({.ranks = 3, .iterations = 2});
   const SavedSchedule a = make_saved(g, 50.0);
-  const std::string path = ::testing::TempDir() + "/powerlim_sched_test.txt";
+  const ScratchDir scratch("schedule_io");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("sched.txt");
   save_schedule(path, a);
   const SavedSchedule b = load_schedule(path);
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);

@@ -7,6 +7,7 @@
 
 #include "apps/benchmarks.h"
 #include "apps/exchange.h"
+#include "scratch_dir.h"
 
 namespace powerlim::dag {
 namespace {
@@ -150,7 +151,9 @@ TEST(TraceIo, ErrorsCarryLineNumbers) {
 }
 
 TEST(TraceIo, ParseErrorNamesFileLineAndToken) {
-  const std::string path = ::testing::TempDir() + "/corrupt_trace.txt";
+  const ScratchDir scratch("trace_io");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("corrupt_trace.txt");
   {
     std::ofstream f(path);
     f << "powerlim-trace 1\n"
@@ -245,7 +248,9 @@ TEST(TraceIo, VertexKindRoundTrip) {
 
 TEST(TraceIo, FileRoundTrip) {
   const TaskGraph g = apps::make_comd({.ranks = 3, .iterations = 2});
-  const std::string path = ::testing::TempDir() + "/powerlim_trace_test.txt";
+  const ScratchDir scratch("trace_io");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("trace.txt");
   save_trace(path, g);
   expect_graphs_equal(g, load_trace(path));
 }
