@@ -133,7 +133,9 @@ bool journal_entry_trusted(const JournalEntry& entry,
   // RunReport::to_json emits keys in a fixed order, so these exact
   // substrings appear iff the report is schema >= 4 and the accepted
   // solution passed verification. (The schema check alone is not enough:
-  // a run with verification disabled also stamps schema 4.)
+  // a run with verification disabled also stamps schema 4.) From schema
+  // 9 the verdicts sit in `result`; the `telemetry` certificate block
+  // holds only the duality gap, so it cannot match.
   const std::string& json = entry.report_json;
   const std::size_t v = json.find("\"schema_version\":");
   if (v == std::string::npos) return false;

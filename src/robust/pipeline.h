@@ -38,8 +38,8 @@ namespace powerlim::robust {
 
 /// One row of a (possibly resumed) sweep: the same shape whether the cap
 /// was solved this run or recovered from the journal, so a resumed sweep
-/// renders byte-identically to an uninterrupted one (wall_ms inside
-/// report_json is the designated timing exception).
+/// renders byte-identically to an uninterrupted one (report_json's
+/// `result` object is identical; its `telemetry` is not).
 struct SweepRow {
   double job_cap_watts = 0.0;
   StatusCode verdict = StatusCode::kInternal;

@@ -98,19 +98,24 @@ std::string json_num(double v) {
   return os.str();
 }
 
+/// One ladder attempt's `result` entry.
 void append_attempt(std::ostringstream& os, const SolveAttempt& a) {
   os << "{\"rung\":\"" << json_escape(a.rung) << "\","
      << "\"outcome\":\"" << to_string(a.outcome) << "\","
      << "\"injected\":" << (a.injected ? "true" : "false") << ","
-     << "\"iterations\":" << a.iterations << ","
-     << "\"degenerate_pivots\":" << a.degenerate_pivots << ","
-     << "\"refactor_count\":" << a.refactor_count << ","
      << "\"bland_engaged\":" << (a.bland_engaged ? "true" : "false") << ","
-     << "\"primal_infeasibility\":" << json_num(a.primal_infeasibility) << ","
-     << "\"eta_nonzeros\":" << a.eta_nonzeros << ","
-     << "\"lu_fill_ratio\":" << json_num(a.lu_fill_ratio) << ","
      << "\"failed_window\":" << a.failed_window << ","
      << "\"detail\":\"" << json_escape(a.detail) << "\"}";
+}
+
+/// The same attempt's `telemetry` entry: its simplex path and residual.
+void append_attempt_telemetry(std::ostringstream& os, const SolveAttempt& a) {
+  os << "{\"iterations\":" << a.iterations << ","
+     << "\"degenerate_pivots\":" << a.degenerate_pivots << ","
+     << "\"refactor_count\":" << a.refactor_count << ","
+     << "\"primal_infeasibility\":" << json_num(a.primal_infeasibility) << ","
+     << "\"eta_nonzeros\":" << a.eta_nonzeros << ","
+     << "\"lu_fill_ratio\":" << json_num(a.lu_fill_ratio) << "}";
 }
 
 /// The schema-5 transport block, emitted with a leading comma (shared by
@@ -123,25 +128,11 @@ void append_transport(std::ostream& os, const TransportTelemetry& t) {
      << ",\"heartbeat_misses\":" << t.heartbeat_misses << "}";
 }
 
-/// The schema-6 service block (schema 7 added epoch/role), emitted with
-/// a leading comma (shared by to_json and patch_service_json so the
-/// spliced shape cannot drift).
-void append_service(std::ostream& os, const ServiceTelemetry& s) {
-  os << ",\"service\":{\"served\":" << (s.served ? "true" : "false")
-     << ",\"queue_depth\":" << s.queue_depth
-     << ",\"shed_total\":" << s.shed_total
-     << ",\"queue_wait_ms\":" << json_num(s.queue_wait_ms)
-     << ",\"solve_ms\":" << json_num(s.solve_ms)
-     << ",\"total_ms\":" << json_num(s.total_ms)
-     << ",\"epoch\":" << s.epoch
-     << ",\"role\":\"" << json_escape(s.role) << "\"}";
-}
-
 }  // namespace
 
 std::string RunReport::to_json() const {
   std::ostringstream os;
-  os << "{\"schema_version\":" << schema_version << ","
+  os << "{\"schema_version\":" << schema_version << ",\"result\":{"
      << "\"job_cap_watts\":" << json_num(job_cap_watts) << ","
      << "\"socket_cap_watts\":" << json_num(socket_cap_watts) << ","
      << "\"verdict\":\"" << robust::to_string(verdict) << "\","
@@ -151,14 +142,7 @@ std::string RunReport::to_json() const {
      << "\"bound_seconds\":" << json_num(bound_seconds) << ","
      << "\"energy_joules\":" << json_num(energy_joules) << ","
      << "\"min_feasible_power_watts\":" << json_num(min_feasible_power_watts)
-     << ",\"wall_ms\":" << json_num(wall_ms)
-     << ",\"worker\":{\"isolated\":" << (worker.isolated ? "true" : "false")
-     << ",\"spawns\":" << worker.spawns
-     << ",\"retries\":" << worker.retries
-     << ",\"peak_rss_kb\":" << worker.peak_rss_kb << "}";
-  append_transport(os, transport);
-  append_service(os, service);
-  os << ",\"fault\":{\"active\":" << (fault_active ? "true" : "false")
+     << ",\"fault\":{\"active\":" << (fault_active ? "true" : "false")
      << ",\"seed\":" << fault_seed << "}"
      << ",\"ladder\":{\"enable_ladder\":"
      << (ladder.enable_ladder ? "true" : "false")
@@ -177,8 +161,7 @@ std::string RunReport::to_json() const {
        << "\"cap_watts\":" << json_num(replay.check.cap_watts) << ","
        << "\"peak_power_watts\":" << json_num(replay.check.peak_power) << ","
        << "\"max_windowed_power_watts\":"
-       << json_num(replay.check.max_windowed_power) << ","
-       << "\"violation_watts\":" << json_num(replay.check.violation_watts)
+       << json_num(replay.check.max_windowed_power)
        << ",\"violation_seconds\":"
        << json_num(replay.check.violation_seconds);
   }
@@ -189,12 +172,35 @@ std::string RunReport::to_json() const {
        << ",\"duality_checked\":"
        << (certificate.duality_checked ? "true" : "false")
        << ",\"max_violation\":" << json_num(certificate.max_violation)
-       << ",\"duality_gap\":" << json_num(certificate.duality_gap)
        << ",\"detail\":\"" << json_escape(certificate.detail) << "\"";
   }
   os << "},\"lint\":{\"checked\":" << (lint.checked ? "true" : "false")
      << ",\"errors\":" << lint.errors << ",\"warnings\":" << lint.warnings
      << "}}";
+
+  // Telemetry: how and where the cap was solved. Its attempts, replay
+  // and certificate members hold the rest of the like-named result
+  // blocks.
+  os << ",\"telemetry\":{\"wall_ms\":" << json_num(wall_ms)
+     << ",\"worker\":{\"isolated\":" << (worker.isolated ? "true" : "false")
+     << ",\"spawns\":" << worker.spawns
+     << ",\"retries\":" << worker.retries
+     << ",\"peak_rss_kb\":" << worker.peak_rss_kb << "}";
+  append_transport(os, transport);
+  os << ",\"attempts\":[";
+  for (std::size_t i = 0; i < attempts.size(); ++i) {
+    if (i) os << ",";
+    append_attempt_telemetry(os, attempts[i]);
+  }
+  os << "],\"replay\":{";
+  if (replay.checked) {
+    os << "\"violation_watts\":" << json_num(replay.check.violation_watts);
+  }
+  os << "},\"certificate\":{";
+  if (certificate.checked) {
+    os << "\"duality_gap\":" << json_num(certificate.duality_gap);
+  }
+  os << "}}}";
   return os.str();
 }
 
@@ -211,22 +217,6 @@ std::string patch_transport_json(const std::string& report_json,
   append_transport(block, transport);
   // append_transport emits a leading ",\"transport\":..."; drop the
   // comma (the original block's separator stays in place).
-  const std::string replacement = block.str().substr(1);
-  std::string out = report_json;
-  out.replace(start, close + 1 - start, replacement);
-  return out;
-}
-
-std::string patch_service_json(const std::string& report_json,
-                               const ServiceTelemetry& service) {
-  const std::string marker = "\"service\":{";
-  const std::size_t start = report_json.find(marker);
-  if (start == std::string::npos) return report_json;
-  // Flat scalars only: the first '}' after the marker closes the block.
-  const std::size_t close = report_json.find('}', start + marker.size());
-  if (close == std::string::npos) return report_json;
-  std::ostringstream block;
-  append_service(block, service);
   const std::string replacement = block.str().substr(1);
   std::string out = report_json;
   out.replace(start, close + 1 - start, replacement);

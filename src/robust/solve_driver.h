@@ -60,20 +60,20 @@ namespace powerlim::robust {
 /// Schema 4 added the `lint` and `certificate` blocks (verification
 /// layer) and the `certificate-failed` verdict. Schema 5 added the
 /// `transport` block (distributed sweeps): endpoint, retries,
-/// backoff_ms, heartbeat_misses - zeroed for local solves and excluded
-/// from byte-identity comparisons like the worker block. Schema 6 added
-/// the `service` block (powerlimd daemon): queue depth, shed count, and
-/// queue-wait / solve / total latency for caps solved through the serve
-/// path - zeroed for offline solves and excluded from byte-identity
-/// comparisons like worker/transport. Schema 7 added `epoch` and `role`
-/// to the service block (high-availability failover): which failover
-/// epoch the serving daemon held and whether it served as "primary" or
-/// "standby" - empty/zero offline, excluded from byte-identity.
-/// Schema 8 added `eta_nonzeros` and `lu_fill_ratio` to each ladder
-/// attempt (simplex basis telemetry) - designated solver telemetry,
-/// excluded from byte-identity comparisons alongside
-/// iterations/refactor_count.
-inline constexpr int kRunReportSchemaVersion = 8;
+/// backoff_ms, heartbeat_misses. Schemas 6 and 7 carried a `service`
+/// block of daemon request telemetry. Schema 8 added `eta_nonzeros` and
+/// `lu_fill_ratio` to each ladder attempt (simplex basis telemetry).
+/// Schema 9 splits every report into two objects,
+/// `{"schema_version":9,"result":{...},"telemetry":{...}}`. `result`
+/// holds the bound and its verdicts and is byte-identical across
+/// serial, pooled, remote and daemon runs of the same cap. `telemetry`
+/// holds what depends on how and where the cap was solved: wall_ms, the
+/// worker and transport blocks, each attempt's simplex-path counters and
+/// primal residual (an array parallel to `result.attempts`),
+/// `replay.violation_watts` and `certificate.duality_gap`. Schema 9
+/// dropped the `service` block: the daemon reports those per-request
+/// values in its done frame and hello ack (serve/protocol.h).
+inline constexpr int kRunReportSchemaVersion = 9;
 
 /// One rung of the ladder, as executed.
 struct SolveAttempt {
@@ -114,6 +114,9 @@ struct CertificateEcho {
   /// True when weak duality was validated (solver duals available).
   bool duality_checked = false;
   double max_violation = 0.0;
+  /// Floating-point residual of the duals, serialized as telemetry: two
+  /// warm-start paths to the same vertex give gaps that differ in the
+  /// last bits, while the exact verdicts above do not.
   double duality_gap = 0.0;
   /// First failing rule's message; empty when ok.
   std::string detail;
@@ -130,8 +133,7 @@ struct LintEcho {
 /// Worker-process supervision telemetry (schema 3). Zeroed for an
 /// in-process solve; a forked sweep worker stamps it before shipping its
 /// report, and the supervisor synthesizes it for caps whose workers
-/// died. Like wall_ms, it is a telemetry field: excluded from resume /
-/// serial-vs-parallel byte-identity comparisons.
+/// died. Serialized under `telemetry`, like wall_ms.
 struct WorkerTelemetry {
   /// True when the solve ran in an isolated worker process.
   bool isolated = false;
@@ -147,8 +149,8 @@ struct WorkerTelemetry {
 /// Remote-transport telemetry (schema 5). Zeroed unless the cap was
 /// settled through a distributed sweep's coordinator, which splices the
 /// real values into the worker-produced report (the worker cannot know
-/// how many times its cap bounced between peers). Telemetry like
-/// wall_ms/worker: excluded from byte-identity comparisons.
+/// how many times its cap bounced between peers). Serialized under
+/// `telemetry`, like wall_ms and the worker block.
 struct TransportTelemetry {
   /// True when the accepted result came from a remote serve-worker.
   bool remote = false;
@@ -161,34 +163,6 @@ struct TransportTelemetry {
   /// Heartbeat intervals that elapsed silent while the cap solved
   /// remotely (below the dead-peer threshold - a slow, live worker).
   int heartbeat_misses = 0;
-};
-
-/// Daemon-service telemetry (schema 6). Zeroed unless the cap was
-/// settled by a powerlimd request executor, which splices the real
-/// values into the report it replies with (the solver cannot know how
-/// long its request queued or how loaded the daemon was). The journal
-/// keeps the *unpatched* report so daemon journals stay byte-compatible
-/// with offline sweeps; only client replies carry the block filled in.
-/// Telemetry like wall_ms/worker/transport: excluded from byte-identity
-/// comparisons.
-struct ServiceTelemetry {
-  /// True when the cap was solved by a daemon on behalf of a request.
-  bool served = false;
-  /// Requests queued (admitted, not yet executing) when this cap's
-  /// request was admitted.
-  int queue_depth = 0;
-  /// Requests the daemon had shed (replied `overloaded`) at that point.
-  long shed_total = 0;
-  /// Admission-to-execution wait for the owning request, ms.
-  double queue_wait_ms = 0.0;
-  /// Executor solve time for the owning request, ms.
-  double solve_ms = 0.0;
-  /// Admission-to-reply total for the owning request, ms.
-  double total_ms = 0.0;
-  /// Failover epoch the serving daemon held (schema 7; 0 offline).
-  std::uint64_t epoch = 0;
-  /// "primary" or "standby" when served, empty offline (schema 7).
-  std::string role;
 };
 
 /// Resolved supervision/ladder options echoed into every RunReport so a
@@ -227,8 +201,7 @@ struct RunReport {
   double bound_seconds = -1.0;
   double energy_joules = 0.0;
   double min_feasible_power_watts = 0.0;
-  /// Wall-clock time the driver spent on this cap, ms (a timing field:
-  /// excluded from resume byte-identity comparisons).
+  /// Wall-clock time the driver spent on this cap, ms (telemetry).
   double wall_ms = 0.0;
   /// True when a FaultPlan was active for this cap; `fault_seed` then
   /// reproduces the injected faults bit-identically.
@@ -240,8 +213,6 @@ struct RunReport {
   WorkerTelemetry worker;
   /// Remote-transport telemetry (zeroed for local solves).
   TransportTelemetry transport;
-  /// Daemon-service telemetry (zeroed for offline solves).
-  ServiceTelemetry service;
   std::vector<SolveAttempt> attempts;
   ReplayVerdict replay;
   CertificateEcho certificate;
@@ -252,6 +223,9 @@ struct RunReport {
     return verdict == StatusCode::kOk || (degraded && bound_seconds >= 0.0);
   }
 
+  /// `{"schema_version":N,"result":{...},"telemetry":{...}}` on one
+  /// line. Which field is result and which is telemetry is decided here
+  /// and nowhere else (see kRunReportSchemaVersion).
   std::string to_json() const;
 };
 
@@ -262,15 +236,10 @@ std::string reports_to_json(const std::vector<RunReport>& reports);
 /// (remote workers ship their report as JSON; only the coordinator
 /// knows the endpoint/retry history). Returns the input unchanged when
 /// no "transport" block is present (pre-schema-5 journal records).
+/// Schema 9 keeps the block inside `telemetry`; older records keep it
+/// at the top level, and both are patched in place.
 std::string patch_transport_json(const std::string& report_json,
                                  const TransportTelemetry& transport);
-
-/// Splices real service telemetry into an already-serialized report (the
-/// daemon's reply path; the journal keeps the unpatched bytes). Returns
-/// the input unchanged when no "service" block is present (pre-schema-6
-/// journal records).
-std::string patch_service_json(const std::string& report_json,
-                               const ServiceTelemetry& service);
 
 /// Result of one driver solve: the LP result (meaningful when the
 /// verdict is kOk), the validated/fallback simulation when one ran, and

@@ -170,6 +170,8 @@ robust::Status ServeClient::read_frame(robust::WireFrame* out,
 CollectResult ServeClient::collect(const std::string& request_id,
                                    double wall_timeout_s) {
   CollectResult result;
+  result.epoch = epoch_;
+  result.role = role_;
   const auto end =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(wall_timeout_s));

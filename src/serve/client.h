@@ -45,6 +45,10 @@ struct CollectResult {
   ServeDone done;
   ServeOverloaded overloaded;
   std::string error_detail;
+  /// The failover epoch and role the answering daemon declared in its
+  /// hello ack.
+  std::uint64_t epoch = 0;
+  std::string role;
 };
 
 class ServeClient {

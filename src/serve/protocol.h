@@ -41,9 +41,10 @@
 // (robust/journal.h serialize_journal_request), so the daemon journals
 // the admission intent byte-for-byte as it arrived; and an 'R' row body
 // is exactly a journal `R` payload, so a served row and a journaled row
-// are the same bytes (the daemon patches the `service` block into the
-// *reply copy* only - the journal stays byte-compatible with offline
-// `powerlim sweep --journal` files).
+// are the same bytes, byte-compatible with offline `powerlim sweep
+// --journal` files. Per-request facts (queue depth, shed total, queue
+// wait, solve and total ms) travel in the 'D' frame, and the failover
+// epoch and role in the 'A' ack, never inside a row.
 //
 // Version skew is settled at hello time: a client whose schema or proto
 // differs gets "error ..." in the 'A' ack and nothing else, never a
@@ -131,8 +132,7 @@ std::string encode_request(const ServeRequest& request);
 bool decode_request(const std::string& payload, ServeRequest* out,
                     std::string* error);
 
-/// One streamed row: the journal entry for a settled cap, with the
-/// reply copy's `service` block patched by the daemon.
+/// One streamed row: the journal entry for a settled cap, as journaled.
 struct ServeRow {
   std::string id;
   robust::JournalEntry entry;

@@ -93,8 +93,6 @@ struct Request {
   std::unique_ptr<robust::SweepJournal> journal;
   int resumed = 0;
   int rows = 0;
-  int queue_depth_at_admit = 0;
-  long shed_at_admit = 0;
   Clock::time_point admitted = Clock::now();
   Clock::time_point exec_start{};
   // Executor state.
@@ -153,7 +151,6 @@ class Daemon {
   void send_overloaded(std::uint64_t conn_id, const std::string& id,
                        const std::string& reason, const std::string& detail);
   void reply_row(Request& req, const robust::JournalEntry& entry);
-  robust::ServiceTelemetry telemetry_for(const Request& req) const;
   void drop_conn(std::uint64_t conn_id, const char* why);
 
   // --- high availability ---
@@ -768,9 +765,6 @@ void Daemon::admit(std::uint64_t conn_id, ServeRequest&& sr) {
     return;
   }
 
-  req.queue_depth_at_admit = static_cast<int>(queued_.size());
-  req.shed_at_admit = shed_total_;
-
   // Serve every already-proven cap straight from the journal - the
   // certificate-gated trust predicate decides, not file presence.
   for (double cap : req.caps) {
@@ -981,8 +975,8 @@ void Daemon::handle_pipe_frame(Request& req, const robust::WireFrame& frame) {
   // promoted standby owns the history now); drop them - the caps stay
   // owed and the client retries against the new primary.
   if (fenced_) return;
-  // Journal first (unpatched bytes - byte-compatible with offline
-  // sweeps), reply second (service telemetry patched into the copy).
+  // Journal first, reply second: the reply row is the journal's bytes,
+  // byte-compatible with offline sweeps.
   if (req.journal) {
     const robust::Status st = req.journal->append(entry);
     if (!st.ok()) {
@@ -1088,7 +1082,7 @@ void Daemon::degrade_unsettled(Request& req, const std::string& death) {
   // Second executor death: the remaining caps degrade to the
   // Static-policy bound through the same path an offline parallel
   // sweep uses for a twice-dead worker, so daemon and offline tables
-  // stay byte-identical (modulo telemetry).
+  // and report `result`s stay byte-identical.
   const std::vector<double> owed = unsettled(req);
   int degraded = 0;
   try {
@@ -1188,31 +1182,12 @@ void Daemon::send_overloaded(std::uint64_t conn_id, const std::string& id,
   send_frame(conn_id, kTagOverloaded, encode_overloaded(o));
 }
 
-robust::ServiceTelemetry Daemon::telemetry_for(const Request& req) const {
-  robust::ServiceTelemetry s;
-  s.served = true;
-  s.queue_depth = req.queue_depth_at_admit;
-  s.shed_total = req.shed_at_admit;
-  const bool executing = req.exec_start.time_since_epoch().count() != 0;
-  s.queue_wait_ms = executing ? std::chrono::duration<double, std::milli>(
-                                    req.exec_start - req.admitted)
-                                    .count()
-                              : 0.0;
-  s.solve_ms = executing ? ms_since(req.exec_start) : 0.0;
-  s.total_ms = ms_since(req.admitted);
-  s.epoch = epoch_;
-  s.role = role_name();
-  return s;
-}
-
 void Daemon::reply_row(Request& req, const robust::JournalEntry& entry) {
   ++req.rows;
   if (req.conn_id == 0) return;
   ServeRow row;
   row.id = req.id;
   row.entry = entry;
-  row.entry.report_json =
-      robust::patch_service_json(entry.report_json, telemetry_for(req));
   const std::string payload = encode_row(row);
   if (!payload.empty()) send_frame(req.conn_id, kTagRow, payload);
 }

@@ -21,8 +21,7 @@
 //     restarts with `--resume` and finishes exactly the owed caps -
 //     already-proven caps are served from the journal, never re-solved.
 //     The journals are byte-compatible with offline `powerlim sweep
-//     --journal` files: replies carry the schema-6 `service` telemetry
-//     block patched in, journals keep the unpatched bytes.
+//     --journal` files, and a reply row is the journal record's bytes.
 //
 //   * Fault degradation over refusal. Each request runs in a forked
 //     executor wrapping robust::resilient_sweep, so worker crashes,

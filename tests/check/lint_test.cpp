@@ -262,7 +262,9 @@ TEST_F(LintFileTest, ZeroWorkTraceReportsTaskLine) {
   EXPECT_FALSE(r.ok());
   ASSERT_TRUE(has_rule(r, "task-work")) << r.to_string();
   for (const LintFinding& f : r.findings) {
-    if (f.rule == "task-work") EXPECT_EQ(f.line, 5);
+    if (f.rule == "task-work") {
+      EXPECT_EQ(f.line, 5);
+    }
   }
 }
 

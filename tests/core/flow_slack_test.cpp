@@ -103,7 +103,9 @@ TEST(FlowSlack, MonotoneInSlackPower) {
   for (double sw : {0.0, 10.0, 20.0, 30.0}) {
     const auto res = solve_flow_ilp(g, kModel, kCluster, slack_opts(cap, sw));
     ASSERT_TRUE(res.optimal()) << "slack power " << sw;
-    if (prev >= 0.0) EXPECT_GE(res.makespan, prev - 1e-6) << sw;
+    if (prev >= 0.0) {
+      EXPECT_GE(res.makespan, prev - 1e-6) << sw;
+    }
     prev = res.makespan;
   }
 }

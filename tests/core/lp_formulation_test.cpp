@@ -228,7 +228,9 @@ TEST(LpFormulation, DiscreteModeSingleShareAndNoFasterThanContinuous) {
   ASSERT_TRUE(disc.optimal());
   EXPECT_GE(disc.makespan, cont.makespan - 1e-6);
   for (const auto& shares : disc.schedule.shares) {
-    if (!shares.empty()) EXPECT_EQ(shares.size(), 1u);
+    if (!shares.empty()) {
+      EXPECT_EQ(shares.size(), 1u);
+    }
   }
   for (double p : disc.event_power) EXPECT_LE(p, cap + 1e-5);
 }

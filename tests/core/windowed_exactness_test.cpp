@@ -56,7 +56,9 @@ TEST_P(WindowedExactnessTest, DiscreteNeverBeatsContinuous) {
   if (!integral.optimal()) GTEST_SKIP() << "no integral point at this cap";
   EXPECT_GE(integral.makespan, cont.makespan - 1e-6);
   for (const auto& shares : integral.schedule.shares) {
-    if (!shares.empty()) EXPECT_EQ(shares.size(), 1u);
+    if (!shares.empty()) {
+      EXPECT_EQ(shares.size(), 1u);
+    }
   }
 }
 

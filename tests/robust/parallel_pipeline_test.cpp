@@ -1,18 +1,18 @@
 // resilient_sweep with workers > 1: the fork-per-cap path must produce
-// the same per-cap results as the serial in-process path (modulo the
-// designated telemetry fields), stream results into the journal so
+// the same per-cap results as the serial in-process path (each report's
+// `result` byte-identical), stream results into the journal so
 // --resume composes unchanged, and degrade a cap whose worker dies
 // twice to the Static-policy bound instead of losing it.
 #include "robust/pipeline.h"
 
 #include <gtest/gtest.h>
 
-#include <regex>
 #include <string>
 #include <vector>
 
 #include "apps/benchmarks.h"
 #include "machine/power_model.h"
+#include "report_parts.h"
 #include "robust/fault_injection.h"
 #include "scratch_dir.h"
 
@@ -26,32 +26,6 @@ dag::TaskGraph small_graph() {
   return apps::make_comd({.ranks = 2, .iterations = 3, .seed = 17});
 }
 
-/// Neutralizes the designated telemetry fields so serial and parallel
-/// reports can be compared byte-for-byte otherwise: wall_ms, the worker
-/// supervision block, and the solver path counters (iterations,
-/// degenerate_pivots, refactor_count). The counters are execution-order
-/// telemetry - a serial sweep's caps share one driver whose warm-start
-/// cache carries over between caps (a warmed basis shortens the simplex
-/// path and adds refactorizations), while an isolated worker necessarily
-/// solves its cap cold. The solution itself (bound, energy,
-/// infeasibility, replay) is unaffected and stays under byte-identity.
-std::string strip_telemetry(const std::string& json) {
-  static const std::regex kWall("\"wall_ms\":[0-9.eE+-]+");
-  static const std::regex kWorker("\"worker\":\\{[^}]*\\}");
-  static const std::regex kIterations("\"iterations\":[0-9]+");
-  static const std::regex kDegenerate("\"degenerate_pivots\":[0-9]+");
-  static const std::regex kRefactor("\"refactor_count\":[0-9]+");
-  static const std::regex kEta("\"eta_nonzeros\":[0-9]+");
-  static const std::regex kFill("\"lu_fill_ratio\":[0-9.eE+-]+");
-  std::string s = std::regex_replace(json, kWall, "\"wall_ms\":0");
-  s = std::regex_replace(s, kWorker, "\"worker\":{}");
-  s = std::regex_replace(s, kIterations, "\"iterations\":0");
-  s = std::regex_replace(s, kDegenerate, "\"degenerate_pivots\":0");
-  s = std::regex_replace(s, kRefactor, "\"refactor_count\":0");
-  s = std::regex_replace(s, kEta, "\"eta_nonzeros\":0");
-  return std::regex_replace(s, kFill, "\"lu_fill_ratio\":0");
-}
-
 void expect_rows_equivalent(const std::vector<SweepRow>& serial,
                             const std::vector<SweepRow>& parallel) {
   ASSERT_EQ(serial.size(), parallel.size());
@@ -63,8 +37,8 @@ void expect_rows_equivalent(const std::vector<SweepRow>& serial,
     EXPECT_EQ(serial[i].bound_seconds, parallel[i].bound_seconds)
         << "row " << i;
     EXPECT_EQ(serial[i].fallback, parallel[i].fallback) << "row " << i;
-    EXPECT_EQ(strip_telemetry(serial[i].report_json),
-              strip_telemetry(parallel[i].report_json))
+    EXPECT_EQ(report_results(serial[i].report_json),
+              report_results(parallel[i].report_json))
         << "row " << i;
   }
 }

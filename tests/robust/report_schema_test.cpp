@@ -44,14 +44,6 @@ RunReport golden_report() {
   rep.transport.retries = 1;
   rep.transport.backoff_ms = 25.5;
   rep.transport.heartbeat_misses = 3;
-  rep.service.served = true;
-  rep.service.queue_depth = 4;
-  rep.service.shed_total = 7;
-  rep.service.queue_wait_ms = 12.25;
-  rep.service.solve_ms = 80.5;
-  rep.service.total_ms = 92.75;
-  rep.service.epoch = 3;
-  rep.service.role = "primary";
 
   SolveAttempt a;
   a.rung = "warm";
@@ -91,7 +83,8 @@ RunReport golden_report() {
 // The golden string. Field order, spelling, and nesting are all
 // contractual; values are chosen to be exact in decimal.
 const char* const kGolden =
-    "{\"schema_version\":8,"
+    "{\"schema_version\":9,"
+    "\"result\":{"
     "\"job_cap_watts\":120,"
     "\"socket_cap_watts\":60,"
     "\"verdict\":\"ok\","
@@ -101,47 +94,46 @@ const char* const kGolden =
     "\"bound_seconds\":12.5,"
     "\"energy_joules\":345.25,"
     "\"min_feasible_power_watts\":80,"
-    "\"wall_ms\":3.5,"
-    "\"worker\":{\"isolated\":true,\"spawns\":2,\"retries\":1,"
-    "\"peak_rss_kb\":4096},"
-    "\"transport\":{\"remote\":true,\"endpoint\":\"10.0.0.7:9200\","
-    "\"retries\":1,\"backoff_ms\":25.5,\"heartbeat_misses\":3},"
-    "\"service\":{\"served\":true,\"queue_depth\":4,\"shed_total\":7,"
-    "\"queue_wait_ms\":12.25,\"solve_ms\":80.5,\"total_ms\":92.75,"
-    "\"epoch\":3,\"role\":\"primary\"},"
     "\"fault\":{\"active\":true,\"seed\":42},"
     "\"ladder\":{\"enable_ladder\":true,\"enable_fallback\":true,"
     "\"validate_replay\":true,\"cap_deadline_ms\":250,"
     "\"cancellable\":true},"
     "\"attempts\":[{\"rung\":\"warm\",\"outcome\":\"solver-numerical\","
-    "\"injected\":true,\"iterations\":17,\"degenerate_pivots\":2,"
-    "\"refactor_count\":1,\"bland_engaged\":true,"
-    "\"primal_infeasibility\":0.001,\"eta_nonzeros\":64,"
-    "\"lu_fill_ratio\":1.75,\"failed_window\":3,"
+    "\"injected\":true,\"bland_engaged\":true,\"failed_window\":3,"
     "\"detail\":\"injected\"}],"
     "\"replay\":{\"checked\":true,\"ok\":true,\"cap_watts\":120,"
     "\"peak_power_watts\":130.5,\"max_windowed_power_watts\":118.25,"
-    "\"violation_watts\":0,\"violation_seconds\":0},"
+    "\"violation_seconds\":0},"
     "\"certificate\":{\"checked\":true,\"ok\":true,"
-    "\"duality_checked\":true,\"max_violation\":0,"
-    "\"duality_gap\":0.0005,\"detail\":\"\"},"
-    "\"lint\":{\"checked\":true,\"errors\":0,\"warnings\":2}}";
+    "\"duality_checked\":true,\"max_violation\":0,\"detail\":\"\"},"
+    "\"lint\":{\"checked\":true,\"errors\":0,\"warnings\":2}},"
+    "\"telemetry\":{"
+    "\"wall_ms\":3.5,"
+    "\"worker\":{\"isolated\":true,\"spawns\":2,\"retries\":1,"
+    "\"peak_rss_kb\":4096},"
+    "\"transport\":{\"remote\":true,\"endpoint\":\"10.0.0.7:9200\","
+    "\"retries\":1,\"backoff_ms\":25.5,\"heartbeat_misses\":3},"
+    "\"attempts\":[{\"iterations\":17,\"degenerate_pivots\":2,"
+    "\"refactor_count\":1,\"primal_infeasibility\":0.001,"
+    "\"eta_nonzeros\":64,\"lu_fill_ratio\":1.75}],"
+    "\"replay\":{\"violation_watts\":0},"
+    "\"certificate\":{\"duality_gap\":0.0005}}}";
 
 TEST(ReportSchema, GoldenShapeIsStable) {
   EXPECT_EQ(golden_report().to_json(), kGolden);
 }
 
-TEST(ReportSchema, VersionIsEight) {
-  EXPECT_EQ(kRunReportSchemaVersion, 8);
-  EXPECT_EQ(RunReport{}.schema_version, 8);
+TEST(ReportSchema, VersionIsNine) {
+  EXPECT_EQ(kRunReportSchemaVersion, 9);
+  EXPECT_EQ(RunReport{}.schema_version, 9);
   // Every serialized report leads with the version so consumers can
   // dispatch before parsing the rest.
-  EXPECT_EQ(RunReport{}.to_json().rfind("{\"schema_version\":8,", 0), 0u);
+  EXPECT_EQ(RunReport{}.to_json().rfind("{\"schema_version\":9,", 0), 0u);
 }
 
 TEST(ReportSchema, InProcessSolveZeroesWorkerTelemetry) {
-  // The serial path must keep emitting an all-zero worker block so a
-  // serial and a parallel sweep differ only in designated telemetry.
+  // The serial path must keep emitting an all-zero worker block: the
+  // block is telemetry, present whichever path solved the cap.
   RunReport rep;
   EXPECT_NE(rep.to_json().find("\"worker\":{\"isolated\":false,"
                                "\"spawns\":0,\"retries\":0,"
@@ -152,13 +144,6 @@ TEST(ReportSchema, InProcessSolveZeroesWorkerTelemetry) {
   EXPECT_NE(rep.to_json().find("\"transport\":{\"remote\":false,"
                                "\"endpoint\":\"\",\"retries\":0,"
                                "\"backoff_ms\":0,\"heartbeat_misses\":0}"),
-            std::string::npos);
-  // And the service block: all-zero unless powerlimd splices the real
-  // request latencies into its reply copy.
-  EXPECT_NE(rep.to_json().find("\"service\":{\"served\":false,"
-                               "\"queue_depth\":0,\"shed_total\":0,"
-                               "\"queue_wait_ms\":0,\"solve_ms\":0,"
-                               "\"total_ms\":0,\"epoch\":0,\"role\":\"\"}"),
             std::string::npos);
 }
 
@@ -179,46 +164,15 @@ TEST(ReportSchema, PatchTransportSplicesWithoutReserialization) {
                          "\"endpoint\":\"192.168.1.9:7777\",\"retries\":2,"
                          "\"backoff_ms\":137.25,\"heartbeat_misses\":1}"),
             std::string::npos);
-  // Only the transport block changed.
-  EXPECT_EQ(patched.size() - patched.find("\"fault\":"),
-            json.size() - json.find("\"fault\":"));
+  // Only the transport block changed: it sits between the worker block
+  // and telemetry's attempts.
+  EXPECT_EQ(patched.substr(patched.rfind("\"attempts\":")),
+            json.substr(json.rfind("\"attempts\":")));
   EXPECT_EQ(patched.substr(0, patched.find("\"transport\":")),
             json.substr(0, json.find("\"transport\":")));
   // Pre-schema-5 records (no transport block) pass through untouched.
   EXPECT_EQ(patch_transport_json("{\"schema_version\":4}", t),
             "{\"schema_version\":4}");
-}
-
-TEST(ReportSchema, PatchServiceSplicesWithoutReserialization) {
-  // The daemon receives each cap's report from its executor as already-
-  // serialized journal bytes and must stamp request-level service
-  // telemetry into the *reply copy* without reparsing (the journaled
-  // bytes stay unpatched so daemon journals remain byte-compatible with
-  // offline sweeps).
-  const std::string json = golden_report().to_json();
-  ServiceTelemetry s;
-  s.served = true;
-  s.queue_depth = 9;
-  s.shed_total = 3;
-  s.queue_wait_ms = 1.5;
-  s.solve_ms = 200.25;
-  s.total_ms = 201.75;
-  s.epoch = 2;
-  s.role = "standby";
-  const std::string patched = patch_service_json(json, s);
-  EXPECT_NE(patched.find("\"service\":{\"served\":true,\"queue_depth\":9,"
-                         "\"shed_total\":3,\"queue_wait_ms\":1.5,"
-                         "\"solve_ms\":200.25,\"total_ms\":201.75,"
-                         "\"epoch\":2,\"role\":\"standby\"}"),
-            std::string::npos);
-  // Only the service block changed.
-  EXPECT_EQ(patched.size() - patched.find("\"fault\":"),
-            json.size() - json.find("\"fault\":"));
-  EXPECT_EQ(patched.substr(0, patched.find("\"service\":")),
-            json.substr(0, json.find("\"service\":")));
-  // Pre-schema-6 records (no service block) pass through untouched.
-  EXPECT_EQ(patch_service_json("{\"schema_version\":5}", s),
-            "{\"schema_version\":5}");
 }
 
 TEST(ReportSchema, UncheckedReplaySerializesClosed) {

@@ -5,13 +5,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <regex>
 #include <string>
 #include <vector>
 
 #include "apps/benchmarks.h"
 #include "machine/power_model.h"
+#include "report_parts.h"
+#include "scratch_dir.h"
 
 namespace powerlim::robust {
 namespace {
@@ -23,15 +23,13 @@ dag::TaskGraph small_graph() {
   return apps::make_comd({.ranks = 2, .iterations = 3, .seed = 17});
 }
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
-
-/// Neutralizes the one designated timing field so reports from separate
-/// runs can be compared byte-for-byte otherwise.
-std::string strip_wall_ms(const std::string& json) {
-  static const std::regex kWall("\"wall_ms\":[0-9.eE+-]+");
-  return std::regex_replace(json, kWall, "\"wall_ms\":0");
+/// A report's telemetry without its leading wall_ms member. A resumed
+/// sweep warm-starts from the journal's checkpoint, so it must take the
+/// same pivots as an uninterrupted one: every counter matches, only the
+/// clock differs.
+std::string telemetry_after_wall_ms(const std::string& json) {
+  const std::string telemetry = report_telemetry(json);
+  return telemetry.substr(telemetry.find(','));
 }
 
 void expect_rows_identical(const std::vector<SweepRow>& a,
@@ -43,8 +41,11 @@ void expect_rows_identical(const std::vector<SweepRow>& a,
     EXPECT_EQ(a[i].degraded, b[i].degraded) << "row " << i;
     EXPECT_EQ(a[i].bound_seconds, b[i].bound_seconds) << "row " << i;
     EXPECT_EQ(a[i].fallback, b[i].fallback) << "row " << i;
-    EXPECT_EQ(strip_wall_ms(a[i].report_json),
-              strip_wall_ms(b[i].report_json))
+    EXPECT_EQ(report_results(a[i].report_json),
+              report_results(b[i].report_json))
+        << "row " << i;
+    EXPECT_EQ(telemetry_after_wall_ms(a[i].report_json),
+              telemetry_after_wall_ms(b[i].report_json))
         << "row " << i;
   }
 }
@@ -71,8 +72,9 @@ TEST(ResilientSweep, UnjournaledMatchesSweepCaps) {
 TEST(ResilientSweep, ResumedRunMergesIdenticalRows) {
   const dag::TaskGraph g = small_graph();
   const std::vector<double> caps = {2 * 45.0, 2 * 55.0, 2 * 65.0};
-  const std::string path = temp_path("resume_merge");
-  std::remove(path.c_str());
+  const ScratchDir scratch("resume");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("resume_merge");
 
   ResilientSweepOptions jopt;
   jopt.journal_path = path;
@@ -98,8 +100,9 @@ TEST(ResilientSweep, PartialJournalResumesOnlyMissingCaps) {
   const dag::TaskGraph g = small_graph();
   const std::vector<double> prefix = {2 * 45.0, 2 * 55.0};
   const std::vector<double> full = {2 * 45.0, 2 * 55.0, 2 * 65.0};
-  const std::string path = temp_path("resume_partial");
-  std::remove(path.c_str());
+  const ScratchDir scratch("resume");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("resume_partial");
 
   ResilientSweepOptions jopt;
   jopt.journal_path = path;
@@ -124,8 +127,9 @@ TEST(ResilientSweep, PartialJournalResumesOnlyMissingCaps) {
 
 TEST(ResilientSweep, JournalPersistsWarmStartCheckpoints) {
   const dag::TaskGraph g = small_graph();
-  const std::string path = temp_path("resume_warm");
-  std::remove(path.c_str());
+  const ScratchDir scratch("resume");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("resume_warm");
   ResilientSweepOptions jopt;
   jopt.journal_path = path;
   ASSERT_TRUE(
@@ -156,8 +160,9 @@ TEST(ResilientSweep, PreCancelledSweepSolvesNothingAndIsResumable) {
 
 TEST(ResilientSweep, CancelledSweepStillServesJournaledRows) {
   const dag::TaskGraph g = small_graph();
-  const std::string path = temp_path("resume_cancel_serve");
-  std::remove(path.c_str());
+  const ScratchDir scratch("resume");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("resume_cancel_serve");
   ResilientSweepOptions jopt;
   jopt.journal_path = path;
   ASSERT_TRUE(

@@ -234,7 +234,9 @@ TEST(WireHardening, ReplFrameTagMutationFuzzMatrix) {
         EXPECT_TRUE(tag_flip || whitespace_flip)
             << "tag '" << c.tag << "' byte " << i
             << " flip silently accepted";
-        if (!tag_flip) EXPECT_EQ(f.tag, c.tag);
+        if (!tag_flip) {
+          EXPECT_EQ(f.tag, c.tag);
+        }
         EXPECT_EQ(f.payload, c.payload);
       }
     }

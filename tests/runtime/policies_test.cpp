@@ -57,7 +57,9 @@ TEST(StaticPolicy, NoSwitchOverheadEver) {
   StaticPolicy policy(kModel, 45.0);
   const sim::SimResult res = sim::simulate(g, policy, engine_opts());
   for (const auto& t : res.tasks) {
-    if (t.edge_id >= 0) EXPECT_EQ(t.switch_overhead, 0.0);
+    if (t.edge_id >= 0) {
+      EXPECT_EQ(t.switch_overhead, 0.0);
+    }
   }
 }
 

@@ -6,8 +6,8 @@
 //     copies of the primary's, and the standby serves fully-proven
 //     repeat queries read-only (sheds the rest as 'overloaded standby');
 //   * SIGKILLing the primary mid-sweep and promoting the standby
-//     yields a served table byte-identical to offline `powerlim sweep`
-//     (modulo designated telemetry) with zero replicated-proven rows
+//     yields a served table, and report `result`s, byte-identical to
+//     offline `powerlim sweep` with zero replicated-proven rows
 //     re-solved;
 //   * failover is epoch-fenced: a client that has seen the promoted
 //     epoch refuses the deposed primary, and a newer-epoch standby
@@ -29,12 +29,12 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "report_parts.h"
 #include "robust/wire.h"
 #include "scratch_dir.h"
 #include "serve/client.h"
@@ -80,34 +80,6 @@ std::string head_lines(const std::string& text, int lines) {
     if (pos != std::string::npos) ++pos;
   }
   return text.substr(0, pos == std::string::npos ? text.size() : pos);
-}
-
-/// Designated telemetry (same set the serve-equivalence acceptance
-/// strips) plus the service block the daemon patches into reply rows.
-std::string strip_telemetry(const std::string& json) {
-  static const std::regex kWall("\"wall_ms\":[0-9.eE+-]+");
-  static const std::regex kWorker("\"worker\":\\{[^}]*\\}");
-  static const std::regex kTransport("\"transport\":\\{[^}]*\\}");
-  static const std::regex kService("\"service\":\\{[^}]*\\}");
-  static const std::regex kIterations("\"iterations\":[0-9]+");
-  static const std::regex kDegenerate("\"degenerate_pivots\":[0-9]+");
-  static const std::regex kRefactor("\"refactor_count\":[0-9]+");
-  static const std::regex kEta("\"eta_nonzeros\":[0-9]+");
-  static const std::regex kFill("\"lu_fill_ratio\":[0-9.eE+-]+");
-  static const std::regex kPrimal("\"primal_infeasibility\":[0-9.eE+-]+");
-  static const std::regex kGap("\"duality_gap\":[0-9.eE+-]+");
-  static const std::regex kViolation("\"violation_watts\":[0-9.eE+-]+");
-  std::string s = std::regex_replace(json, kWall, "\"wall_ms\":0");
-  s = std::regex_replace(s, kWorker, "\"worker\":{}");
-  s = std::regex_replace(s, kTransport, "\"transport\":{}");
-  s = std::regex_replace(s, kService, "\"service\":{}");
-  s = std::regex_replace(s, kIterations, "\"iterations\":0");
-  s = std::regex_replace(s, kDegenerate, "\"degenerate_pivots\":0");
-  s = std::regex_replace(s, kRefactor, "\"refactor_count\":0");
-  s = std::regex_replace(s, kEta, "\"eta_nonzeros\":0");
-  s = std::regex_replace(s, kFill, "\"lu_fill_ratio\":0");
-  s = std::regex_replace(s, kPrimal, "\"primal_infeasibility\":0");
-  return std::regex_replace(s, kViolation, "\"violation_watts\":0");
 }
 
 /// A forked `powerlim serve` child (primary or standby).
@@ -436,8 +408,8 @@ TEST_F(FailoverTest, SigkillPromoteServesByteIdenticalTableZeroResolves) {
             std::string::npos)
       << "expected exactly " << replicated
       << " journal-served rows, got: " << fq.out;
-  EXPECT_EQ(strip_telemetry(read_file(report)),
-            strip_telemetry(read_file(*offline_report_)));
+  EXPECT_EQ(report_results(read_file(report)),
+            report_results(read_file(*offline_report_)));
 
   EXPECT_EQ(standby.stop(), 0);
 }

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "robust/wire.h"
+#include "scratch_dir.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "tools/cli.h"
@@ -39,10 +40,6 @@ using serve::CollectResult;
 using serve::CollectStatus;
 using serve::ServeClient;
 using serve::ServeRequest;
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
-}
 
 /// A forked `powerlim serve` child. The destructor SIGKILLs a daemon a
 /// failed assertion left behind - otherwise the orphan inherits the
@@ -85,14 +82,11 @@ struct Daemon {
   }
 };
 
-Daemon start_daemon(std::vector<std::string> extra_args) {
-  static int counter = 0;
-  const std::string tag =
-      std::to_string(::getpid()) + "_" + std::to_string(counter++);
-  const std::string port_file = temp_path("powerlimd_port_" + tag);
+Daemon launch_daemon(const std::string& port_file,
+                     const std::string& state_dir,
+                     std::vector<std::string> extra_args) {
   Daemon d;
-  d.state_dir = temp_path("powerlimd_state_" + tag);
-  std::remove(port_file.c_str());
+  d.state_dir = state_dir;
   std::vector<std::string> args = {"serve",       "--listen",
                                    "127.0.0.1:0", "--port-file",
                                    port_file,     "--state-dir",
@@ -122,12 +116,15 @@ Daemon start_daemon(std::vector<std::string> extra_args) {
 /// Shared fixture: a light CoMD trace (2 ranks - requests finish in
 /// tens of ms) and a heavy one (16 ranks x 30 iterations - a 16-cap
 /// request occupies the single active slot for about a second, long
-/// enough that queue/drain scenarios are deterministic).
+/// enough that queue/drain scenarios are deterministic). The traces are
+/// written once per test process in its own scratch directory; every
+/// test also gets a scratch directory of its own for the daemons'
+/// state dirs and port files.
 class PowerlimdLifecycle : public ::testing::Test {
  protected:
   static std::string load_trace(const std::string& name, int ranks,
                                 int iterations) {
-    const std::string path = temp_path(name);
+    const std::string path = suite_dir_->path(name);
     std::ostringstream out, err;
     EXPECT_EQ(run({"trace", "comd", "-o", path, "--ranks",
                    std::to_string(ranks), "--iterations",
@@ -141,6 +138,8 @@ class PowerlimdLifecycle : public ::testing::Test {
   }
 
   static void SetUpTestSuite() {
+    suite_dir_ = new ScratchDir("powerlimd_suite");
+    ASSERT_TRUE(suite_dir_->ok());
     trace_text_ = new std::string(load_trace("powerlimd_trace", 2, 3));
     heavy_text_ =
         new std::string(load_trace("powerlimd_trace_heavy", 16, 30));
@@ -151,6 +150,18 @@ class PowerlimdLifecycle : public ::testing::Test {
   static void TearDownTestSuite() {
     delete trace_text_;
     delete heavy_text_;
+    delete suite_dir_;
+  }
+
+  void SetUp() override { ASSERT_TRUE(scratch_.ok()); }
+
+  /// Starts a daemon with a fresh state dir and port file in this
+  /// test's scratch directory.
+  Daemon start_daemon(std::vector<std::string> extra_args) {
+    const std::string tag = std::to_string(daemons_started_++);
+    return launch_daemon(scratch_.path("port_" + tag),
+                         scratch_.path("state_" + tag),
+                         std::move(extra_args));
   }
 
   static ServeRequest request(const std::string& id, int n) {
@@ -172,10 +183,16 @@ class PowerlimdLifecycle : public ::testing::Test {
     return req;
   }
 
+  static ScratchDir* suite_dir_;
   static std::string* trace_text_;
   static std::string* heavy_text_;
+
+ private:
+  ScratchDir scratch_{"powerlimd"};
+  int daemons_started_ = 0;
 };
 
+ScratchDir* PowerlimdLifecycle::suite_dir_ = nullptr;
 std::string* PowerlimdLifecycle::trace_text_ = nullptr;
 std::string* PowerlimdLifecycle::heavy_text_ = nullptr;
 

@@ -1,6 +1,6 @@
-// The powerlimd correctness anchor: a daemon-served sweep must be
-// byte-identical to an offline `powerlim sweep` run (modulo the
-// designated telemetry fields) - in the clean case, under worker-crash
+// The powerlimd correctness anchor: a daemon-served sweep must match an
+// offline `powerlim sweep` run (table and every report's `result`
+// byte-identical) - in the clean case, under worker-crash
 // injection, under net-* injection against remote serve-workers, and
 // after SIGKILLing the daemon mid-solve and restarting with --resume.
 #include <signal.h>
@@ -10,18 +10,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "report_parts.h"
+#include "robust/journal.h"
+#include "scratch_dir.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
+#include "serve/repl.h"
 #include "tools/cli.h"
 #include "util/socket_io.h"
 
@@ -40,10 +44,6 @@ CliResult run_cli(std::vector<std::string> args) {
   return {code, out.str(), err.str()};
 }
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
-}
-
 std::string read_file(const std::string& path) {
   std::ifstream f(path);
   std::ostringstream ss;
@@ -59,36 +59,6 @@ std::string head_lines(const std::string& text, int lines) {
     if (pos != std::string::npos) ++pos;
   }
   return text.substr(0, pos == std::string::npos ? text.size() : pos);
-}
-
-/// Neutralizes the designated telemetry (same set the distributed-sweep
-/// acceptance uses) plus the schema-6 `service` block the daemon
-/// patches into reply rows.
-std::string strip_telemetry(const std::string& json) {
-  static const std::regex kWall("\"wall_ms\":[0-9.eE+-]+");
-  static const std::regex kWorker("\"worker\":\\{[^}]*\\}");
-  static const std::regex kTransport("\"transport\":\\{[^}]*\\}");
-  static const std::regex kService("\"service\":\\{[^}]*\\}");
-  static const std::regex kIterations("\"iterations\":[0-9]+");
-  static const std::regex kDegenerate("\"degenerate_pivots\":[0-9]+");
-  static const std::regex kRefactor("\"refactor_count\":[0-9]+");
-  static const std::regex kEta("\"eta_nonzeros\":[0-9]+");
-  static const std::regex kFill("\"lu_fill_ratio\":[0-9.eE+-]+");
-  static const std::regex kPrimal("\"primal_infeasibility\":[0-9.eE+-]+");
-  static const std::regex kGap("\"duality_gap\":[0-9.eE+-]+");
-  static const std::regex kViolation("\"violation_watts\":[0-9.eE+-]+");
-  std::string s = std::regex_replace(json, kWall, "\"wall_ms\":0");
-  s = std::regex_replace(s, kWorker, "\"worker\":{}");
-  s = std::regex_replace(s, kTransport, "\"transport\":{}");
-  s = std::regex_replace(s, kService, "\"service\":{}");
-  s = std::regex_replace(s, kIterations, "\"iterations\":0");
-  s = std::regex_replace(s, kDegenerate, "\"degenerate_pivots\":0");
-  s = std::regex_replace(s, kRefactor, "\"refactor_count\":0");
-  s = std::regex_replace(s, kEta, "\"eta_nonzeros\":0");
-  s = std::regex_replace(s, kFill, "\"lu_fill_ratio\":0");
-  s = std::regex_replace(s, kPrimal, "\"primal_infeasibility\":0");
-  s = std::regex_replace(s, kGap, "\"duality_gap\":0");
-  return std::regex_replace(s, kViolation, "\"violation_watts\":0");
 }
 
 /// A forked `powerlim serve` child. The destructor SIGKILLs a daemon a
@@ -132,23 +102,11 @@ struct Daemon {
   }
 };
 
-/// A state dir guaranteed empty — temp dirs survive across runs, and a
-/// stale journal would let the daemon serve rows a previous build wrote.
-std::string fresh_state(const std::string& name) {
-  const std::string dir = temp_path(name);
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
-Daemon start_daemon(const std::string& state_dir,
-                    std::vector<std::string> extra_args) {
-  static int counter = 0;
-  const std::string port_file =
-      temp_path("eq_port_" + std::to_string(::getpid()) + "_" +
-                std::to_string(counter++));
+Daemon launch_daemon(const std::string& port_file,
+                     const std::string& state_dir,
+                     std::vector<std::string> extra_args) {
   Daemon d;
   d.state_dir = state_dir;
-  std::remove(port_file.c_str());
   std::vector<std::string> args = {"serve",       "--listen",
                                    "127.0.0.1:0", "--port-file",
                                    port_file,     "--state-dir",
@@ -197,19 +155,23 @@ int journaled_rows(const std::string& state_dir) {
   return n;
 }
 
-/// Shared fixture: one trace + the offline serial oracle, built once.
+/// Shared fixture: one trace + the offline serial oracle, built once per
+/// test process in its own scratch directory; every test also gets a
+/// scratch directory of its own for state dirs, port files and reports.
 class ServeEquivalence : public ::testing::Test {
  protected:
   // 30..60 step 2.5 = 13 caps.
   static constexpr int kCaps = 13;
 
   static void SetUpTestSuite() {
-    trace_ = new std::string(temp_path("eq_trace"));
+    suite_dir_ = new ScratchDir("eq_suite");
+    ASSERT_TRUE(suite_dir_->ok());
+    trace_ = new std::string(suite_dir_->path("eq_trace"));
     ASSERT_EQ(run_cli({"trace", "comd", "-o", *trace_, "--ranks", "2",
                        "--iterations", "3"})
                   .code,
               0);
-    offline_report_ = new std::string(temp_path("eq_offline.json"));
+    offline_report_ = new std::string(suite_dir_->path("eq_offline.json"));
     std::vector<std::string> args = sweep_args();
     args.insert(args.end(), {"--report", *offline_report_});
     offline_ = new CliResult(run_cli(args));
@@ -220,6 +182,22 @@ class ServeEquivalence : public ::testing::Test {
     delete trace_;
     delete offline_report_;
     delete offline_;
+    delete suite_dir_;
+  }
+
+  void SetUp() override { ASSERT_TRUE(scratch_.ok()); }
+
+  std::string temp_path(const std::string& name) const {
+    return scratch_.path(name);
+  }
+
+  /// Starts a daemon whose port file lives in this test's scratch
+  /// directory.
+  Daemon start_daemon(const std::string& state_dir,
+                      std::vector<std::string> extra_args) {
+    return launch_daemon(
+        temp_path("port_" + std::to_string(daemons_started_++)), state_dir,
+        std::move(extra_args));
   }
 
   static std::vector<std::string> sweep_args() {
@@ -236,17 +214,23 @@ class ServeEquivalence : public ::testing::Test {
     return head_lines(offline_->out, 2 + kCaps);
   }
 
+  static ScratchDir* suite_dir_;
   static std::string* trace_;
   static std::string* offline_report_;
   static CliResult* offline_;
+
+ private:
+  ScratchDir scratch_{"eq"};
+  int daemons_started_ = 0;
 };
 
+ScratchDir* ServeEquivalence::suite_dir_ = nullptr;
 std::string* ServeEquivalence::trace_ = nullptr;
 std::string* ServeEquivalence::offline_report_ = nullptr;
 CliResult* ServeEquivalence::offline_ = nullptr;
 
 TEST_F(ServeEquivalence, DaemonServedSweepMatchesOffline) {
-  Daemon d = start_daemon(fresh_state("eq_state_clean"), {});
+  Daemon d = start_daemon(temp_path("eq_state_clean"), {});
   ASSERT_GT(d.endpoint.port, 0);
 
   const std::string report = temp_path("eq_clean.json");
@@ -256,10 +240,10 @@ TEST_F(ServeEquivalence, DaemonServedSweepMatchesOffline) {
   ASSERT_EQ(q.code, 0) << q.err;
 
   EXPECT_EQ(head_lines(q.out, 2 + kCaps), offline_table());
-  EXPECT_EQ(strip_telemetry(read_file(report)),
-            strip_telemetry(read_file(*offline_report_)));
-  // The daemon stamped live service telemetry into the reply copies.
-  EXPECT_NE(read_file(report).find("\"served\":true"), std::string::npos);
+  EXPECT_EQ(report_results(read_file(report)),
+            report_results(read_file(*offline_report_)));
+  // The hello ack's role reaches the `served:` line.
+  EXPECT_NE(q.out.find("role=primary"), std::string::npos) << q.out;
 
   // A second identical query is served entirely from the journal,
   // still byte-identically.
@@ -271,6 +255,29 @@ TEST_F(ServeEquivalence, DaemonServedSweepMatchesOffline) {
       << q2.out;
 
   EXPECT_EQ(d.stop(), 0);
+
+  // Every reply row is its cap's `R` record in the daemon's journal,
+  // byte for byte: the daemon adds nothing to the rows it serves.
+  std::vector<std::string> replied;
+  std::istringstream lines(read_file(report));
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  {", 0) != 0) continue;
+    if (line.back() == ',') line.pop_back();
+    replied.push_back(line.substr(2));
+  }
+  std::vector<std::string> journaled;
+  for (const std::string& hash : serve::journal_hashes(d.state_dir)) {
+    auto journal =
+        robust::SweepJournal::open(serve::journal_path(d.state_dir, hash));
+    ASSERT_TRUE(journal.ok()) << journal.status().to_string();
+    for (const robust::JournalEntry& e : journal->entries()) {
+      journaled.push_back(e.report_json);
+    }
+  }
+  ASSERT_EQ(replied.size(), static_cast<std::size_t>(kCaps));
+  std::sort(replied.begin(), replied.end());
+  std::sort(journaled.begin(), journaled.end());
+  EXPECT_EQ(replied, journaled);
 }
 
 TEST_F(ServeEquivalence, WorkerCrashInjectionMatchesOffline) {
@@ -284,7 +291,7 @@ TEST_F(ServeEquivalence, WorkerCrashInjectionMatchesOffline) {
   ASSERT_EQ(offline_faulted.code, 0) << offline_faulted.err;
 
   Daemon d = start_daemon(
-      fresh_state("eq_state_crash"),
+      temp_path("eq_state_crash"),
       {"--inject-fail", "worker-crash", "--workers", "2"});
   ASSERT_GT(d.endpoint.port, 0);
   const CliResult q = run_cli(query_args(d));
@@ -333,7 +340,7 @@ TEST_F(ServeEquivalence, NetFaultAgainstRemoteWorkersMatchesOffline) {
   EXPECT_EQ(head_lines(offline_faulted.out, 2 + kCaps), offline_table());
 
   Daemon d = start_daemon(
-      fresh_state("eq_state_net"),
+      temp_path("eq_state_net"),
       {"--remote", remote, "--workers", "2", "--inject-fail", "net-drop"});
   ASSERT_GT(d.endpoint.port, 0);
   const CliResult q = run_cli(query_args(d));
@@ -347,7 +354,7 @@ TEST_F(ServeEquivalence, NetFaultAgainstRemoteWorkersMatchesOffline) {
 }
 
 TEST_F(ServeEquivalence, SigkillThenResumeServesByteIdenticalTable) {
-  const std::string state = fresh_state("eq_state_kill");
+  const std::string state = temp_path("eq_state_kill");
   Daemon first = start_daemon(state, {"--max-active", "1"});
   ASSERT_GT(first.endpoint.port, 0);
 
@@ -403,8 +410,8 @@ TEST_F(ServeEquivalence, SigkillThenResumeServesByteIdenticalTable) {
   EXPECT_NE(q.out.find("resumed=" + std::to_string(kCaps)),
             std::string::npos)
       << q.out;
-  EXPECT_EQ(strip_telemetry(read_file(report)),
-            strip_telemetry(read_file(*offline_report_)));
+  EXPECT_EQ(report_results(read_file(report)),
+            report_results(read_file(*offline_report_)));
   EXPECT_EQ(third.stop(), 0);
 }
 

@@ -1,7 +1,7 @@
 // End-to-end acceptance for `powerlim sweep --remote` against real
 // `powerlim serve-worker` processes on localhost: a 32-cap distributed
-// sweep must be byte-identical to the serial reference (modulo the
-// designated telemetry fields), stay byte-identical under every net-*
+// sweep must match the serial reference (table and every report's
+// `result` byte-identical), stay byte-identical under every net-*
 // fault mode and under SIGKILL of a worker mid-sweep, reject a lying
 // worker through the certificate gate, and compose with --journal /
 // --resume unchanged.
@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "report_parts.h"
 #include "scratch_dir.h"
 #include "tools/cli.h"
 
@@ -65,42 +66,6 @@ std::string head_lines(const std::string& text, int lines) {
     if (pos != std::string::npos) ++pos;
   }
   return text.substr(0, pos == std::string::npos ? text.size() : pos);
-}
-
-/// Neutralizes the designated telemetry: wall_ms, the worker block, the
-/// transport block, and the per-attempt solver path diagnostics
-/// (iteration counters and the floating-point residual - a remote cold
-/// solve walks a different simplex path than a warm-started serial one;
-/// the solution fields themselves stay under byte-identity).
-std::string strip_telemetry(const std::string& json) {
-  static const std::regex kWall("\"wall_ms\":[0-9.eE+-]+");
-  static const std::regex kWorker("\"worker\":\\{[^}]*\\}");
-  static const std::regex kTransport("\"transport\":\\{[^}]*\\}");
-  static const std::regex kIterations("\"iterations\":[0-9]+");
-  static const std::regex kDegenerate("\"degenerate_pivots\":[0-9]+");
-  static const std::regex kRefactor("\"refactor_count\":[0-9]+");
-  static const std::regex kEta("\"eta_nonzeros\":[0-9]+");
-  static const std::regex kFill("\"lu_fill_ratio\":[0-9.eE+-]+");
-  static const std::regex kPrimal(
-      "\"primal_infeasibility\":[0-9.eE+-]+");
-  static const std::regex kGap("\"duality_gap\":[0-9.eE+-]+");
-  static const std::regex kViolation(
-      "\"violation_watts\":[0-9.eE+-]+");
-  std::string s = std::regex_replace(json, kWall, "\"wall_ms\":0");
-  s = std::regex_replace(s, kWorker, "\"worker\":{}");
-  s = std::regex_replace(s, kTransport, "\"transport\":{}");
-  s = std::regex_replace(s, kIterations, "\"iterations\":0");
-  s = std::regex_replace(s, kDegenerate, "\"degenerate_pivots\":0");
-  s = std::regex_replace(s, kRefactor, "\"refactor_count\":0");
-  s = std::regex_replace(s, kEta, "\"eta_nonzeros\":0");
-  s = std::regex_replace(s, kFill, "\"lu_fill_ratio\":0");
-  s = std::regex_replace(s, kPrimal, "\"primal_infeasibility\":0");
-  // The certificate's duality gap and the replay's violation residual
-  // are epsilon-scale artifacts of the particular solve path (warm vs
-  // cold paths land on different but equally-valid optimal vertices);
-  // the ok/checked verdicts and violation_seconds stay byte-identical.
-  s = std::regex_replace(s, kGap, "\"duality_gap\":0");
-  return std::regex_replace(s, kViolation, "\"violation_watts\":0");
 }
 
 /// Pulls "<n> remote failure(s)" / "<n> certificate-rejected" style
@@ -254,11 +219,11 @@ TEST_F(DistributedSweepCli, TwoWorkersByteIdenticalToSerialAndResumes) {
   EXPECT_EQ(head_lines(dist.out, 2 + kCaps), serial_table());
   EXPECT_EQ(serial_table().find("degraded"), std::string::npos);
 
-  // Report artifacts identical modulo designated telemetry; at least
-  // one cap really went remote (endpoint stamped in its transport).
+  // Every report's `result` identical; at least one cap really went
+  // remote (endpoint stamped in its telemetry's transport block).
   const std::string dist_json = read_file(report);
-  EXPECT_EQ(strip_telemetry(dist_json),
-            strip_telemetry(read_file(*serial_report_)));
+  EXPECT_EQ(report_results(dist_json),
+            report_results(read_file(*serial_report_)));
   EXPECT_GE(stat_before(dist.out, "cap(s) solved remotely"), 1);
   EXPECT_EQ(stat_before(dist.out, "certificate-rejected"), 0);
   EXPECT_NE(dist_json.find("\"remote\":true"), std::string::npos);

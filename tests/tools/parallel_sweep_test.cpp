@@ -1,9 +1,8 @@
 // End-to-end acceptance for `powerlim sweep --workers N`: a 16-cap
 // sweep with every cap's first worker spawn crash-injected must
 // complete, retry only the injured spawns, and produce table rows,
-// journal records, and report artifacts identical to an uninterrupted
-// serial (--workers 1) run - modulo the designated telemetry fields
-// (wall_ms and the worker supervision block). Plus the parent-crash
+// journal records, and report `result`s identical to an uninterrupted
+// serial (--workers 1) run. Plus the parent-crash
 // half of the satellite: SIGKILLing the *sweep process* mid-parallel-
 // run and resuming converges to the identical final table.
 #include <signal.h>
@@ -15,12 +14,12 @@
 
 #include <chrono>
 #include <fstream>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "report_parts.h"
 #include "scratch_dir.h"
 #include "tools/cli.h"
 
@@ -64,30 +63,6 @@ std::string head_lines(const std::string& text, int lines) {
     if (pos != std::string::npos) ++pos;
   }
   return text.substr(0, pos == std::string::npos ? text.size() : pos);
-}
-
-/// Neutralizes the designated telemetry fields in report JSON: wall_ms,
-/// the worker supervision block, and the solver path counters
-/// (iterations, degenerate_pivots, refactor_count). A serial sweep's
-/// shared warm-start cache changes the simplex path relative to a
-/// worker's cold solve - e.g. caps past saturation re-converge from the
-/// previous cap's basis in a handful of iterations. The solution itself
-/// (bounds, energy, infeasibility, replay) stays under byte-identity.
-std::string strip_telemetry(const std::string& json) {
-  static const std::regex kWall("\"wall_ms\":[0-9.eE+-]+");
-  static const std::regex kWorker("\"worker\":\\{[^}]*\\}");
-  static const std::regex kIterations("\"iterations\":[0-9]+");
-  static const std::regex kDegenerate("\"degenerate_pivots\":[0-9]+");
-  static const std::regex kRefactor("\"refactor_count\":[0-9]+");
-  static const std::regex kEta("\"eta_nonzeros\":[0-9]+");
-  static const std::regex kFill("\"lu_fill_ratio\":[0-9.eE+-]+");
-  std::string s = std::regex_replace(json, kWall, "\"wall_ms\":0");
-  s = std::regex_replace(s, kWorker, "\"worker\":{}");
-  s = std::regex_replace(s, kIterations, "\"iterations\":0");
-  s = std::regex_replace(s, kDegenerate, "\"degenerate_pivots\":0");
-  s = std::regex_replace(s, kRefactor, "\"refactor_count\":0");
-  s = std::regex_replace(s, kEta, "\"eta_nonzeros\":0");
-  return std::regex_replace(s, kFill, "\"lu_fill_ratio\":0");
 }
 
 /// Gives every test its own scratch directory for the files it writes.
@@ -148,13 +123,13 @@ TEST_F(ParallelSweepCli, CrashInjectedParallelMatchesSerialByteForByte) {
       << parallel.out;
   EXPECT_EQ(table.find("degraded"), std::string::npos);
 
-  // Report artifacts identical after neutralizing wall_ms + worker
-  // telemetry (the parallel one really carries worker telemetry).
+  // Every report's `result` is identical (the parallel one's telemetry
+  // really carries worker supervision).
   const std::string par_json = read_file(parallel_report);
   EXPECT_NE(par_json.find("\"isolated\":true"), std::string::npos);
   EXPECT_NE(par_json.find("\"spawns\":2"), std::string::npos);
-  EXPECT_EQ(strip_telemetry(par_json),
-            strip_telemetry(read_file(serial_report)));
+  EXPECT_EQ(report_results(par_json),
+            report_results(read_file(serial_report)));
 
   // All 16 caps landed durably.
   EXPECT_EQ(count_records(journal), n_caps);

@@ -1119,7 +1119,8 @@ int cmd_query(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   out << "served: status=" << got.done.status << " rows=" << got.done.rows
       << " resumed=" << got.done.resumed
       << " queue_wait_ms=" << got.done.queue_wait_ms
-      << " total_ms=" << got.done.total_ms << "\n";
+      << " total_ms=" << got.done.total_ms << " epoch=" << got.epoch
+      << " role=" << got.role << "\n";
 
   if (auto it = p.options.find("--report"); it != p.options.end()) {
     write_report_file(it->second, rows_report_json(rows), out, err);
