@@ -10,6 +10,7 @@
 
 #include "apps/benchmarks.h"
 #include "apps/exchange.h"
+#include "check/certificate.h"
 #include "core/flow_ilp.h"
 #include "core/lp_formulation.h"
 #include "core/pareto.h"
@@ -157,6 +158,31 @@ void BM_WindowedLpLulesh(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WindowedLpLulesh)->Arg(2)->Arg(8);
+
+/// The exact certificate of one accepted cap: CoMD 64x20 at trace seed
+/// 17 (the perfbench sweep-comd trace) under a 50 W socket cap. The solve
+/// and the checker's per-window formulations are built outside the timed
+/// loop, so each iteration is one CertificateChecker::verify.
+void BM_CertificateVerify(benchmark::State& state) {
+  constexpr int kRanks = 64;
+  const dag::TaskGraph g =
+      apps::make_comd({.ranks = kRanks, .iterations = 20, .seed = 17});
+  const machine::ClusterSpec cluster;
+  const double cap = kRanks * 50.0;
+  core::WindowSweeper sweeper(g, model(), cluster);
+  const core::WindowedLpResult res = sweeper.solve({.power_cap = cap});
+  if (!res.optimal()) {
+    state.SkipWithError("solve not optimal");
+    return;
+  }
+  const check::CertificateChecker checker(g, model(), cluster);
+  for (auto _ : state) {
+    const check::CertificateVerdict v = checker.verify(res, cap, cap);
+    if (!v.ok) state.SkipWithError("certificate rejected the solve");
+    benchmark::DoNotOptimize(v.duality_gap);
+  }
+}
+BENCHMARK(BM_CertificateVerify)->Unit(benchmark::kMillisecond);
 
 void BM_EngineStaticLulesh(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));

@@ -75,6 +75,90 @@ std::string fmt(double v) {
   return os.str();
 }
 
+/// Scratch for the weak-duality check. It belongs to one verify() call
+/// and is refilled for each window, so no state outlives the call.
+struct DualityScratch {
+  /// Transpose of the rows whose sanitized dual is nonzero: column j's
+  /// entries are [start[j], start[j + 1]), each the row's dual y and the
+  /// coefficient a.
+  std::vector<std::size_t> start;
+  std::vector<std::size_t> next;
+  std::vector<double> y;
+  std::vector<double> a;
+  /// One column's reduced cost c_j - sum_i y_i a_ij, reused per column.
+  ExactAccumulator z;
+  /// The window's Lagrangian bound g(y).
+  ExactAccumulator g;
+  /// The window-local primal point, x_j = x[j] - x_offset[j].
+  std::vector<double> x;
+  std::vector<double> x_offset;
+};
+
+/// Sums g(y) = sum_i y_i * picked_row_bound + box-min of (c - A'y)'x
+/// into d.g, exactly. Sign-inconsistent duals are zeroed: any
+/// multiplier vector gives a valid Lagrangian bound, so sanitizing never
+/// produces a false certificate - only (deservedly) a weak one.
+///
+/// The reduced costs c - A'y are summed column by column over the
+/// transpose of the dual-weighted rows, so one accumulator serves every
+/// column in turn: its sign picks the bound, and it is scaled by that
+/// bound straight into g. Vertex-time columns without a finite upper
+/// bound are boxed at `box`. Returns false when a column with a positive
+/// reduced cost has no finite lower bound.
+bool lagrangian_bound(const lp::Model& m, const std::vector<double>& duals,
+                      double box, DualityScratch& d) {
+  // Non-finite and sign-inconsistent duals count as zero.
+  const auto dual = [&m, &duals](std::size_t i) {
+    const double yi = duals[i];
+    if (!std::isfinite(yi)) return 0.0;
+    if (yi > 0.0 && !lp::is_finite_bound(m.row_lb(i))) return 0.0;
+    if (yi < 0.0 && !lp::is_finite_bound(m.row_ub(i))) return 0.0;
+    return yi;
+  };
+  const std::size_t n = m.num_variables();
+  d.g.clear();
+  d.start.assign(n + 1, 0);
+  for (std::size_t i = 0; i < m.num_constraints(); ++i) {
+    if (dual(i) == 0.0) continue;
+    const lp::Model::RowView row = m.row(static_cast<int>(i));
+    for (std::size_t t = 0; t < row.size; ++t) ++d.start[row.idx[t] + 1];
+  }
+  for (std::size_t j = 0; j < n; ++j) d.start[j + 1] += d.start[j];
+  d.next.assign(d.start.begin(), d.start.end() - 1);
+  d.y.resize(d.start[n]);
+  d.a.resize(d.start[n]);
+  for (std::size_t i = 0; i < m.num_constraints(); ++i) {
+    const double yi = dual(i);
+    if (yi == 0.0) continue;
+    d.g.add_product(yi, yi > 0.0 ? m.row_lb(i) : m.row_ub(i));
+    const lp::Model::RowView row = m.row(static_cast<int>(i));
+    for (std::size_t t = 0; t < row.size; ++t) {
+      const std::size_t k = d.next[row.idx[t]]++;
+      d.y[k] = yi;
+      d.a[k] = row.coeff[t];
+    }
+  }
+  ExactAccumulator& z = d.z;
+  for (std::size_t j = 0; j < n; ++j) {
+    z.clear();
+    z.add(m.objective_coeff(static_cast<int>(j)));
+    for (std::size_t k = d.start[j]; k < d.start[j + 1]; ++k) {
+      z.add_product(-d.y[k], d.a[k]);
+    }
+    const int s = z.sign();
+    if (s == 0) continue;
+    if (s > 0) {
+      const double lb = m.variable_lb(static_cast<int>(j));
+      if (!lp::is_finite_bound(lb)) return false;
+      d.g.add_scaled(z, lb);
+    } else {
+      const double ub = m.variable_ub(static_cast<int>(j));
+      d.g.add_scaled(z, lp::is_finite_bound(ub) ? ub : box);
+    }
+  }
+  return true;
+}
+
 bool same_config(const machine::Config& a, const machine::Config& b) {
   // Bitwise-equal doubles: both sides come from the same deterministic
   // model evaluation, so any difference means tampering or corruption.
@@ -148,13 +232,21 @@ CertificateVerdict CertificateChecker::verify(
   if (!rules.ok("structure")) return rules.finish(false, 0.0);
 
   const Dyadic tol = Dyadic::from_double(im.options.feasibility_tol);
-  const Dyadic cap = Dyadic::from_double(job_cap_watts);
-  const Dyadic zero;
+  const Dyadic neg_tol = -tol;
+  const Dyadic one = Dyadic::from_int(1);
+  const Dyadic share_hi = one + tol;
 
   // Blended per-edge duration and power, recomputed exactly from the
   // independent frontiers (never from result.schedule.duration/power).
   std::vector<Dyadic> edge_duration(graph.num_edges());
   std::vector<Dyadic> edge_power(graph.num_edges());
+
+  // Every long sum goes through an ExactAccumulator; the scratch below
+  // belongs to this call and is reused across tasks and windows.
+  ExactAccumulator acc;
+  ExactAccumulator acc_dur;
+  ExactAccumulator acc_pow;
+  DualityScratch duality;
 
   bool duals_available = !result.window_duals.empty();
   Dyadic total_gap;
@@ -194,9 +286,9 @@ CertificateVerdict CertificateChecker::verify(
         }
       }
 
-      Dyadic sum;
-      Dyadic dur;
-      Dyadic pow;
+      acc.clear();
+      acc_dur.clear();
+      acc_pow.clear();
       bool shares_ok = true;
       for (const core::ConfigShare& s :
            result.schedule.shares[orig]) {
@@ -218,37 +310,40 @@ CertificateVerdict CertificateChecker::verify(
           break;
         }
         const Dyadic frac = Dyadic::from_double(s.fraction);
-        if (frac < zero - tol || frac > Dyadic::from_int(1) + tol) {
+        if (frac < neg_tol || frac > share_hi) {
           rules.fail("share-weights", std::abs(s.fraction),
                      "task " + std::to_string(orig) +
                          " share fraction " + fmt(s.fraction) +
                          " outside [0, 1]");
         }
-        sum += frac;
+        acc.add(s.fraction);
         const machine::Config& cfg = truth[s.config_index];
-        dur += frac * Dyadic::from_double(cfg.duration);
-        pow += frac * Dyadic::from_double(cfg.power);
+        acc_dur.add_product(s.fraction, cfg.duration);
+        acc_pow.add_product(s.fraction, cfg.power);
       }
       if (!shares_ok) continue;
-      const Dyadic dev = (sum - Dyadic::from_int(1)).abs();
+      const Dyadic sum = acc.to_dyadic();
+      const Dyadic dev = (sum - one).abs();
       if (result.schedule.shares[orig].empty() || dev > tol) {
         rules.fail("share-weights", dev.to_double(),
                    "task " + std::to_string(orig) +
                        " share weights sum to " + fmt(sum.to_double()) +
                        ", not 1");
       }
-      edge_duration[orig] = dur;
-      edge_power[orig] = pow;
+      edge_duration[orig] = acc_dur.to_dyadic();
+      edge_power[orig] = acc_pow.to_dyadic();
     }
 
     // Precedence: v_dst - v_src >= blended duration, for every edge.
     for (std::size_t we = 0; we < win.graph.num_edges(); ++we) {
       const int orig = win.edge_map[we];
       const dag::Edge& e = graph.edge(orig);
-      const Dyadic lhs = Dyadic::from_double(result.vertex_time[e.dst]) -
-                         Dyadic::from_double(result.vertex_time[e.src]);
-      const Dyadic slack = lhs - edge_duration[orig];
-      if (slack < -tol) {
+      acc.clear();
+      acc.add(result.vertex_time[e.dst]);
+      acc.add(-result.vertex_time[e.src]);
+      acc.add(-edge_duration[orig]);
+      const Dyadic slack = acc.to_dyadic();
+      if (slack < neg_tol) {
         rules.fail("precedence", (-slack).to_double(),
                    (e.is_task() ? "task " : "message ") +
                        std::to_string(orig) + " finishes " +
@@ -261,12 +356,14 @@ CertificateVerdict CertificateChecker::verify(
     // this checker's own formulation of the window.
     const core::EventOrder& events = form.events();
     for (std::size_t g = 0; g < events.num_groups(); ++g) {
-      Dyadic total;
+      acc.clear();
+      acc.add(-job_cap_watts);
       for (int weid : events.active_tasks[g]) {
-        total += edge_power[win.edge_map[weid]];
+        acc.add(edge_power[win.edge_map[weid]]);
       }
-      const Dyadic excess = total - cap;
+      const Dyadic excess = acc.to_dyadic();
       if (excess > tol) {
+        const Dyadic total = excess + Dyadic::from_double(job_cap_watts);
         rules.fail("event-cap", excess.to_double(),
                    "window " + std::to_string(w) + " event " +
                        std::to_string(g) + " draws " +
@@ -326,56 +423,6 @@ CertificateVerdict CertificateChecker::verify(
                        " duals for " + std::to_string(m.num_constraints()) +
                        " constraint rows");
       } else {
-        // Window-local primal point x: vertex times rebased to the
-        // window, share fractions (absent shares are zero).
-        std::vector<Dyadic> x(m.num_variables());
-        for (std::size_t j = 0; j < built.vertex_var.size(); ++j) {
-          x[built.vertex_var[j].index] =
-              Dyadic::from_double(
-                  result.vertex_time[win.vertex_map[j]]) -
-              offset;
-        }
-        for (std::size_t we = 0; we < win.graph.num_edges(); ++we) {
-          const int orig = win.edge_map[we];
-          for (const core::ConfigShare& s :
-               result.schedule.shares[orig]) {
-            if (s.config_index >= 0 &&
-                s.config_index <
-                    static_cast<int>(built.share_var[we].size())) {
-              x[built.share_var[we][s.config_index].index] =
-                  Dyadic::from_double(s.fraction);
-            }
-          }
-        }
-        Dyadic obj;
-        std::vector<Dyadic> z(m.num_variables());
-        for (std::size_t j = 0; j < m.num_variables(); ++j) {
-          const double cj = m.objective_coeff(static_cast<int>(j));
-          if (cj != 0.0) {
-            const Dyadic d = Dyadic::from_double(cj);
-            obj += d * x[j];
-            z[j] = d;
-          }
-        }
-        // g(y) = sum_i y_i * picked_row_bound + box-min of (c - A'y)'x.
-        // Sign-inconsistent duals are zeroed: any multiplier vector gives
-        // a valid Lagrangian bound, so sanitizing never produces a false
-        // certificate - only (deservedly) a weak one.
-        Dyadic g;
-        for (std::size_t i = 0; i < m.num_constraints(); ++i) {
-          double yi = (*duals)[i];
-          if (!std::isfinite(yi)) yi = 0.0;
-          if (yi > 0.0 && !lp::is_finite_bound(m.row_lb(i))) yi = 0.0;
-          if (yi < 0.0 && !lp::is_finite_bound(m.row_ub(i))) yi = 0.0;
-          if (yi == 0.0) continue;
-          const Dyadic y = Dyadic::from_double(yi);
-          g += y * Dyadic::from_double(yi > 0.0 ? m.row_lb(i)
-                                                : m.row_ub(i));
-          const lp::Model::RowView row = m.row(static_cast<int>(i));
-          for (std::size_t t = 0; t < row.size; ++t) {
-            z[row.idx[t]] -= y * Dyadic::from_double(row.coeff[t]);
-          }
-        }
         // Vertex-time variables have no finite upper bound in the model,
         // but every feasible point keeps them at or below the Finalize
         // time (event-order rows), so boxing them at H > the claimed
@@ -383,29 +430,44 @@ CertificateVerdict CertificateChecker::verify(
         const double claimed_span =
             result.vertex_time[win.vertex_map[win.graph.finalize_vertex()]] -
             result.vertex_time[win.vertex_map[win.graph.init_vertex()]];
-        const Dyadic box =
-            Dyadic::from_double(2.0 * std::max(0.0, claimed_span) + 1.0);
-        bool bound_ok = true;
-        for (std::size_t j = 0; j < m.num_variables(); ++j) {
-          const int s = z[j].sign();
-          if (s == 0) continue;
-          if (s > 0) {
-            const double lb = m.variable_lb(static_cast<int>(j));
-            if (!lp::is_finite_bound(lb)) {
-              rules.fail("weak-duality", 0.0,
-                         "variable with infinite lower bound");
-              bound_ok = false;
-              break;
-            }
-            g += z[j] * Dyadic::from_double(lb);
-          } else {
-            const double ub = m.variable_ub(static_cast<int>(j));
-            g += z[j] * (lp::is_finite_bound(ub) ? Dyadic::from_double(ub)
-                                                 : box);
+        const double box = 2.0 * std::max(0.0, claimed_span) + 1.0;
+        if (!lagrangian_bound(m, *duals, box, duality)) {
+          rules.fail("weak-duality", 0.0,
+                     "variable with infinite lower bound");
+        } else {
+          // c'x at the window-local primal point: vertex times rebased
+          // to the window (x_j = time - offset), share fractions (absent
+          // shares are zero).
+          duality.x.assign(m.num_variables(), 0.0);
+          duality.x_offset.assign(m.num_variables(), 0.0);
+          const double start_time =
+              result.vertex_time[win.vertex_map[win.graph.init_vertex()]];
+          for (std::size_t j = 0; j < built.vertex_var.size(); ++j) {
+            const int col = built.vertex_var[j].index;
+            duality.x[col] = result.vertex_time[win.vertex_map[j]];
+            duality.x_offset[col] = start_time;
           }
-        }
-        if (bound_ok) {
-          Dyadic gap = obj - g;
+          for (std::size_t we = 0; we < win.graph.num_edges(); ++we) {
+            const int orig = win.edge_map[we];
+            for (const core::ConfigShare& s :
+                 result.schedule.shares[orig]) {
+              if (s.config_index >= 0 &&
+                  s.config_index <
+                      static_cast<int>(built.share_var[we].size())) {
+                duality.x[built.share_var[we][s.config_index].index] =
+                    s.fraction;
+              }
+            }
+          }
+          acc.clear();
+          for (std::size_t j = 0; j < m.num_variables(); ++j) {
+            const double cj = m.objective_coeff(static_cast<int>(j));
+            if (cj == 0.0) continue;
+            acc.add_product(cj, duality.x[j]);
+            acc.add_product(-cj, duality.x_offset[j]);
+          }
+          const Dyadic obj = acc.to_dyadic();
+          Dyadic gap = obj - duality.g.to_dyadic();
           if (gap.sign() < 0) gap = Dyadic();
           total_gap += gap;
           total_obj += obj;

@@ -17,14 +17,16 @@
 //      approximation is the final comparison against the configured
 //      tolerance, itself converted exactly.
 //   3. Weak duality: from the solver's duals y, the Lagrangian bound
-//      g(y) <= opt is computed exactly and the reported objective must
-//      satisfy  objective - g(y) <= gap tolerance. Any y gives a valid
-//      bound, so sign-inconsistent duals are sanitized to zero rather
-//      than trusted; a corrupted solve therefore yields a huge gap, not
-//      a wrong certificate. (See FORMULATION.md for why box bounds on the
-//      vertex times preserve the optimum.)
+//      g(y) <= opt is computed exactly (column by column, one reduced
+//      cost at a time in an ExactAccumulator) and the reported
+//      objective must satisfy  objective - g(y) <= gap tolerance. Any y
+//      gives a valid bound, so sign-inconsistent duals are sanitized to
+//      zero rather than trusted; a corrupted solve therefore yields a
+//      huge gap, not a wrong certificate. (See FORMULATION.md for why
+//      box bounds on the vertex times preserve the optimum.)
 //
-// Verdicts feed RunReport (schema 4) and the `certificate-failed` status.
+// Verdicts feed RunReport's `certificate` block and the
+// `certificate-failed` status.
 //
 // powerlint: allow-file(float-in-exact) -- the checker's interface ingests the solver's IEEE doubles and reports tolerances as doubles by contract; every comparison and all internal math is Dyadic (rational.h), whose own boundary lines carry per-line suppressions
 #pragma once

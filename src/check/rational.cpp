@@ -1,6 +1,7 @@
 #include "check/rational.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -9,6 +10,30 @@ namespace powerlim::check {
 namespace {
 
 constexpr std::uint64_t kBase = 1ull << 32;
+
+// GCC and Clang provide a 128-bit integer for the 64x64-bit limb
+// products; __extension__ keeps -Wpedantic quiet about it.
+__extension__ typedef unsigned __int128 u128;
+
+/// A finite double as (-1)^neg * mant * 2^exp, read from its bits.
+struct Parts {
+  bool neg;
+  std::uint64_t mant;  // < 2^53; zero for +-0
+  int exp;             // >= -1074
+};
+
+// powerlint: allow(float-in-exact) -- ingest boundary; the value is only reinterpreted as bits
+Parts decompose(double v) {
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+  const int biased = static_cast<int>((bits >> 52) & 0x7ff);
+  if (biased == 0x7ff) {
+    throw std::invalid_argument("ExactAccumulator: non-finite value");
+  }
+  std::uint64_t mant = bits & ((1ull << 52) - 1);
+  // Subnormals have no implicit bit and the exponent of biased 1.
+  if (biased != 0) mant |= 1ull << 52;
+  return {(bits >> 63) != 0, mant, std::max(biased, 1) - 1075};
+}
 
 }  // namespace
 
@@ -103,8 +128,6 @@ BigInt BigInt::operator-() const {
   return out;
 }
 
-BigInt BigInt::operator-(const BigInt& o) const { return *this + (-o); }
-
 BigInt BigInt::operator*(const BigInt& o) const {
   BigInt out;
   if (sign_ == 0 || o.sign_ == 0) return out;
@@ -128,12 +151,6 @@ BigInt BigInt::operator*(const BigInt& o) const {
   }
   out.trim();
   return out;
-}
-
-int BigInt::compare(const BigInt& o) const {
-  if (sign_ != o.sign_) return sign_ < o.sign_ ? -1 : 1;
-  const int mag_cmp = compare_mag(mag_, o.mag_);
-  return sign_ >= 0 ? mag_cmp : -mag_cmp;
 }
 
 BigInt BigInt::shifted_left(std::int64_t bits) const {
@@ -221,30 +238,6 @@ double BigInt::to_double() const {  // powerlint: allow(float-in-exact) -- repor
                             static_cast<int>(drop));
 }
 
-std::string BigInt::to_string() const {
-  if (sign_ == 0) return "0";
-  // Repeated short division by 10^9.
-  std::vector<std::uint32_t> work = mag_;
-  std::string digits;
-  while (!work.empty()) {
-    std::uint64_t rem = 0;
-    for (std::size_t i = work.size(); i-- > 0;) {
-      const std::uint64_t cur = (rem << 32) | work[i];
-      work[i] = static_cast<std::uint32_t>(cur / 1000000000ull);
-      rem = cur % 1000000000ull;
-    }
-    while (!work.empty() && work.back() == 0) work.pop_back();
-    for (int d = 0; d < 9; ++d) {
-      digits.push_back(static_cast<char>('0' + rem % 10));
-      rem /= 10;
-    }
-  }
-  while (digits.size() > 1 && digits.back() == '0') digits.pop_back();
-  if (sign_ < 0) digits.push_back('-');
-  std::reverse(digits.begin(), digits.end());
-  return digits;
-}
-
 Dyadic::Dyadic(BigInt mant, std::int64_t exp2)
     : mant_(std::move(mant)), exp2_(exp2) {
   normalize();
@@ -320,6 +313,159 @@ double Dyadic::to_double() const {  // powerlint: allow(float-in-exact) -- repor
   const std::int64_t e =
       std::clamp<std::int64_t>(drop + exp2_, -100000, 100000);
   return std::ldexp(top, static_cast<int>(e));
+}
+
+void ExactAccumulator::clear() {
+  std::fill(limb_ + lo_, limb_ + hi_, 0);
+  lo_ = hi_ = 0;
+  neg_ = false;
+}
+
+void ExactAccumulator::add_limbs(const std::uint64_t* w, int n, int at,
+                                 bool negative) {
+  while (n > 0 && w[n - 1] == 0) --n;
+  while (n > 0 && w[0] == 0) {
+    ++w;
+    --n;
+    ++at;
+  }
+  if (n == 0) return;
+  if (at < 0 || at + n > kLimbs) {
+    throw std::out_of_range("ExactAccumulator: term outside the register");
+  }
+  if (lo_ >= hi_) {
+    std::copy(w, w + n, limb_ + at);
+    lo_ = at;
+    hi_ = at + n;
+    neg_ = negative;
+    return;
+  }
+  lo_ = std::min(lo_, at);
+  if (negative == neg_) {
+    // Same sign: add magnitudes; a carry past the top is an overflow.
+    u128 carry = 0;
+    int k = at;
+    for (int i = 0; i < n; ++i, ++k) {
+      const u128 sum = static_cast<u128>(limb_[k]) + w[i] + carry;
+      limb_[k] = static_cast<std::uint64_t>(sum);
+      carry = sum >> 64;
+    }
+    for (; carry != 0; ++k) {
+      if (k == kLimbs) {
+        throw std::overflow_error("ExactAccumulator: sum overflows");
+      }
+      carry = ++limb_[k] == 0;
+    }
+    hi_ = std::max(hi_, k);
+    // A carry can leave the lowest limbs zero (2^63 + 2^63).
+    while (limb_[lo_] == 0) ++lo_;
+    return;
+  }
+  // Opposite signs: subtract magnitudes. A borrow out of the top means
+  // |term| > |sum|: the limbs then hold the two's complement of the new
+  // magnitude, so negate them and flip the sign.
+  const int top = std::max(hi_, at + n);
+  std::uint64_t borrow = 0;
+  for (int k = at; k < top; ++k) {
+    const std::uint64_t sub = k - at < n ? w[k - at] : 0;
+    if (sub == 0 && borrow == 0) {
+      if (k >= at + n) break;
+      continue;
+    }
+    const u128 diff = static_cast<u128>(limb_[k]) - sub - borrow;
+    limb_[k] = static_cast<std::uint64_t>(diff);
+    borrow = static_cast<std::uint64_t>(diff >> 64) & 1;
+  }
+  if (borrow != 0) {
+    std::uint64_t carry = 1;
+    for (int k = lo_; k < top; ++k) {
+      limb_[k] = ~limb_[k] + carry;
+      carry = carry != 0 && limb_[k] == 0;
+    }
+    neg_ = !neg_;
+  }
+  hi_ = top;
+  while (hi_ > lo_ && limb_[hi_ - 1] == 0) --hi_;
+  while (lo_ < hi_ && limb_[lo_] == 0) ++lo_;
+  if (lo_ >= hi_) {
+    lo_ = hi_ = 0;
+    neg_ = false;
+  }
+}
+
+void ExactAccumulator::add_word(u128 v, std::int64_t bit, bool negative) {
+  if (v == 0) return;
+  if (bit < 0 || bit >= 64 * std::int64_t{kLimbs}) {
+    throw std::out_of_range("ExactAccumulator: term outside the register");
+  }
+  const unsigned sh = static_cast<unsigned>(bit % 64);
+  const auto lo = static_cast<std::uint64_t>(v);
+  const auto hi = static_cast<std::uint64_t>(v >> 64);
+  const std::uint64_t w[3] = {lo << sh,
+                              sh == 0 ? hi : (hi << sh) | (lo >> (64 - sh)),
+                              sh == 0 ? 0 : hi >> (64 - sh)};
+  add_limbs(w, 3, static_cast<int>(bit / 64), negative);
+}
+
+// powerlint: allow(float-in-exact) -- ingest boundary; decomposed bitwise, no FP arithmetic
+void ExactAccumulator::add(double v) {
+  const Parts p = decompose(v);
+  add_word(p.mant, p.exp - kLsbExp, p.neg);
+}
+
+void ExactAccumulator::add(const Dyadic& v) {
+  // Four 32-bit mantissa limbs at a time.
+  const std::vector<std::uint32_t>& mag = v.mant_.mag_;
+  for (std::size_t k = 0; k < mag.size(); k += 4) {
+    u128 word = 0;
+    for (std::size_t t = std::min<std::size_t>(mag.size() - k, 4); t-- > 0;) {
+      word = word << 32 | mag[k + t];
+    }
+    add_word(word, v.exp2_ - kLsbExp + 32 * static_cast<std::int64_t>(k),
+             v.sign() < 0);
+  }
+}
+
+// powerlint: allow(float-in-exact) -- ingest boundary; decomposed bitwise, no FP arithmetic
+void ExactAccumulator::add_product(double a, double b) {
+  const Parts pa = decompose(a);
+  const Parts pb = decompose(b);
+  add_word(static_cast<u128>(pa.mant) * pb.mant,
+           std::int64_t{pa.exp} + pb.exp - kLsbExp, pa.neg != pb.neg);
+}
+
+// powerlint: allow(float-in-exact) -- ingest boundary; decomposed bitwise, no FP arithmetic
+void ExactAccumulator::add_scaled(const ExactAccumulator& s, double f) {
+  if (&s == this) {
+    const ExactAccumulator copy = s;
+    add_scaled(copy, f);
+    return;
+  }
+  const Parts pf = decompose(f);
+  // Limb k of s weighs 2^(64k + kLsbExp); times mant * 2^exp it lands on
+  // bit 64k + exp of this register.
+  for (int k = s.lo_; k < s.hi_; ++k) {
+    add_word(static_cast<u128>(s.limb_[k]) * pf.mant,
+             64 * std::int64_t{k} + pf.exp, s.neg_ != pf.neg);
+  }
+}
+
+Dyadic ExactAccumulator::to_dyadic() const {
+  if (lo_ >= hi_) return Dyadic();
+  // Strip the trailing zero bits here so the Dyadic arrives normalized.
+  const int tz = std::countr_zero(limb_[lo_]);
+  BigInt mant;
+  mant.sign_ = neg_ ? -1 : 1;
+  mant.mag_.reserve(2 * static_cast<std::size_t>(hi_ - lo_));
+  for (int k = lo_; k < hi_; ++k) {
+    std::uint64_t v = limb_[k] >> tz;
+    if (tz != 0 && k + 1 < hi_) v |= limb_[k + 1] << (64 - tz);
+    mant.mag_.push_back(static_cast<std::uint32_t>(v));
+    mant.mag_.push_back(static_cast<std::uint32_t>(v >> 32));
+  }
+  mant.trim();
+  return Dyadic(std::move(mant),
+                64 * std::int64_t{lo_} + tz + kLsbExp);
 }
 
 }  // namespace powerlim::check

@@ -2,12 +2,48 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 #include "util/rng.h"
 
 namespace powerlim::lp {
+
+namespace {
+
+/// Stable sort of `n` (column, coefficient) pairs by column. Rows arrive
+/// sorted or nearly so (a few vertex columns ahead of their share
+/// columns), so insertion sort touches each term about once; a long row
+/// that is far from sorted goes through std::stable_sort instead.
+void sort_by_column(int* idx, double* val, std::size_t n) {
+  if (std::is_sorted(idx, idx + n)) return;
+  constexpr std::size_t kInsertionMax = 64;
+  if (n > kInsertionMax) {
+    std::vector<std::pair<int, double>> terms(n);
+    for (std::size_t k = 0; k < n; ++k) terms[k] = {idx[k], val[k]};
+    std::stable_sort(terms.begin(), terms.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    for (std::size_t k = 0; k < n; ++k) {
+      idx[k] = terms[k].first;
+      val[k] = terms[k].second;
+    }
+    return;
+  }
+  for (std::size_t k = 1; k < n; ++k) {
+    const int i = idx[k];
+    const double v = val[k];
+    std::size_t p = k;
+    for (; p > 0 && idx[p - 1] > i; --p) {
+      idx[p] = idx[p - 1];
+      val[p] = val[p - 1];
+    }
+    idx[p] = i;
+    val[p] = v;
+  }
+}
+
+}  // namespace
 
 Variable Model::add_variable(double lb, double ub, double obj,
                              std::string name) {
@@ -34,21 +70,37 @@ Variable Model::add_binary(double obj, std::string name) {
 Constraint Model::add_constraint(const std::vector<Term>& terms, double rlb,
                                  double rub, std::string name) {
   if (rlb > rub) throw std::invalid_argument("row lb > ub: " + name);
-  // Merge duplicate variables so callers can build expressions naively.
-  std::map<int, double> merged;
   for (const Term& t : terms) {
     if (!t.var.valid() ||
         t.var.index >= static_cast<int>(var_lb_.size())) {
       throw std::invalid_argument("constraint uses invalid variable: " + name);
     }
-    merged[t.var.index] += t.coeff;
   }
+  // Merge duplicate variables so callers can build expressions naively:
+  // append the terms, sort them stably by column, then sum each column's
+  // coefficients in input order and drop exact zeros.
   if (row_start_.empty()) row_start_.push_back(0);
-  for (const auto& [idx, coeff] : merged) {
-    if (std::abs(coeff) == 0.0) continue;
-    col_index_.push_back(idx);
-    value_.push_back(coeff);
+  const std::size_t begin = col_index_.size();
+  for (const Term& t : terms) {
+    col_index_.push_back(t.var.index);
+    value_.push_back(t.coeff);
   }
+  sort_by_column(col_index_.data() + begin, value_.data() + begin,
+                 terms.size());
+  std::size_t out = begin;
+  for (std::size_t k = begin; k < col_index_.size();) {
+    const int idx = col_index_[k];
+    double coeff = 0.0;
+    for (; k < col_index_.size() && col_index_[k] == idx; ++k) {
+      coeff += value_[k];
+    }
+    if (std::abs(coeff) == 0.0) continue;
+    col_index_[out] = idx;
+    value_[out] = coeff;
+    ++out;
+  }
+  col_index_.resize(out);
+  value_.resize(out);
   row_start_.push_back(col_index_.size());
   row_lb_.push_back(rlb);
   row_ub_.push_back(rub);

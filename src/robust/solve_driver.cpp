@@ -223,12 +223,12 @@ std::string patch_transport_json(const std::string& report_json,
   return out;
 }
 
-std::string reports_to_json(const std::vector<RunReport>& reports) {
+std::string reports_to_json(const std::vector<std::string>& reports) {
   std::ostringstream os;
   os << "[\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     if (i) os << ",\n";
-    os << "  " << reports[i].to_json();
+    os << "  " << reports[i];
   }
   os << "\n]\n";
   return os.str();

@@ -229,8 +229,9 @@ struct RunReport {
   std::string to_json() const;
 };
 
-/// JSON array of per-cap reports (the sweep artifact).
-std::string reports_to_json(const std::vector<RunReport>& reports);
+/// The report file of a sweep: `[`, then one RunReport JSON line per cap
+/// (each RunReport::to_json), separated by commas, then `]`.
+std::string reports_to_json(const std::vector<std::string>& reports);
 
 /// Splices real transport telemetry into an already-serialized report
 /// (remote workers ship their report as JSON; only the coordinator

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 namespace powerlim::lp {
 namespace {
@@ -52,6 +53,78 @@ TEST(Model, DropsCancelledTerms) {
   const Model::RowView r = m.row(0);
   ASSERT_EQ(r.size, 1u);
   EXPECT_EQ(r.idx[0], y.index);
+}
+
+TEST(Model, SortsUnsortedTermsByColumn) {
+  Model m;
+  const Variable a = m.add_variable(0, 10, 0);
+  const Variable b = m.add_variable(0, 10, 0);
+  const Variable c = m.add_variable(0, 10, 0);
+  m.add_le({{c, 1.0}, {a, 2.0}, {b, 3.0}, {a, 4.0}}, 5.0);
+  const Model::RowView r = m.row(0);
+  ASSERT_EQ(r.size, 3u);
+  EXPECT_EQ(r.idx[0], a.index);
+  EXPECT_EQ(r.idx[1], b.index);
+  EXPECT_EQ(r.idx[2], c.index);
+  EXPECT_EQ(r.coeff[0], 6.0);
+  EXPECT_EQ(r.coeff[1], 3.0);
+  EXPECT_EQ(r.coeff[2], 1.0);
+}
+
+TEST(Model, MergesDuplicatesInInputOrder) {
+  // (0.1 + 0.2) - 0.3 is 2^-54 in doubles, 0.1 + (0.2 - 0.3) is 2^-55:
+  // the row keeps the in-order sum.
+  Model m;
+  const Variable x = m.add_variable(0, 10, 0);
+  const Variable y = m.add_variable(0, 10, 0);
+  m.add_eq({{x, 0.1}, {y, 1.0}, {x, 0.2}, {x, -0.3}}, 0.0);
+  const Model::RowView r = m.row(0);
+  ASSERT_EQ(r.size, 2u);
+  EXPECT_EQ(r.idx[0], x.index);
+  EXPECT_EQ(r.coeff[0], 5.551115123125783e-17);
+  EXPECT_EQ(r.coeff[0], (0.1 + 0.2) + -0.3);
+}
+
+TEST(Model, LongUnsortedRowMatchesTermByTermMerge) {
+  // A row longer than the insertion-sort cutoff, in descending column
+  // order with repeats, against a plain term-by-term merge.
+  Model m;
+  std::vector<Variable> vars;
+  for (int j = 0; j < 50; ++j) vars.push_back(m.add_variable(0, 1, 0));
+  std::vector<Term> terms;
+  std::vector<double> want(vars.size(), 0.0);
+  for (int k = 0; k < 150; ++k) {
+    const int j = 49 - (k * 7) % 50;
+    const double coeff = 0.1 * (k % 9) - 0.35;
+    terms.push_back({vars[j], coeff});
+    want[j] += coeff;
+  }
+  m.add_ge(terms, 0.0);
+  const Model::RowView r = m.row(0);
+  std::size_t t = 0;
+  for (std::size_t j = 0; j < vars.size(); ++j) {
+    if (want[j] == 0.0) continue;
+    ASSERT_LT(t, r.size);
+    EXPECT_EQ(r.idx[t], static_cast<int>(j));
+    EXPECT_EQ(r.coeff[t], want[j]) << "column " << j;
+    ++t;
+  }
+  EXPECT_EQ(t, r.size);
+}
+
+TEST(Model, RejectedRowLeavesTheModelUnchanged) {
+  Model m;
+  const Variable x = m.add_variable(0, 10, 0);
+  m.add_eq({{x, 1.0}}, 1.0);
+  Variable bogus;
+  bogus.index = 7;  // no such variable
+  EXPECT_THROW(m.add_le({{x, 1.0}, {bogus, 2.0}}, 3.0),
+               std::invalid_argument);
+  EXPECT_EQ(m.num_constraints(), 1u);
+  EXPECT_EQ(m.num_nonzeros(), 1u);
+  m.add_le({{x, 2.0}}, 3.0);
+  EXPECT_EQ(m.row(1).size, 1u);
+  EXPECT_EQ(m.row(1).coeff[0], 2.0);
 }
 
 TEST(Model, ConstraintHelpersSetBounds) {

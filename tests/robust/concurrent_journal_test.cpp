@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "robust/journal.h"
+#include "scratch_dir.h"
 
 namespace powerlim::robust {
 namespace {
@@ -59,10 +60,10 @@ std::vector<std::string> sorted_payloads(const std::string& path) {
 }
 
 TEST(ConcurrentJournal, TwoProcessAppendsMergeByteIdenticalToSerial) {
-  const std::string serial = ::testing::TempDir() + "concurrent_serial.j";
-  const std::string shared = ::testing::TempDir() + "concurrent_shared.j";
-  std::remove(serial.c_str());
-  std::remove(shared.c_str());
+  const ScratchDir scratch("concurrent");
+  ASSERT_TRUE(scratch.ok());
+  const std::string serial = scratch.path("concurrent_serial.j");
+  const std::string shared = scratch.path("concurrent_shared.j");
 
   const std::vector<double> odd = {110.0, 130.0, 150.0, 170.0};
   const std::vector<double> even = {120.0, 140.0, 160.0, 180.0};
@@ -123,8 +124,9 @@ TEST(ConcurrentJournal, TwoProcessAppendsMergeByteIdenticalToSerial) {
 TEST(ConcurrentJournal, AppendWhileAnotherHandleHoldsTheFile) {
   // Two handles in the *same* process (the in-flight-retry shape):
   // appends through either land as intact frames.
-  const std::string path = ::testing::TempDir() + "concurrent_two_handles.j";
-  std::remove(path.c_str());
+  const ScratchDir scratch("concurrent");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("concurrent_two_handles.j");
 
   Result<SweepJournal> first = SweepJournal::open(path);
   ASSERT_TRUE(first.ok());

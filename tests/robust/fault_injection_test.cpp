@@ -288,8 +288,8 @@ TEST(FaultInjection, SweepWithOneFailingCapFinishesWithPerCapVerdicts) {
   EXPECT_TRUE(outcomes[2].report.attempts.size() == 1u);
 
   // And the sweep artifact carries all three verdicts.
-  std::vector<RunReport> reports;
-  for (const auto& o : outcomes) reports.push_back(o.report);
+  std::vector<std::string> reports;
+  for (const auto& o : outcomes) reports.push_back(o.report.to_json());
   const std::string json = reports_to_json(reports);
   EXPECT_NE(json.find("\"verdict\":\"infeasible-cap\""), std::string::npos);
   EXPECT_NE(json.find("\"verdict\":\"solver-numerical\""),

@@ -23,23 +23,19 @@
 
 #include "robust/journal.h"
 #include "robust/status.h"
+#include "scratch_dir.h"
 
 namespace powerlim::robust {
 namespace {
 
 class JournalEpochTest : public ::testing::Test {
  protected:
+  ScratchDir scratch_{"epoch"};
   std::string path_;
 
   void SetUp() override {
-    path_ = ::testing::TempDir() + "epoch_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".journal";
-    std::remove(path_.c_str());
-  }
-  void TearDown() override {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".compact.tmp").c_str());
+    ASSERT_TRUE(scratch_.ok());
+    path_ = scratch_.path("epoch.journal");
   }
 
   static std::string slurp(const std::string& p) {

@@ -11,14 +11,11 @@
 #include <sstream>
 #include <string>
 
+#include "scratch_dir.h"
 #include "util/posix_io.h"
 
 namespace powerlim::robust {
 namespace {
-
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
 
 std::string slurp(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
@@ -49,8 +46,9 @@ TEST(Crc32, KnownAnswer) {
 }
 
 TEST(SweepJournal, RoundTripsEntriesAndBasis) {
-  const std::string path = temp_path("journal_roundtrip");
-  std::remove(path.c_str());
+  const ScratchDir scratch("journal");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("journal_roundtrip");
   {
     auto j = SweepJournal::open(path);
     ASSERT_TRUE(j.ok()) << j.status().to_string();
@@ -96,8 +94,9 @@ TEST(SweepJournal, RoundTripsEntriesAndBasis) {
 }
 
 TEST(SweepJournal, CapsRoundTripBitExactly) {
-  const std::string path = temp_path("journal_bits");
-  std::remove(path.c_str());
+  const ScratchDir scratch("journal");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("journal_bits");
   const double awkward = 100.0 / 3.0;  // not representable in short decimal
   {
     auto j = SweepJournal::open(path);
@@ -112,8 +111,9 @@ TEST(SweepJournal, CapsRoundTripBitExactly) {
 }
 
 TEST(SweepJournal, TruncatedTailIsQuarantinedAndPrefixKept) {
-  const std::string path = temp_path("journal_torn");
-  std::remove(path.c_str());
+  const ScratchDir scratch("journal");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("journal_torn");
   {
     auto j = SweepJournal::open(path);
     ASSERT_TRUE(j.ok());
@@ -141,8 +141,9 @@ TEST(SweepJournal, TruncatedTailIsQuarantinedAndPrefixKept) {
 }
 
 TEST(SweepJournal, BadCrcDropsTheDamagedSuffix) {
-  const std::string path = temp_path("journal_crc");
-  std::remove(path.c_str());
+  const ScratchDir scratch("journal");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("journal_crc");
   {
     auto j = SweepJournal::open(path);
     ASSERT_TRUE(j.ok());
@@ -163,8 +164,9 @@ TEST(SweepJournal, BadCrcDropsTheDamagedSuffix) {
 }
 
 TEST(SweepJournal, CorruptionMidFileDropsEverythingAfterIt) {
-  const std::string path = temp_path("journal_midrot");
-  std::remove(path.c_str());
+  const ScratchDir scratch("journal");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("journal_midrot");
   {
     auto j = SweepJournal::open(path);
     ASSERT_TRUE(j.ok());
@@ -186,9 +188,9 @@ TEST(SweepJournal, CorruptionMidFileDropsEverythingAfterIt) {
 }
 
 TEST(SweepJournal, WrongVersionQuarantinesTheFile) {
-  const std::string path = temp_path("journal_version");
-  std::remove(path.c_str());
-  std::remove((path + ".quarantined").c_str());
+  const ScratchDir scratch("journal");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("journal_version");
   dump(path, "powerlim-journal v99\nR deadbeef 4\nabcd\n");
 
   auto j = SweepJournal::open(path);
@@ -206,9 +208,9 @@ TEST(SweepJournal, WrongVersionQuarantinesTheFile) {
 }
 
 TEST(SweepJournal, NonJournalFileQuarantines) {
-  const std::string path = temp_path("journal_foreign");
-  std::remove(path.c_str());
-  std::remove((path + ".quarantined").c_str());
+  const ScratchDir scratch("journal");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("journal_foreign");
   dump(path, "{\"this\":\"is json, not a journal\"}");
   auto j = SweepJournal::open(path);
   ASSERT_TRUE(j.ok());
@@ -217,8 +219,9 @@ TEST(SweepJournal, NonJournalFileQuarantines) {
 }
 
 TEST(SweepJournal, DuplicateCapKeepsFirstAndCounts) {
-  const std::string path = temp_path("journal_dup");
-  std::remove(path.c_str());
+  const ScratchDir scratch("journal");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("journal_dup");
   {
     auto j = SweepJournal::open(path);
     ASSERT_TRUE(j.ok());
@@ -243,8 +246,9 @@ TEST(SweepJournal, DuplicateCapKeepsFirstAndCounts) {
 }
 
 TEST(SweepJournal, EmptyBasisSnapshotsAreSkipped) {
-  const std::string path = temp_path("journal_nobasis");
-  std::remove(path.c_str());
+  const ScratchDir scratch("journal");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("journal_nobasis");
   auto j = SweepJournal::open(path);
   ASSERT_TRUE(j.ok());
   ASSERT_TRUE(j.value().append_basis({}).ok());
@@ -254,8 +258,9 @@ TEST(SweepJournal, EmptyBasisSnapshotsAreSkipped) {
 }
 
 TEST(SweepJournal, LatestBasisWins) {
-  const std::string path = temp_path("journal_basiswins");
-  std::remove(path.c_str());
+  const ScratchDir scratch("journal");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("journal_basiswins");
   {
     auto j = SweepJournal::open(path);
     ASSERT_TRUE(j.ok());
@@ -308,8 +313,9 @@ TEST(SweepJournal, RequestIntentsRoundTripAndRecover) {
   // The daemon journals a `Q` request intent before solving; a restart
   // must recover it (together with whatever `R` records made it to disk)
   // so unfinished caps can be re-enqueued.
-  const std::string path = temp_path("journal_requests");
-  std::remove(path.c_str());
+  const ScratchDir scratch("journal");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("journal_requests");
   {
     auto j = SweepJournal::open(path);
     ASSERT_TRUE(j.ok()) << j.status().to_string();
@@ -369,8 +375,9 @@ TEST(SweepJournal, FreshCreateFsyncsTheParentDirectory) {
   // keeping the (fsync'd) data - an empty dir with the journal gone.
   // open() must therefore fsync the parent exactly when it *creates*,
   // observable via the process-wide dir-fsync counter.
-  const std::string path = temp_path("journal_dirfsync");
-  std::remove(path.c_str());
+  const ScratchDir scratch("journal");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("journal_dirfsync");
 
   const long before_create = util::fsync_parent_dir_count();
   {
@@ -394,9 +401,9 @@ TEST(SweepJournal, QuarantineRotateFsyncsTheParentDirectory) {
   // The quarantine path rewrites *two* directory entries (rename the
   // foreign file aside + create a fresh journal); both must be durable
   // before recovery reports success.
-  const std::string path = temp_path("journal_dirfsync_rotate");
-  std::remove(path.c_str());
-  std::remove((path + ".quarantined").c_str());
+  const ScratchDir scratch("journal");
+  ASSERT_TRUE(scratch.ok());
+  const std::string path = scratch.path("journal_dirfsync_rotate");
   dump(path, "powerlim-journal v99\nR deadbeef 4\nabcd\n");
 
   const long before = util::fsync_parent_dir_count();

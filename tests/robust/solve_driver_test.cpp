@@ -218,9 +218,9 @@ TEST(SolveDriver, ReportSerializesToJson) {
 TEST(SolveDriver, ReportsToJsonMakesAnArray) {
   const dag::TaskGraph g = small_graph();
   const SolveDriver driver(g, kModel, kCluster);
-  std::vector<RunReport> reports;
+  std::vector<std::string> reports;
   for (const auto& o : driver.sweep({2 * 10.0, 2 * 60.0})) {
-    reports.push_back(o.report);
+    reports.push_back(o.report.to_json());
   }
   const std::string json = reports_to_json(reports);
   EXPECT_EQ(json.front(), '[');

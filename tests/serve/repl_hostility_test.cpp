@@ -23,6 +23,7 @@
 
 #include "robust/journal.h"
 #include "robust/wire.h"
+#include "scratch_dir.h"
 #include "serve/protocol.h"
 #include "serve/repl.h"
 #include "util/socket_io.h"
@@ -30,9 +31,9 @@
 namespace powerlim::serve {
 namespace {
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
-  std::filesystem::remove_all(dir);
+/// A new state directory inside the test's own scratch directory.
+std::string fresh_dir(const ScratchDir& scratch, const std::string& name) {
+  const std::string dir = scratch.path(name);
   std::filesystem::create_directories(dir);
   return dir;
 }
@@ -144,8 +145,8 @@ bool handshake(FakePrimary& fp, StandbyLink& link, std::uint64_t epoch,
 /// Byte-exact replication material: one proven record appended to a
 /// real journal, returned as the bytes after the header (exactly what a
 /// primary streams in a 'J' frame).
-std::string record_frame_bytes() {
-  const std::string path = ::testing::TempDir() + "repl_host_src.journal";
+std::string record_frame_bytes(const ScratchDir& scratch) {
+  const std::string path = scratch.path("repl_host_src.journal");
   std::remove(path.c_str());
   auto j = robust::SweepJournal::open(path);
   EXPECT_TRUE(j.ok());
@@ -170,9 +171,11 @@ StandbyLink::Options link_options(const FakePrimary& fp,
 }
 
 TEST(ReplHostility, CorruptJournalBytesRejectedThenResyncFromAckMark) {
-  const std::string dir = fresh_dir("repl_host_corrupt");
+  const ScratchDir scratch("repl_host");
+  ASSERT_TRUE(scratch.ok());
+  const std::string dir = fresh_dir(scratch, "repl_host_corrupt");
   const std::uint64_t hdr = robust::journal_header_bytes();
-  const std::string good = record_frame_bytes();
+  const std::string good = record_frame_bytes(scratch);
   std::string bad = good;
   bad[bad.size() / 2] ^= 0x20;  // CRC-damaged record inside the frame
 
@@ -210,9 +213,11 @@ TEST(ReplHostility, CorruptJournalBytesRejectedThenResyncFromAckMark) {
 }
 
 TEST(ReplHostility, WrongOffsetReAcksDurableMarkInsteadOfApplying) {
-  const std::string dir = fresh_dir("repl_host_offset");
+  const ScratchDir scratch("repl_host");
+  ASSERT_TRUE(scratch.ok());
+  const std::string dir = fresh_dir(scratch, "repl_host_offset");
   const std::uint64_t hdr = robust::journal_header_bytes();
-  const std::string good = record_frame_bytes();
+  const std::string good = record_frame_bytes(scratch);
 
   FakePrimary fp;
   std::ostringstream log;
@@ -241,7 +246,9 @@ TEST(ReplHostility, WrongOffsetReAcksDurableMarkInsteadOfApplying) {
 }
 
 TEST(ReplHostility, StaleEpochFramesRefusedAfterAdoptingNewer) {
-  const std::string dir = fresh_dir("repl_host_epoch");
+  const ScratchDir scratch("repl_host");
+  ASSERT_TRUE(scratch.ok());
+  const std::string dir = fresh_dir(scratch, "repl_host_epoch");
   const std::uint64_t hdr = robust::journal_header_bytes();
   FakePrimary fp;
   std::ostringstream log;
@@ -264,7 +271,7 @@ TEST(ReplHostility, StaleEpochFramesRefusedAfterAdoptingNewer) {
   // even the journal file is created).
   ASSERT_TRUE(handshake(fp, link, 5));
   fp.send(kTagReplJournal,
-          encode_repl_journal({"ab", hdr, 3, record_frame_bytes()}));
+          encode_repl_journal({"ab", hdr, 3, record_frame_bytes(scratch)}));
   EXPECT_TRUE(pump_until(link, [&] { return link.rejected() >= 2; }, 5000))
       << log.str();
   EXPECT_FALSE(link.connected());
@@ -278,7 +285,9 @@ TEST(ReplHostility, StaleEpochFramesRefusedAfterAdoptingNewer) {
 }
 
 TEST(ReplHostility, HostileLengthPrefixPoisonsBeforeAllocation) {
-  const std::string dir = fresh_dir("repl_host_length");
+  const ScratchDir scratch("repl_host");
+  ASSERT_TRUE(scratch.ok());
+  const std::string dir = fresh_dir(scratch, "repl_host_length");
   FakePrimary fp;
   std::ostringstream log;
   StandbyLink link(link_options(fp, dir), log);
@@ -298,7 +307,9 @@ TEST(ReplHostility, HostileLengthPrefixPoisonsBeforeAllocation) {
 }
 
 TEST(ReplHostility, PathEscapeHashesRejectedOnEveryFrameKind) {
-  const std::string dir = fresh_dir("repl_host_hash");
+  const ScratchDir scratch("repl_host");
+  ASSERT_TRUE(scratch.ok());
+  const std::string dir = fresh_dir(scratch, "repl_host_hash");
   const std::uint64_t hdr = robust::journal_header_bytes();
   FakePrimary fp;
   std::ostringstream log;
@@ -329,9 +340,11 @@ TEST(ReplHostility, PathEscapeHashesRejectedOnEveryFrameKind) {
 }
 
 TEST(ReplHostility, ResyncQuarantinesAndReAcksFromFreshHeader) {
-  const std::string dir = fresh_dir("repl_host_resync");
+  const ScratchDir scratch("repl_host");
+  ASSERT_TRUE(scratch.ok());
+  const std::string dir = fresh_dir(scratch, "repl_host_resync");
   const std::uint64_t hdr = robust::journal_header_bytes();
-  const std::string good = record_frame_bytes();
+  const std::string good = record_frame_bytes(scratch);
 
   FakePrimary fp;
   std::ostringstream log;
@@ -362,7 +375,9 @@ TEST(ReplHostility, ResyncQuarantinesAndReAcksFromFreshHeader) {
 }
 
 TEST(ReplHostility, UnexpectedClientTagSeversTheLink) {
-  const std::string dir = fresh_dir("repl_host_tag");
+  const ScratchDir scratch("repl_host");
+  ASSERT_TRUE(scratch.ok());
+  const std::string dir = fresh_dir(scratch, "repl_host_tag");
   FakePrimary fp;
   std::ostringstream log;
   StandbyLink link(link_options(fp, dir), log);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "serve/protocol.h"
+#include "scratch_dir.h"
 #include "serve/repl.h"
 #include "util/rng.h"
 
@@ -200,7 +201,9 @@ TEST(ReplProtocol, TraceHashValidationBlocksPathEscape) {
 }
 
 TEST(ReplProtocol, EpochFileRoundTripsAndToleratesCorruption) {
-  const std::string dir = ::testing::TempDir() + "repl_epoch_dir";
+  const ScratchDir scratch("repl_epoch");
+  ASSERT_TRUE(scratch.ok());
+  const std::string dir = scratch.path("repl_epoch_dir");
   (void)::mkdir(dir.c_str(), 0755);
   EXPECT_EQ(load_epoch_file(dir), 0u) << "absent file reads as 0";
   std::string error;

@@ -563,17 +563,12 @@ SweepTableStats render_sweep_table(const std::vector<robust::SweepRow>& rows,
   return stats;
 }
 
-/// The `[\n  <report>,\n  ...]` per-cap RunReport artifact shared by
-/// `sweep --report` and `query --report`.
+/// The report file written by `sweep --report` and `query --report`.
 std::string rows_report_json(const std::vector<robust::SweepRow>& rows) {
-  std::ostringstream js;
-  js << "[\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (i) js << ",\n";
-    js << "  " << rows[i].report_json;
-  }
-  js << "\n]\n";
-  return js.str();
+  std::vector<std::string> reports;
+  reports.reserve(rows.size());
+  for (const robust::SweepRow& row : rows) reports.push_back(row.report_json);
+  return robust::reports_to_json(reports);
 }
 
 /// Splits a comma-separated endpoint list ("h1:p1,h2:p2").
@@ -749,8 +744,7 @@ int cmd_sweep(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   }
 
   if (auto it = p.options.find("--report"); it != p.options.end()) {
-    // Same shape as robust::reports_to_json, built from the rows so a
-    // resumed sweep writes the identical artifact.
+    // Built from the rows, so a resumed sweep writes the identical file.
     write_report_file(it->second, rows_report_json(res.rows), out, err);
   }
 
