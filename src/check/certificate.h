@@ -98,9 +98,9 @@ class CertificateChecker {
 
   /// Verifies one accepted solve. `job_cap_watts` is the cap the bound
   /// claims to honor (used for the event-cap check); `effective_cap_watts`
-  /// is the cap the solver was actually given (the perturb rung shaves it
-  /// slightly), used to rebuild the model rows the duals price. For an
-  /// unmodified solve pass the same value twice.
+  /// is the cap the solver was actually given, used to rebuild the model
+  /// rows the duals price. Every production solve is given the claimed
+  /// cap, so its callers pass the same value twice.
   CertificateVerdict verify(const core::WindowedLpResult& result,
                             double job_cap_watts,
                             double effective_cap_watts) const;

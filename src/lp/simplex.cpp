@@ -42,6 +42,17 @@ constexpr double kEtaStabilityTol = 1e-7;
 /// Pivot magnitude below which a basis is declared singular.
 constexpr double kSingularTol = 1e-12;
 
+/// Primal feasibility tolerance on variable bounds; also the step below
+/// which a pivot counts as degenerate.
+constexpr double kPrimalTol = 1e-7;
+
+/// Dual feasibility (reduced-cost) tolerance.
+constexpr double kDualTol = 1e-7;
+
+/// Refactorize when the eta file exceeds this many nonzeros per row
+/// (eta_nnz > limit * m), independent of refactor_interval.
+constexpr double kEtaGrowthLimit = 16.0;
+
 /// RAII wall-clock bucket: adds the elapsed nanoseconds to *sink on
 /// destruction. A null sink (timing disabled) costs two pointer tests
 /// and no clock reads - SimplexOptions::collect_timing stays free for
@@ -83,7 +94,7 @@ class SimplexCore {
     build_columns();
     chains_ = chain::find_chains(n_, col_start_.data(), col_row_.data(),
                                  col_val_.data(), lb_.data(), ub_.data(),
-                                 cost_.data(), opt_.primal_tol);
+                                 cost_.data(), kPrimalTol);
     chain_scratch_.resize(chains_.max_size);
   }
 
@@ -183,7 +194,7 @@ class SimplexCore {
   bool should_refactor() const {
     return pivots_since_refactor_ >= opt_.refactor_interval ||
            static_cast<double>(lu_.eta_nonzeros()) >
-               opt_.eta_growth_limit * static_cast<double>(m_);
+               kEtaGrowthLimit * static_cast<double>(m_);
   }
 
   /// y_ := duals for `cost` at the current basis (indexed by row):
@@ -271,17 +282,15 @@ class SimplexCore {
     const std::size_t* const start = col_start_.data();
     const int* const row = col_row_.data();
     const double* const val = col_val_.data();
-    const double dual_tol = opt_.dual_tol;
-    const double fixed_tol = opt_.primal_tol;
     const bool bland = bland_;
 
     chain::Incumbent inc;
-    inc.viol = dual_tol;
+    inc.viol = kDualTol;
     // Basic columns never enter, nor do fixed ones unless free.
     const auto eligible = [&](std::size_t j) {
       const VarStatus st = status[j];
       if (st == VarStatus::kBasic) return false;
-      return !(ub[j] - lb[j] < fixed_tol && st != VarStatus::kFree);
+      return !(ub[j] - lb[j] < kPrimalTol && st != VarStatus::kFree);
     };
     // Offers column j with reduced cost d; true when Bland's rule takes
     // it outright.
@@ -290,9 +299,9 @@ class SimplexCore {
       const double viol = st == VarStatus::kAtLower   ? -d
                           : st == VarStatus::kAtUpper ? d
                                                       : std::abs(d);
-      if (viol <= dual_tol) return false;
+      if (viol <= kDualTol) return false;
       if (bland) return true;
-      inc.offer(static_cast<int>(j), viol, dual_tol);
+      inc.offer(static_cast<int>(j), viol, kDualTol);
       return false;
     };
     // The structural columns: chains walked, every other column scanned.
@@ -317,7 +326,7 @@ class SimplexCore {
                                               val + start[col], y);
         };
         chain::walk(chain::classify(chains_, ch, y), ch.begin, ch.size,
-                    status + ch.begin, dual_tol, value, inc, chain_scratch_);
+                    status + ch.begin, kDualTol, value, inc, chain_scratch_);
         j = ch.begin + ch.size;
       }
     }
@@ -507,8 +516,8 @@ class SimplexCore {
   bool basics_within_bounds() const {
     for (std::size_t i = 0; i < m_; ++i) {
       const int b = basis_[i];
-      if (xval_[b] < lb_[b] - 10 * opt_.primal_tol ||
-          xval_[b] > ub_[b] + 10 * opt_.primal_tol) {
+      if (xval_[b] < lb_[b] - 10 * kPrimalTol ||
+          xval_[b] > ub_[b] + 10 * kPrimalTol) {
         return false;
       }
     }
@@ -566,8 +575,8 @@ class SimplexCore {
     // The warmed point must be primal feasible for a pure phase-II solve.
     for (std::size_t i = 0; i < m_; ++i) {
       const int b = basis_[i];
-      if (xval_[b] < lb_[b] - opt_.primal_tol ||
-          xval_[b] > ub_[b] + opt_.primal_tol) {
+      if (xval_[b] < lb_[b] - kPrimalTol ||
+          xval_[b] > ub_[b] + kPrimalTol) {
         return false;
       }
     }
@@ -651,7 +660,7 @@ class SimplexCore {
           } else {
             continue;
           }
-          if (t_i < -opt_.primal_tol) t_i = 0.0;
+          if (t_i < -kPrimalTol) t_i = 0.0;
           t_i = std::max(t_i, 0.0);
           const bool better =
               bland_ ? (t_i < t_best - 1e-12 ||
@@ -728,7 +737,7 @@ class SimplexCore {
   }
 
   void note_progress(double step) {
-    if (step > opt_.primal_tol) {
+    if (step > kPrimalTol) {
       degenerate_run_ = 0;
       if (opt_.bland_trigger > 0) bland_ = false;
     } else {

@@ -62,19 +62,12 @@ struct SimplexOptions {
   /// speed for accuracy. solve_lp() retries once in a high-accuracy mode
   /// (every 20 pivots) if the fast pass ends in a numerical failure.
   int refactor_interval = 100;
-  /// Primal feasibility tolerance on variable bounds.
-  double primal_tol = 1e-7;
-  /// Dual feasibility (reduced-cost) tolerance.
-  double dual_tol = 1e-7;
   /// Smallest pivot magnitude accepted in the ratio test.
   double pivot_tol = 1e-9;
   /// Consecutive degenerate pivots before switching to Bland's rule;
   /// <= 0 engages Bland's rule from the very first pivot (the retry
-  /// ladder's last-resort anti-cycling mode).
+  /// ladder's "bland" rung).
   int bland_trigger = 100;
-  /// Refactorize when the eta file exceeds this many nonzeros per row
-  /// (eta_nnz > limit * m), independent of refactor_interval.
-  double eta_growth_limit = 16.0;
   /// Collect per-bucket wall-clock timings (SimplexStats::*_ns). Off by
   /// default: the clock reads cost more than a sparse pivot on small
   /// models, and timings are bench telemetry, not solve output.
@@ -93,7 +86,7 @@ struct SimplexOptions {
 /// SimplexOptions::collect_timing was set.
 struct SimplexStats {
   long iterations = 0;
-  /// Pivots that made no primal progress (step <= primal_tol). A high
+  /// Pivots that made no primal progress (step <= 1e-7). A high
   /// count flags degeneracy; it is what arms the Bland's-rule fallback.
   long degenerate_pivots = 0;
   /// Times the basis was refactorized from scratch.

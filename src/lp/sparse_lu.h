@@ -21,7 +21,7 @@
 // the etas in reverse then the transposed LU solves. The file is
 // append-only between refactorizations and is wiped by factor(); the
 // caller refactorizes on its existing interval/stability triggers plus
-// the eta-growth trigger (see SimplexOptions::eta_growth_limit).
+// the eta-growth trigger (kEtaGrowthLimit in simplex.cpp).
 #pragma once
 
 #include <cstddef>

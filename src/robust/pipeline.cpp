@@ -14,8 +14,6 @@
 #include "dag/trace_io.h"
 #include "robust/fault_injection.h"
 #include "robust/remote_worker.h"
-#include "runtime/static_policy.h"
-#include "sim/engine.h"
 #include "util/socket_io.h"
 
 namespace powerlim::robust {
@@ -52,37 +50,14 @@ Result<core::SavedSchedule> load_schedule_checked(const std::string& path,
 
 namespace {
 
-SweepRow row_from_report(const RunReport& rep) {
-  SweepRow row;
-  row.job_cap_watts = rep.job_cap_watts;
-  row.verdict = rep.verdict;
-  row.degraded = rep.degraded;
-  row.bound_seconds = rep.bound_seconds;
-  row.fallback = rep.fallback;
-  row.report_json = rep.to_json();
-  return row;
-}
-
-SweepRow row_from_entry(const JournalEntry& e) {
-  SweepRow row;
-  row.job_cap_watts = e.job_cap_watts;
-  row.verdict = e.verdict;
-  row.degraded = e.degraded;
-  row.bound_seconds = e.bound_seconds;
-  row.fallback = e.fallback;
-  row.report_json = e.report_json;
-  row.from_journal = true;
-  return row;
-}
-
-JournalEntry entry_from_row(const SweepRow& row) {
+JournalEntry entry_from_report(const RunReport& rep) {
   JournalEntry e;
-  e.job_cap_watts = row.job_cap_watts;
-  e.verdict = row.verdict;
-  e.degraded = row.degraded;
-  e.bound_seconds = row.bound_seconds;
-  e.fallback = row.fallback;
-  e.report_json = row.report_json;
+  e.job_cap_watts = rep.job_cap_watts;
+  e.verdict = rep.verdict;
+  e.degraded = rep.degraded;
+  e.bound_seconds = rep.bound_seconds;
+  e.fallback = rep.fallback;
+  e.report_json = rep.to_json();
   return e;
 }
 
@@ -237,7 +212,7 @@ Status pooled_sweep(const dag::TaskGraph& graph,
   for (std::size_t i = 0; i < job_caps.size(); ++i) {
     const JournalEntry* e = resumable_record(journal, options, job_caps[i]);
     if (e != nullptr) {
-      slots[i] = row_from_entry(*e);
+      slots[i] = SweepRow{*e, true};
       ++out->resumed;
       continue;
     }
@@ -303,8 +278,7 @@ Status pooled_sweep(const dag::TaskGraph& graph,
       const Status st = journal->append(entry);
       if (!st.ok()) journal_error = st;
     }
-    SweepRow row = row_from_entry(entry);
-    row.from_journal = false;
+    SweepRow row{std::move(entry), false};
     if (options.on_row) options.on_row(row);
     slots[cap_idx] = std::move(row);
     ++out->solved;
@@ -335,7 +309,7 @@ JournalEntry isolated_worker_entry(RunReport report, int attempt) {
   report.worker.spawns = attempt + 1;
   report.worker.retries = attempt;
   report.worker.peak_rss_kb = current_peak_rss_kb();
-  return entry_from_row(row_from_report(report));
+  return entry_from_report(report);
 }
 
 Result<ResilientSweepResult> resilient_sweep(
@@ -378,7 +352,7 @@ Result<ResilientSweepResult> resilient_sweep(
 
   for (double cap : job_caps) {
     if (const JournalEntry* e = resumable_record(journal, options, cap)) {
-      out.rows.push_back(row_from_entry(*e));
+      out.rows.push_back(SweepRow{*e, true});
       ++out.resumed;
       continue;
     }
@@ -410,11 +384,11 @@ Result<ResilientSweepResult> resilient_sweep(
       break;
     }
 
-    SweepRow row = row_from_report(outcome.report);
+    SweepRow row{entry_from_report(outcome.report), false};
     if (journal) {
       // Row first, then the basis snapshot: a crash between the two
       // costs only the warm start, never the result.
-      const Status st = journal->append(entry_from_row(row));
+      const Status st = journal->append(row);
       if (!st.ok()) return st;
       const Status bs = journal->append_basis(driver.warm_starts());
       if (!bs.ok()) return bs;
@@ -445,16 +419,8 @@ JournalEntry degraded_entry_for_failure(
                std::to_string(failure.spawns) +
                " spawn(s); last: " + failure.detail;
   rep.wall_ms = failure.wall_ms;
-  rep.ladder.enable_ladder = driver_opt.enable_ladder;
-  rep.ladder.enable_fallback = driver_opt.enable_fallback;
-  rep.ladder.validate_replay = driver_opt.validate_replay;
-  rep.ladder.cap_deadline_ms =
-      driver_opt.cap_deadline_ms > 0.0 ? driver_opt.cap_deadline_ms : 0.0;
-  rep.ladder.cancellable = driver_opt.cancel != nullptr;
-  const FaultPlan* plan = ScopedFaultPlan::active();
-  const bool faulted = plan && plan->applies_to_cap(cap);
-  rep.fault_active = faulted;
-  rep.fault_seed = faulted ? plan->seed : 0;
+  rep.ladder = ladder_echo(driver_opt);
+  echo_fault_plan(rep);
   rep.worker.isolated = true;
   rep.worker.spawns = failure.spawns;
   rep.worker.retries = failure.spawns > 0 ? failure.spawns - 1 : 0;
@@ -464,23 +430,8 @@ JournalEntry degraded_entry_for_failure(
   att.outcome = rep.verdict;
   att.detail = failure.detail;
   rep.attempts.push_back(std::move(att));
-  if (driver_opt.enable_fallback) {
-    try {
-      runtime::StaticPolicy policy(model, ranks > 0 ? cap / ranks : cap);
-      sim::EngineOptions eo;
-      eo.cluster = cluster;
-      eo.idle_power = model.idle_power();
-      const sim::SimResult sim = sim::simulate(graph, policy, eo);
-      rep.degraded = true;
-      rep.fallback = "static-policy";
-      rep.bound_seconds = sim.makespan;
-      rep.energy_joules = sim.energy_joules;
-    } catch (const std::exception& e) {
-      rep.detail += "; static fallback also failed: ";
-      rep.detail += e.what();
-    }
-  }
-  return entry_from_row(row_from_report(rep));
+  static_fallback(graph, model, cluster, rep);
+  return entry_from_report(rep);
 }
 
 }  // namespace powerlim::robust

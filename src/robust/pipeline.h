@@ -39,14 +39,9 @@ namespace powerlim::robust {
 /// One row of a (possibly resumed) sweep: the same shape whether the cap
 /// was solved this run or recovered from the journal, so a resumed sweep
 /// renders byte-identically to an uninterrupted one (report_json's
-/// `result` object is identical; its `telemetry` is not).
-struct SweepRow {
-  double job_cap_watts = 0.0;
-  StatusCode verdict = StatusCode::kInternal;
-  bool degraded = false;
-  double bound_seconds = -1.0;
-  std::string fallback;
-  std::string report_json;
+/// `result` object is identical; its `telemetry` is not). A row is the
+/// journal record it is (or will be) stored as.
+struct SweepRow : JournalEntry {
   /// True when the row came from the journal instead of a fresh solve.
   bool from_journal = false;
 };

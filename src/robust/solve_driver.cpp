@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <iomanip>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -18,20 +19,18 @@ namespace powerlim::robust {
 namespace {
 
 /// Ladder order. "warm" relies on the sweeper's internal per-window
-/// basis cache; every later rung drops it first so a poisoned basis
-/// never seeds the retry.
-constexpr const char* kRungs[] = {"warm", "cold", "refactor-20", "bland",
-                                  "perturb"};
-constexpr int kNumRungs = 5;
-constexpr int kBlandRung = 3;
+/// basis cache; "bland" drops it first so a poisoned basis never seeds
+/// the retry.
+constexpr const char* kRungs[] = {"warm", "bland"};
 
-/// The rung to try after `rung` failed with `outcome`; kNumRungs ends the
-/// ladder. A replay cap violation judges the vertex, not the numerics, so
-/// it jumps to bland, the one rung that can reach another optimal vertex
-/// (solve_driver.h says why), and ends the ladder at bland or later.
-int next_rung(int rung, StatusCode outcome) {
-  if (outcome != StatusCode::kReplayCapViolation) return rung + 1;
-  return rung < kBlandRung ? kBlandRung : kNumRungs;
+/// The detail of an attempt the solver ended without an optimum: its
+/// status and, when one window failed, which.
+std::string solve_failure_detail(const core::WindowedLpResult& res) {
+  std::string detail = lp::to_string(res.status);
+  if (res.failed_window >= 0) {
+    detail += " in window " + std::to_string(res.failed_window);
+  }
+  return detail;
 }
 
 bool retryable(StatusCode code) {
@@ -144,9 +143,8 @@ std::string RunReport::to_json() const {
      << "\"min_feasible_power_watts\":" << json_num(min_feasible_power_watts)
      << ",\"fault\":{\"active\":" << (fault_active ? "true" : "false")
      << ",\"seed\":" << fault_seed << "}"
-     << ",\"ladder\":{\"enable_ladder\":"
-     << (ladder.enable_ladder ? "true" : "false")
-     << ",\"enable_fallback\":" << (ladder.enable_fallback ? "true" : "false")
+     << ",\"ladder\":{\"enable_fallback\":"
+     << (ladder.enable_fallback ? "true" : "false")
      << ",\"validate_replay\":" << (ladder.validate_replay ? "true" : "false")
      << ",\"cap_deadline_ms\":" << json_num(ladder.cap_deadline_ms)
      << ",\"cancellable\":" << (ladder.cancellable ? "true" : "false") << "}"
@@ -234,6 +232,48 @@ std::string reports_to_json(const std::vector<std::string>& reports) {
   return os.str();
 }
 
+LadderEcho ladder_echo(const SolveDriverOptions& options) {
+  LadderEcho echo;
+  echo.enable_fallback = options.enable_fallback;
+  echo.validate_replay = options.validate_replay;
+  echo.cap_deadline_ms =
+      options.cap_deadline_ms > 0.0 ? options.cap_deadline_ms : 0.0;
+  echo.cancellable = options.cancel != nullptr;
+  return echo;
+}
+
+const FaultPlan* echo_fault_plan(RunReport& report) {
+  const FaultPlan* plan = ScopedFaultPlan::active();
+  if (plan && !plan->applies_to_cap(report.job_cap_watts)) plan = nullptr;
+  report.fault_active = plan != nullptr;
+  report.fault_seed = plan ? plan->seed : 0;
+  return plan;
+}
+
+std::optional<sim::SimResult> static_fallback(
+    const dag::TaskGraph& graph, const machine::PowerModel& model,
+    const machine::ClusterSpec& cluster, RunReport& report) {
+  if (!report.ladder.enable_fallback) return std::nullopt;
+  const int ranks = graph.num_ranks();
+  const double cap = report.job_cap_watts;
+  try {
+    runtime::StaticPolicy policy(model, ranks > 0 ? cap / ranks : cap);
+    sim::EngineOptions eo;
+    eo.cluster = cluster;
+    eo.idle_power = model.idle_power();
+    sim::SimResult sim = sim::simulate(graph, policy, eo);
+    report.degraded = true;
+    report.fallback = "static-policy";
+    report.bound_seconds = sim.makespan;
+    report.energy_joules = sim.energy_joules;
+    return sim;
+  } catch (const std::exception& e) {
+    report.detail += "; static fallback also failed: ";
+    report.detail += e.what();
+  }
+  return std::nullopt;
+}
+
 struct SolveDriver::Impl {
   const dag::TaskGraph* graph = nullptr;
   const machine::PowerModel* model = nullptr;
@@ -313,38 +353,6 @@ struct SolveDriver::Impl {
             : util::Deadline::cancel_only(options.cancel);
     return util::Deadline::sooner(per_cap, options.deadline);
   }
-
-  /// The options of one rung. They depend on the rung alone; which rung
-  /// runs next is next_rung()'s business.
-  core::LpScheduleOptions rung_options(int rung, double job_cap,
-                                       const util::Deadline& deadline) const {
-    core::LpScheduleOptions o = options.lp;
-    o.power_cap = job_cap;
-    o.simplex.deadline = deadline;
-    switch (rung) {
-      case 0:  // warm: base options, sweeper cache in play
-      case 1:  // cold: cache dropped by caller
-        break;
-      case 2:  // refactor-20
-        o.simplex.refactor_interval = 20;
-        break;
-      case 3:  // bland: only the pricing rule changes (a pass that fails
-               // numerically is retried at refactor-20 by lp::solve_lp)
-        o.simplex.bland_trigger = 0;
-        break;
-      case 4:  // perturb: nudge the cap off the degenerate vertex and
-               // accept slightly looser feasibility
-        o.simplex.refactor_interval = 20;
-        o.simplex.bland_trigger = 0;
-        o.power_cap = job_cap * (1.0 - 1e-7);
-        o.simplex.primal_tol = 1e-6;
-        o.simplex.dual_tol = 1e-6;
-        break;
-      default:
-        break;
-    }
-    return o;
-  }
 };
 
 SolveDriver::SolveDriver(const dag::TaskGraph& graph,
@@ -379,12 +387,7 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
   WallTimer timer(&rep.wall_ms);
   rep.job_cap_watts = job_cap_watts;
   rep.socket_cap_watts = ranks > 0 ? job_cap_watts / ranks : 0.0;
-  rep.ladder.enable_ladder = im.options.enable_ladder;
-  rep.ladder.enable_fallback = im.options.enable_fallback;
-  rep.ladder.validate_replay = im.options.validate_replay;
-  rep.ladder.cap_deadline_ms =
-      im.options.cap_deadline_ms > 0.0 ? im.options.cap_deadline_ms : 0.0;
-  rep.ladder.cancellable = im.options.cancel != nullptr;
+  rep.ladder = ladder_echo(im.options);
   rep.lint = im.ensure_lint();
 
   if (!std::isfinite(job_cap_watts) || job_cap_watts <= 0.0) {
@@ -404,18 +407,14 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
     return out;
   }
 
-  const FaultPlan* plan = ScopedFaultPlan::active();
-  const bool faulted = plan && plan->applies_to_cap(job_cap_watts);
-  rep.fault_active = faulted;
-  rep.fault_seed = faulted ? plan->seed : 0;
+  const FaultPlan* plan = echo_fault_plan(rep);
 
   const util::Deadline deadline = im.cap_deadline();
   // Set when the wall budget dies mid-ladder: skip straight to the
-  // Static-policy fallback (remaining rungs would fail in O(1) anyway).
+  // Static-policy fallback (the next rung would fail in O(1) anyway).
   bool deadline_hit = false;
 
-  const int rungs = im.options.enable_ladder ? kNumRungs : 1;
-  for (int r = 0; r < rungs;) {
+  for (int r = 0; r < static_cast<int>(std::size(kRungs)); ++r) {
     switch (deadline.stop_reason()) {
       case util::StopReason::kCancelled:
         rep.verdict = StatusCode::kCancelled;
@@ -432,14 +431,20 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
     SolveAttempt att;
     att.rung = kRungs[r];
 
-    if (faulted && plan->forces_status() && r < plan->fail_attempts) {
+    if (plan && plan->forces_status() && r < plan->fail_attempts) {
       att.injected = true;
       att.outcome = from_solve_status(plan->forced_status);
       att.detail = std::string("injected ") + lp::to_string(plan->forced_status);
     } else {
-      if (r > 0) im.sweeper->clear_warm_starts();
-      core::LpScheduleOptions o = im.rung_options(r, job_cap_watts, deadline);
-      if (faulted && plan->coefficient_noise_magnitude > 0.0) {
+      core::LpScheduleOptions o = im.options.lp;
+      o.power_cap = job_cap_watts;
+      o.simplex.deadline = deadline;
+      if (r > 0) {
+        // "bland": only the pricing rule changes.
+        im.sweeper->clear_warm_starts();
+        o.simplex.bland_trigger = 0;
+      }
+      if (plan && plan->coefficient_noise_magnitude > 0.0) {
         const double mag = plan->coefficient_noise_magnitude;
         const std::uint64_t seed = plan->seed;
         o.mutate_model = [mag, seed](lp::Model& m) {
@@ -448,8 +453,7 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
       }
       try {
         core::WindowedLpResult res = im.sweeper->solve(o);
-        if (faulted && plan->corrupt_solution_epsilon > 0.0 &&
-            res.optimal()) {
+        if (plan && plan->corrupt_solution_epsilon > 0.0 && res.optimal()) {
           // "Too good to be true": shrink the claimed bound after the
           // solve. The schedule (and hence replay) is untouched; only the
           // exact certificate checker can catch this.
@@ -492,7 +496,7 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
           }
           if (accepted && im.options.verify_certificate) {
             const check::CertificateVerdict v =
-                im.ensure_checker().verify(res, job_cap_watts, o.power_cap);
+                im.ensure_checker().verify(res, job_cap_watts, job_cap_watts);
             rep.certificate.checked = true;
             rep.certificate.ok = v.checked && v.ok;
             rep.certificate.duality_checked = v.duality_checked;
@@ -515,6 +519,8 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
             out.lp = std::move(res);
             return out;
           }
+        } else {
+          att.detail = solve_failure_detail(res);
         }
       } catch (const core::EmptyFrontierError& e) {
         att.outcome = StatusCode::kEmptyFrontier;
@@ -532,7 +538,7 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
       // Terminal and not degraded: the caller asked to stop. A journaled
       // sweep resumes this cap from scratch next run.
       rep.verdict = StatusCode::kCancelled;
-      rep.detail = detail.empty() ? "cancelled mid-solve" : detail;
+      rep.detail = detail;
       return out;
     }
     if (outcome == StatusCode::kDeadlineExceeded) {
@@ -544,7 +550,6 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
       rep.detail = detail;
       return out;
     }
-    r = next_rung(r, outcome);
   }
 
   // Ladder exhausted (or its wall budget died): classify by the final
@@ -564,22 +569,9 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
     rep.detail = "all " + std::to_string(rep.attempts.size()) +
                  " ladder attempts failed; last: " + rep.attempts.back().detail;
   }
-  if (im.options.enable_fallback) {
-    try {
-      runtime::StaticPolicy policy(*im.model, job_cap_watts / ranks);
-      sim::EngineOptions eo;
-      eo.cluster = *im.cluster;
-      eo.idle_power = im.model->idle_power();
-      const sim::SimResult sim = sim::simulate(*im.graph, policy, eo);
-      rep.degraded = true;
-      rep.fallback = "static-policy";
-      rep.bound_seconds = sim.makespan;
-      rep.energy_joules = sim.energy_joules;
-      out.simulated = sim;
-    } catch (const std::exception& e) {
-      rep.detail += "; static fallback also failed: ";
-      rep.detail += e.what();
-    }
+  if (std::optional<sim::SimResult> sim =
+          static_fallback(*im.graph, *im.model, *im.cluster, rep)) {
+    out.simulated = std::move(sim);
   }
   return out;
 }

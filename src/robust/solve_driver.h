@@ -3,14 +3,11 @@
 //
 // SolveDriver wraps WindowSweeper so that a cap sweep *always finishes*
 // with a structured per-cap verdict instead of dying on the first
-// numerical failure. Each solve walks a deterministic ladder:
+// numerical failure. Each solve walks a two-rung ladder:
 //
-//   1. "warm"        - warm-started solve (per-window basis cache)
-//   2. "cold"        - warm-start cache dropped, plain re-solve
-//   3. "refactor-20" - refactorize the basis every 20 pivots
-//   4. "bland"       - Bland's anti-cycling rule from the first pivot
-//   5. "perturb"     - cap nudged down by 1e-7 relative + looser tols
-//                      (breaks ties that stall degenerate bases)
+//   1. "warm"  - warm-started solve (per-window basis cache)
+//   2. "bland" - warm-start cache dropped, Bland's rule from the first
+//                pivot; nothing else changes
 //
 // and, when the ladder ends without an accepted solve, degrades to the
 // Static-policy bound: the uniform-RAPL schedule is always simulable, so
@@ -23,16 +20,13 @@
 // windowed-average sense (sim::check_cap); a violating schedule is
 // treated as a failed attempt (kReplayCapViolation), not returned.
 //
-// Why a rung failed picks the next one; what a rung changes depends on
-// the rung alone, and every rung runs the one simplex (lp/simplex.h).
-// Numerical, iteration-limit, unbounded, internal and certificate
-// failures walk every rung in order. A replay cap violation judges the
-// optimal vertex, not the numerics: "cold" and "refactor-20" keep
-// Dantzig pricing (on every violating cap of an 8x12 census they
-// reported warm's violation again), and "perturb" is "bland" with the
-// cap 1e-7 lower. So the ladder jumps to "bland", which switches on
-// only Bland's rule, and a violation at "bland" or later ends the
-// ladder.
+// Any retryable failure at "warm" runs "bland"; any failure at "bland"
+// ends the ladder. Dantzig pricing reaches the same optimal vertex from
+// a warm start and from a cold one (lp/simplex.h), so a retry that kept
+// it would judge the same vertex again after a replay or certificate
+// failure; Bland's rule is the one change that can reach another optimal
+// vertex. A numerical failure needs no rung of its own: lp::solve_lp
+// already retries the failing window cold, refactoring every 20 pivots.
 //
 // Every attempt is recorded in a RunReport (rung, outcome, iterations,
 // degenerate pivots, refactorizations, Bland engagement, primal
@@ -72,8 +66,9 @@ namespace powerlim::robust {
 /// primal residual (an array parallel to `result.attempts`),
 /// `replay.violation_watts` and `certificate.duality_gap`. Schema 9
 /// dropped the `service` block: the daemon reports those per-request
-/// values in its done frame and hello ack (serve/protocol.h).
-inline constexpr int kRunReportSchemaVersion = 9;
+/// values in its done frame and hello ack (serve/protocol.h). Schema 10
+/// dropped `ladder.enable_ladder`: the two-rung ladder is always on.
+inline constexpr int kRunReportSchemaVersion = 10;
 
 /// One rung of the ladder, as executed.
 struct SolveAttempt {
@@ -168,7 +163,6 @@ struct TransportTelemetry {
 /// Resolved supervision/ladder options echoed into every RunReport so a
 /// degraded or fault-injected run is reproducible from the report alone.
 struct LadderEcho {
-  bool enable_ladder = true;
   bool enable_fallback = true;
   bool validate_replay = true;
   /// Per-cap wall-clock budget, ms (0: unlimited).
@@ -257,8 +251,8 @@ struct SolveOutcome {
 };
 
 struct SolveDriverOptions {
-  /// Base LP options; power_cap is overwritten per solve and the ladder
-  /// adjusts simplex knobs per rung.
+  /// Base LP options; power_cap is overwritten per solve and the "bland"
+  /// rung sets simplex.bland_trigger to 0.
   core::LpScheduleOptions lp;
   /// Replay-validate optimal schedules against the cap before accepting.
   bool validate_replay = true;
@@ -275,8 +269,6 @@ struct SolveDriverOptions {
   sim::CapCheckOptions cap_check;
   /// Replay physics (engine cluster/idle power are filled by the driver).
   sim::ReplayOptions replay;
-  /// When false, only the first rung runs before falling back (tests).
-  bool enable_ladder = true;
   /// When false, a fully failed ladder reports the failure with no
   /// Static-policy bound substituted.
   bool enable_fallback = true;
@@ -295,6 +287,30 @@ struct SolveDriverOptions {
   /// both carry cancel tokens, `cancel` above wins.
   util::Deadline deadline;
 };
+
+struct FaultPlan;
+
+// What every report of a cap echoes, and the Static-policy fallback. The
+// driver and the supervisor of an isolated worker that died
+// (degraded_entry_for_failure, robust/pipeline.h) both build their
+// reports with these, so a degraded row has the same bytes on every path.
+
+/// The resolved options a report echoes (RunReport::ladder).
+LadderEcho ladder_echo(const SolveDriverOptions& options);
+
+/// Records in `report` whether the active FaultPlan applies to its cap,
+/// and the plan's seed when it does. Returns that plan, or nullptr.
+const FaultPlan* echo_fault_plan(RunReport& report);
+
+/// Substitutes the Static-policy bound at the report's cap when
+/// `report.ladder.enable_fallback` is set: the uniform-RAPL schedule is
+/// simulated and `degraded`, `fallback`, `bound_seconds` and
+/// `energy_joules` are filled from it. A simulation that throws appends
+/// "; static fallback also failed: <what>" to `detail` instead. Returns
+/// the simulation when it ran.
+std::optional<sim::SimResult> static_fallback(
+    const dag::TaskGraph& graph, const machine::PowerModel& model,
+    const machine::ClusterSpec& cluster, RunReport& report);
 
 class SolveDriver {
  public:

@@ -922,15 +922,8 @@ int Daemon::run_executor(const Request& req, int write_fd) {
     // reply) while later caps still solve - a SIGKILL between rows
     // loses at most the cap in flight.
     ropt.on_row = [write_fd](const robust::SweepRow& row) {
-      robust::JournalEntry entry;
-      entry.job_cap_watts = row.job_cap_watts;
-      entry.verdict = row.verdict;
-      entry.degraded = row.degraded;
-      entry.bound_seconds = row.bound_seconds;
-      entry.fallback = row.fallback;
-      entry.report_json = row.report_json;
       (void)robust::write_wire_frame(write_fd, 'R',
-                                     robust::serialize_journal_entry(entry));
+                                     robust::serialize_journal_entry(row));
     };
 
     const auto result =

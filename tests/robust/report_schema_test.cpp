@@ -30,7 +30,6 @@ RunReport golden_report() {
   rep.wall_ms = 3.5;
   rep.fault_active = true;
   rep.fault_seed = 42;
-  rep.ladder.enable_ladder = true;
   rep.ladder.enable_fallback = true;
   rep.ladder.validate_replay = true;
   rep.ladder.cap_deadline_ms = 250.0;
@@ -83,7 +82,7 @@ RunReport golden_report() {
 // The golden string. Field order, spelling, and nesting are all
 // contractual; values are chosen to be exact in decimal.
 const char* const kGolden =
-    "{\"schema_version\":9,"
+    "{\"schema_version\":10,"
     "\"result\":{"
     "\"job_cap_watts\":120,"
     "\"socket_cap_watts\":60,"
@@ -95,7 +94,7 @@ const char* const kGolden =
     "\"energy_joules\":345.25,"
     "\"min_feasible_power_watts\":80,"
     "\"fault\":{\"active\":true,\"seed\":42},"
-    "\"ladder\":{\"enable_ladder\":true,\"enable_fallback\":true,"
+    "\"ladder\":{\"enable_fallback\":true,"
     "\"validate_replay\":true,\"cap_deadline_ms\":250,"
     "\"cancellable\":true},"
     "\"attempts\":[{\"rung\":\"warm\",\"outcome\":\"solver-numerical\","
@@ -123,12 +122,12 @@ TEST(ReportSchema, GoldenShapeIsStable) {
   EXPECT_EQ(golden_report().to_json(), kGolden);
 }
 
-TEST(ReportSchema, VersionIsNine) {
-  EXPECT_EQ(kRunReportSchemaVersion, 9);
-  EXPECT_EQ(RunReport{}.schema_version, 9);
+TEST(ReportSchema, VersionIsTen) {
+  EXPECT_EQ(kRunReportSchemaVersion, 10);
+  EXPECT_EQ(RunReport{}.schema_version, 10);
   // Every serialized report leads with the version so consumers can
   // dispatch before parsing the rest.
-  EXPECT_EQ(RunReport{}.to_json().rfind("{\"schema_version\":9,", 0), 0u);
+  EXPECT_EQ(RunReport{}.to_json().rfind("{\"schema_version\":10,", 0), 0u);
 }
 
 TEST(ReportSchema, InProcessSolveZeroesWorkerTelemetry) {
@@ -210,7 +209,6 @@ TEST(ReportSchema, RealSolveEchoesFaultAndLadderOptions) {
   EXPECT_EQ(res.report.fault_seed, 99u);
   EXPECT_EQ(res.report.ladder.cap_deadline_ms, 30'000.0);
   EXPECT_TRUE(res.report.ladder.cancellable);
-  EXPECT_TRUE(res.report.ladder.enable_ladder);
   const std::string json = res.report.to_json();
   EXPECT_NE(json.find("\"fault\":{\"active\":true,\"seed\":99}"),
             std::string::npos);

@@ -116,10 +116,8 @@ TEST(SolveDriver, RepeatedSolvesWarmStartAndAgree) {
             first.report.attempts[0].iterations);
 }
 
-// A replay cap violation judges the optimal vertex, not the numerics:
-// cold and refactor-20 keep Dantzig pricing and perturb is bland with a
-// 1e-7 lower cap, so the ladder tries bland once and then degrades to
-// Static.
+// A replay cap violation at warm is retried once at bland, which can
+// reach another optimal vertex; a violation there degrades to Static.
 TEST(SolveDriver, ReplayViolationRetriesOnlyBlandThenDegrades) {
   const dag::TaskGraph g =
       apps::make_lulesh({.ranks = 8, .iterations = 12, .seed = 17});
@@ -156,13 +154,13 @@ TEST(SolveDriver, BlandVertexRescuesAReplayViolation) {
   EXPECT_TRUE(res.report.certificate.ok);
 }
 
-// After numerical failures the ladder reaches bland in order, and a
-// replay violation there still ends the ladder: perturb is skipped.
+// After a numerical failure at warm the ladder reaches bland, and a
+// replay violation there ends the ladder.
 TEST(SolveDriver, ReplayViolationAtDenseBlandEndsTheLadder) {
   const dag::TaskGraph g =
       apps::make_lulesh({.ranks = 8, .iterations = 12, .seed = 17});
   FaultPlan plan;
-  plan.fail_attempts = 3;  // "warm", "cold" and "refactor-20" fail injected
+  plan.fail_attempts = 1;  // "warm" fails injected
   plan.forced_status = lp::SolveStatus::kNumericalError;
   const ScopedFaultPlan scope(plan);
   const SolveDriver driver(g, kModel, kCluster);
@@ -170,18 +168,15 @@ TEST(SolveDriver, ReplayViolationAtDenseBlandEndsTheLadder) {
   EXPECT_EQ(res.report.verdict, StatusCode::kReplayCapViolation)
       << res.report.detail;
   EXPECT_TRUE(res.report.degraded);
-  ASSERT_EQ(rungs(res.report),
-            (std::vector<std::string>{"warm", "cold", "refactor-20",
-                                      "bland"}));
-  const SolveAttempt& bland = res.report.attempts[3];
+  ASSERT_EQ(rungs(res.report), (std::vector<std::string>{"warm", "bland"}));
+  const SolveAttempt& bland = res.report.attempts[1];
   EXPECT_FALSE(bland.injected);
   EXPECT_EQ(bland.outcome, StatusCode::kReplayCapViolation);
 }
 
 // At 30 W the bland solve of one window reaches a singular basis. That is
-// a numerical failure lp::solve_lp retries, not an internal error that
-// walks on to perturb: bland's vertex is reached, violates replay, and
-// the ladder ends.
+// a numerical failure lp::solve_lp retries, not an internal error: bland's
+// vertex is reached, violates replay, and the ladder ends.
 TEST(SolveDriver, SingularBasisAtBlandIsRetriedInsideTheSolve) {
   const dag::TaskGraph g =
       apps::make_lulesh({.ranks = 8, .iterations = 12, .seed = 17});
@@ -197,6 +192,30 @@ TEST(SolveDriver, SingularBasisAtBlandIsRetriedInsideTheSolve) {
     EXPECT_NE(att.outcome, StatusCode::kInternal)
         << att.rung << ": " << att.detail;
   }
+}
+
+// An attempt the solver ends without an optimum names the status and
+// the window that failed, so the cap's detail says why the ladder gave up.
+TEST(SolveDriver, SolverStatusAttemptsNameTheStatusAndWindow) {
+  const dag::TaskGraph g = small_graph();
+  SolveDriverOptions opt;
+  opt.lp.simplex.max_iterations = 1;
+  const SolveDriver driver(g, kModel, kCluster, opt);
+  const SolveOutcome res = driver.solve(2 * 60.0);
+  EXPECT_EQ(res.report.verdict, StatusCode::kIterationLimit)
+      << res.report.detail;
+  EXPECT_TRUE(res.report.degraded);
+  ASSERT_EQ(rungs(res.report), (std::vector<std::string>{"warm", "bland"}));
+  for (const SolveAttempt& att : res.report.attempts) {
+    EXPECT_EQ(att.outcome, StatusCode::kIterationLimit) << att.rung;
+    ASSERT_GE(att.failed_window, 0) << att.rung;
+    EXPECT_EQ(att.detail, "iteration-limit in window " +
+                              std::to_string(att.failed_window))
+        << att.rung;
+  }
+  EXPECT_NE(res.report.detail.find("; last: iteration-limit in window "),
+            std::string::npos)
+      << res.report.detail;
 }
 
 TEST(SolveDriver, ReportSerializesToJson) {

@@ -171,7 +171,7 @@ TEST_F(Cli, SweepWithInjectedFailureDegradesInsteadOfAborting) {
             std::string::npos);
   EXPECT_NE(json.str().find("\"fallback\":\"static-policy\""),
             std::string::npos);
-  EXPECT_NE(json.str().find("\"rung\":\"perturb\""), std::string::npos);
+  EXPECT_NE(json.str().find("\"rung\":\"bland\""), std::string::npos);
   EXPECT_NE(json.str().find("\"verdict\":\"ok\""), std::string::npos);
 }
 

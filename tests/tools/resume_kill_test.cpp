@@ -11,13 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "scratch_dir.h"
 #include "tools/cli.h"
 
 namespace powerlim::cli {
@@ -33,10 +33,6 @@ CliResult run_cli(std::vector<std::string> args) {
   std::ostringstream out, err;
   const int code = run(args, out, err);
   return {code, out.str(), err.str()};
-}
-
-std::string temp_path(const char* name) {
-  return ::testing::TempDir() + name;
 }
 
 int count_records(const std::string& journal_path) {
@@ -60,9 +56,10 @@ std::string head_lines(const std::string& text, int lines) {
 }
 
 TEST(ResumeKill, SigkilledSweepResumesByteIdentical) {
-  const std::string trace = temp_path("kill_trace");
-  const std::string journal = temp_path("kill_journal");
-  std::remove(journal.c_str());
+  const ScratchDir scratch("resume_kill");
+  ASSERT_TRUE(scratch.ok());
+  const std::string trace = scratch.path("kill_trace");
+  const std::string journal = scratch.path("kill_journal");
   // Big enough that the sweep takes real wall time: the SIGKILL below
   // must land while caps are still being solved, not after the fact.
   ASSERT_EQ(run_cli({"trace", "comd", "-o", trace, "--ranks", "4",
@@ -140,9 +137,10 @@ TEST(ResumeKill, SigkilledSweepResumesByteIdentical) {
 }
 
 TEST(ResumeKill, InterruptedExitCodeIsResumable) {
-  const std::string trace = temp_path("kill_trace2");
-  const std::string journal = temp_path("kill_journal2");
-  std::remove(journal.c_str());
+  const ScratchDir scratch("resume_kill");
+  ASSERT_TRUE(scratch.ok());
+  const std::string trace = scratch.path("kill_trace2");
+  const std::string journal = scratch.path("kill_journal2");
   ASSERT_EQ(run_cli({"trace", "comd", "-o", trace, "--ranks", "2",
                      "--iterations", "3"})
                 .code,

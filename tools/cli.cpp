@@ -1097,14 +1097,7 @@ int cmd_query(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   for (double cap : req.caps) {
     for (const serve::ServeRow& row : got.rows) {
       if (row.entry.job_cap_watts == cap) {
-        robust::SweepRow r;
-        r.job_cap_watts = row.entry.job_cap_watts;
-        r.verdict = row.entry.verdict;
-        r.degraded = row.entry.degraded;
-        r.bound_seconds = row.entry.bound_seconds;
-        r.fallback = row.entry.fallback;
-        r.report_json = row.entry.report_json;
-        rows.push_back(std::move(r));
+        rows.push_back(robust::SweepRow{row.entry, false});
         break;
       }
     }
