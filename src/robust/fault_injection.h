@@ -44,10 +44,11 @@ bool worker_fault_from_string(const std::string& name, WorkerFault* fault);
 const char* to_string(WorkerFault fault);
 
 /// Network faults for distributed sweeps, executed at either endpoint:
-/// `powerlim serve-worker --inject-fail net-*` injures the worker side
-/// of the connection, `powerlim sweep --inject-fail net-*` the
-/// scheduler side. Each mode exercises one arm of the reassignment
-/// ladder (robust/remote_worker.h).
+/// `powerlim serve --inject-fail net-*` injures the replies to the
+/// daemon's `solve` requests (the worker side), `powerlim sweep
+/// --inject-fail net-*` the scheduler side of the pool's remote
+/// sessions. Each mode exercises one arm of the reassignment ladder
+/// (robust/worker_pool.h).
 enum class NetFault {
   kNone,
   /// Drop the connection mid-result-frame (torn frame + disconnect).
@@ -56,14 +57,18 @@ enum class NetFault {
   kStall,
   /// Flip a byte inside a framed payload (CRC rejection).
   kCorrupt,
-  /// Delay every frame by a sub-deadline amount: slow but alive, must
-  /// NOT be classified as dead.
+  /// Delay every frame by a sub-deadline amount (kNetSlowDelayMs on the
+  /// worker side): slow but alive, must NOT be classified as dead.
   kSlow,
   /// Worker-only: skip local certificate verification and corrupt the
   /// solution epsilon-subtly (a Byzantine "too good" bound); the
   /// scheduler's certificate gate must reject it.
   kLie,
 };
+
+/// Worker-side kSlow: each heartbeat interval and the result are late by
+/// this much, ms - well inside the scheduler's dead-peer threshold.
+inline constexpr double kNetSlowDelayMs = 200.0;
 
 /// Kebab-case names: "net-drop", "net-stall", "net-corrupt", "net-slow",
 /// "net-lie". Returns false on an unknown name (including "net-none").
@@ -115,11 +120,12 @@ struct FaultPlan {
   /// the worker-crashed / resource-exhausted degradation.
   int worker_fault_attempts = 1;
 
-  /// Network fault executed on matching caps of a distributed sweep
-  /// (scheduler side when installed in the sweep process, worker side
-  /// when passed to serve-worker).
+  /// Network fault executed on matching caps of a distributed sweep: on
+  /// the pool's remote sessions in the process that installed the plan
+  /// (and in the executors a daemon forks), and on the replies to a
+  /// daemon's `solve` requests.
   NetFault net_fault = NetFault::kNone;
-  /// Job attempts (0-based, per cap) that execute the network fault.
+  /// Remote attempts (0-based, per cap) that execute the network fault.
   /// The default injures only the first attempt, so the retry on a
   /// different worker succeeds and the sweep stays byte-identical.
   int net_fault_attempts = 1;

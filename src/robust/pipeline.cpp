@@ -13,7 +13,6 @@
 #include "core/pareto.h"
 #include "dag/trace_io.h"
 #include "robust/fault_injection.h"
-#include "robust/remote_worker.h"
 #include "util/socket_io.h"
 
 namespace powerlim::robust {
@@ -140,8 +139,10 @@ RemoteResultGate make_certificate_gate(const dag::TaskGraph& graph,
   };
 }
 
-/// The remote half of the pool: parsed endpoints, the handshake that
-/// replicates this sweep's solve options, and the certificate gate.
+/// The remote half of the pool: parsed endpoints, the `solve` request
+/// every remote attempt sends (the trace and the cap deadline - a remote
+/// solve runs the default driver under that deadline), and the
+/// certificate gate.
 Status remote_pool_options(const dag::TaskGraph& graph,
                            const machine::PowerModel& model,
                            const machine::ClusterSpec& cluster,
@@ -156,12 +157,11 @@ Status remote_pool_options(const dag::TaskGraph& graph,
     }
     remote->remotes.push_back(ep);
   }
-  RemoteSolveConfig wire_config;
-  wire_config.cap_deadline_ms = options.driver.cap_deadline_ms;
-  wire_config.validate_replay = options.driver.validate_replay;
-  wire_config.verify_certificate = options.driver.verify_certificate;
-  wire_config.discrete = options.driver.lp.discrete;
-  remote->handshake = encode_handshake(wire_config, graph);
+  std::ostringstream trace;
+  dag::write_trace(trace, graph);
+  remote->request.kind = "solve";
+  remote->request.deadline_ms = options.driver.cap_deadline_ms;
+  remote->request.trace_text = trace.str();
   remote->gate = make_certificate_gate(graph, model, cluster, options);
   if (options.remote_heartbeat_ms > 0.0) {
     remote->heartbeat_timeout_ms = options.remote_heartbeat_ms;

@@ -10,7 +10,7 @@
 // resilient_sweep() has two paths over one journal: serial in-process
 // solves (workers == 1, no remotes), and the worker pool
 // (robust/worker_pool.h) for everything else - local fork workers,
-// remote serve-workers, or both.
+// remote powerlimd endpoints, or both.
 #pragma once
 
 #include <functional>
@@ -71,12 +71,13 @@ struct ResilientSweepOptions {
   long worker_mem_mb = 0;
   /// Per-worker RLIMIT_CPU budget, seconds (0 = unlimited).
   double worker_cpu_s = 0.0;
-  /// Remote serve-worker endpoints ("host:port"). Non-empty gives the
-  /// worker pool its remote half (robust/worker_pool.h): remote sessions
-  /// and up to `workers` local fork workers share one queue, every lost
-  /// cap walks the reassignment ladder, each remote kOk result must pass
-  /// the local certificate gate before it is journaled, and every
-  /// report carries the pool's transport telemetry.
+  /// Remote powerlimd endpoints ("host:port"), each sent one `solve`
+  /// request per remote attempt. Non-empty gives the worker pool its
+  /// remote half (robust/worker_pool.h): remote sessions and up to
+  /// `workers` local fork workers share one queue, every lost cap walks
+  /// the reassignment ladder, each remote kOk result must pass the local
+  /// certificate gate before it is journaled, and every report carries
+  /// the pool's transport telemetry.
   std::vector<std::string> remotes;
   /// Per-remote-attempt wall ceiling, ms (0 derives it from the cap
   /// deadline, or leaves it unlimited when there is none).
@@ -140,7 +141,7 @@ struct WorkerFailure {
 
 /// The journal entry an isolated worker child ships for `report`: the
 /// report with its worker block stamped for `attempt` (the attempts the
-/// cap already lost). Local pool workers and serve-worker job children
+/// cap already lost). Local pool workers and powerlimd's solve children
 /// both build their result with it, so their reports match.
 JournalEntry isolated_worker_entry(RunReport report, int attempt);
 

@@ -143,10 +143,7 @@ std::string RunReport::to_json() const {
      << "\"min_feasible_power_watts\":" << json_num(min_feasible_power_watts)
      << ",\"fault\":{\"active\":" << (fault_active ? "true" : "false")
      << ",\"seed\":" << fault_seed << "}"
-     << ",\"ladder\":{\"enable_fallback\":"
-     << (ladder.enable_fallback ? "true" : "false")
-     << ",\"validate_replay\":" << (ladder.validate_replay ? "true" : "false")
-     << ",\"cap_deadline_ms\":" << json_num(ladder.cap_deadline_ms)
+     << ",\"ladder\":{\"cap_deadline_ms\":" << json_num(ladder.cap_deadline_ms)
      << ",\"cancellable\":" << (ladder.cancellable ? "true" : "false") << "}"
      << ",\"attempts\":[";
   for (std::size_t i = 0; i < attempts.size(); ++i) {
@@ -234,8 +231,6 @@ std::string reports_to_json(const std::vector<std::string>& reports) {
 
 LadderEcho ladder_echo(const SolveDriverOptions& options) {
   LadderEcho echo;
-  echo.enable_fallback = options.enable_fallback;
-  echo.validate_replay = options.validate_replay;
   echo.cap_deadline_ms =
       options.cap_deadline_ms > 0.0 ? options.cap_deadline_ms : 0.0;
   echo.cancellable = options.cancel != nullptr;
@@ -253,7 +248,6 @@ const FaultPlan* echo_fault_plan(RunReport& report) {
 std::optional<sim::SimResult> static_fallback(
     const dag::TaskGraph& graph, const machine::PowerModel& model,
     const machine::ClusterSpec& cluster, RunReport& report) {
-  if (!report.ladder.enable_fallback) return std::nullopt;
   const int ranks = graph.num_ranks();
   const double cap = report.job_cap_watts;
   try {
@@ -303,7 +297,7 @@ struct SolveDriver::Impl {
   }
 
   const LintEcho& ensure_lint() const {
-    if (options.lint_inputs && !lint_echo.checked) {
+    if (!lint_echo.checked) {
       try {
         check::LintReport report = check::lint_trace(*graph);
         report.merge(check::lint_machine(*cluster));
@@ -472,27 +466,24 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
         att.failed_window = res.failed_window;
         if (res.optimal()) {
           bool accepted = true;
-          if (im.options.validate_replay) {
-            sim::ReplayOptions ro = im.options.replay;
-            ro.engine.cluster = *im.cluster;
-            ro.engine.idle_power = im.model->idle_power();
-            const sim::SimResult sim = sim::replay_schedule(
-                *im.graph, res.schedule, res.frontiers, ro, &res.vertex_time);
-            const sim::CapCheck check =
-                sim::check_cap(sim, job_cap_watts, im.options.cap_check);
-            rep.replay.checked = true;
-            rep.replay.check = check;
-            out.simulated = sim;
-            if (!check.ok) {
-              accepted = false;
-              att.outcome = StatusCode::kReplayCapViolation;
-              std::ostringstream msg;
-              msg << "replayed windowed power "
-                  << check.max_windowed_power << " W exceeds cap "
-                  << job_cap_watts << " W by " << check.violation_watts
-                  << " W";
-              att.detail = msg.str();
-            }
+          sim::ReplayOptions ro = im.options.replay;
+          ro.engine.cluster = *im.cluster;
+          ro.engine.idle_power = im.model->idle_power();
+          const sim::SimResult sim = sim::replay_schedule(
+              *im.graph, res.schedule, res.frontiers, ro, &res.vertex_time);
+          const sim::CapCheck check =
+              sim::check_cap(sim, job_cap_watts, im.options.cap_check);
+          rep.replay.checked = true;
+          rep.replay.check = check;
+          out.simulated = sim;
+          if (!check.ok) {
+            accepted = false;
+            att.outcome = StatusCode::kReplayCapViolation;
+            std::ostringstream msg;
+            msg << "replayed windowed power " << check.max_windowed_power
+                << " W exceeds cap " << job_cap_watts << " W by "
+                << check.violation_watts << " W";
+            att.detail = msg.str();
           }
           if (accepted && im.options.verify_certificate) {
             const check::CertificateVerdict v =

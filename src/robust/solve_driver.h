@@ -68,7 +68,10 @@ namespace powerlim::robust {
 /// dropped the `service` block: the daemon reports those per-request
 /// values in its done frame and hello ack (serve/protocol.h). Schema 10
 /// dropped `ladder.enable_ladder`: the two-rung ladder is always on.
-inline constexpr int kRunReportSchemaVersion = 10;
+/// Schema 11 dropped `ladder.enable_fallback` and
+/// `ladder.validate_replay`: every solve is replay-validated and every
+/// exhausted ladder degrades to the Static-policy bound.
+inline constexpr int kRunReportSchemaVersion = 11;
 
 /// One rung of the ladder, as executed.
 struct SolveAttempt {
@@ -118,7 +121,10 @@ struct CertificateEcho {
 };
 
 /// Input-lint echo (schema 4): error/warning counts from the one-time
-/// structural lint of the trace + machine model this driver solves.
+/// structural lint of the trace + machine model this driver solves (run
+/// on the first solve). Lint findings never block the solve - the CLI
+/// input gate rejects bad traces up front; this echo records that the
+/// inputs of *this* run were (or were not) clean.
 struct LintEcho {
   bool checked = false;
   int errors = 0;
@@ -147,7 +153,7 @@ struct WorkerTelemetry {
 /// how many times its cap bounced between peers). Serialized under
 /// `telemetry`, like wall_ms and the worker block.
 struct TransportTelemetry {
-  /// True when the accepted result came from a remote serve-worker.
+  /// True when the accepted result came from a remote powerlimd.
   bool remote = false;
   /// "host:port" of the worker that settled the cap (empty for local).
   std::string endpoint;
@@ -163,8 +169,6 @@ struct TransportTelemetry {
 /// Resolved supervision/ladder options echoed into every RunReport so a
 /// degraded or fault-injected run is reproducible from the report alone.
 struct LadderEcho {
-  bool enable_fallback = true;
-  bool validate_replay = true;
   /// Per-cap wall-clock budget, ms (0: unlimited).
   double cap_deadline_ms = 0.0;
   /// Whether a cancel token was attached to the solve.
@@ -254,24 +258,14 @@ struct SolveDriverOptions {
   /// Base LP options; power_cap is overwritten per solve and the "bland"
   /// rung sets simplex.bland_trigger to 0.
   core::LpScheduleOptions lp;
-  /// Replay-validate optimal schedules against the cap before accepting.
-  bool validate_replay = true;
   /// Re-verify every optimal solve with the exact certificate checker
   /// before accepting it; a rejected certificate walks the ladder like a
   /// solver fault (kCertificateFailed) and degrades when exhausted.
   bool verify_certificate = true;
   check::CertificateOptions certificate;
-  /// One-time structural lint of the trace + machine model (first solve),
-  /// echoed into every RunReport. Lint findings never block the solve -
-  /// the CLI input gate rejects bad traces up front; this echo records
-  /// that the inputs of *this* run were (or were not) clean.
-  bool lint_inputs = true;
   sim::CapCheckOptions cap_check;
   /// Replay physics (engine cluster/idle power are filled by the driver).
   sim::ReplayOptions replay;
-  /// When false, a fully failed ladder reports the failure with no
-  /// Static-policy bound substituted.
-  bool enable_fallback = true;
   /// Per-cap wall-clock budget in milliseconds; <= 0 means unlimited.
   /// The budget covers the whole ladder: when it runs out mid-rung the
   /// solve returns kDeadlineExceeded and degrades straight to the
@@ -302,10 +296,9 @@ LadderEcho ladder_echo(const SolveDriverOptions& options);
 /// and the plan's seed when it does. Returns that plan, or nullptr.
 const FaultPlan* echo_fault_plan(RunReport& report);
 
-/// Substitutes the Static-policy bound at the report's cap when
-/// `report.ladder.enable_fallback` is set: the uniform-RAPL schedule is
-/// simulated and `degraded`, `fallback`, `bound_seconds` and
-/// `energy_joules` are filled from it. A simulation that throws appends
+/// Substitutes the Static-policy bound at the report's cap: the
+/// uniform-RAPL schedule is simulated and `degraded`, `fallback`,
+/// `bound_seconds` and `energy_joules` are filled from it. A simulation that throws appends
 /// "; static fallback also failed: <what>" to `detail` instead. Returns
 /// the simulation when it ran.
 std::optional<sim::SimResult> static_fallback(

@@ -26,10 +26,10 @@
 
 namespace powerlim::robust {
 
-/// One framed message. Tags in use: 'R' = per-cap result (payload is a
-/// serialized JournalEntry, see robust/journal.h); the remote-worker
-/// protocol (robust/remote_worker.h) adds handshake/job/heartbeat/
-/// solution tags over the same framing.
+/// One framed message. On a worker pipe: 'R' = per-cap result (payload
+/// is a serialized JournalEntry, see robust/journal.h), optionally
+/// followed by 'S' = solution artifact. powerlimd's socket protocol
+/// (serve/protocol.h) uses the same framing with its own tags.
 struct WireFrame {
   char tag = 0;
   std::string payload;

@@ -19,7 +19,6 @@
 #include <utility>
 
 #include "robust/fault_injection.h"
-#include "robust/remote_worker.h"
 #include "robust/wire.h"
 #include "util/log.h"
 #include "util/posix_io.h"
@@ -248,14 +247,17 @@ struct Session {
   int connect_failures = 0;
   double backoff_ms_total = 0.0;
 
-  // In-flight job state (kBusy).
+  // In-flight solve request state (kBusy).
   std::size_t task = 0;
+  std::string request_id;
   Clock::time_point job_start;
   Clock::time_point last_heard;
   int heartbeat_misses = 0;
   bool miss_flagged = false;
   bool have_entry = false;
   JournalEntry entry;
+  /// The 'S' artifact of the in-flight request (empty until it lands).
+  std::string solution;
   // Scheduler-side fault injection for this job.
   bool inj_stall = false;
   bool inj_corrupt = false;
@@ -424,6 +426,7 @@ WorkerPoolResult run_worker_pool(
     }
     s.stream = FrameStream();
     s.have_entry = false;
+    s.solution.clear();
     if (to_backoff && s.state != Session::State::kDead) {
       schedule_backoff(s);
     }
@@ -497,11 +500,10 @@ WorkerPoolResult run_worker_pool(
             schedule_backoff(s);
             break;
           }
-          const std::string hs =
-              encode_wire_frame('T', remote.handshake);
-          if (hs.empty() ||
-              util::send_all(fd, hs.data(), hs.size(), 10.0) !=
-                  util::IoStatus::kOk) {
+          const std::string hello =
+              encode_wire_frame(serve::kTagHello, serve::encode_hello());
+          if (util::send_all(fd, hello.data(), hello.size(), 10.0) !=
+              util::IoStatus::kOk) {
             ::close(fd);
             schedule_backoff(s);
             break;
@@ -574,21 +576,30 @@ WorkerPoolResult run_worker_pool(
                      "injected net-drop: connection lost before dispatch");
         continue;
       }
-      const std::string job =
-          encode_wire_frame('J', encode_job(cap, ts.failures));
-      if (util::send_all(s.fd, job.data(), job.size(), 5.0) !=
-          util::IoStatus::kOk) {
+      serve::ServeRequest request = remote.request;
+      request.id = "t" + std::to_string(t) + "a" + std::to_string(ts.failures);
+      request.caps = {cap};
+      request.attempt = ts.failures;
+      const std::string payload = serve::encode_request(request);
+      const std::string frame =
+          encode_wire_frame(serve::kTagRequest, payload);
+      if (payload.empty() || frame.empty() ||
+          util::send_all(s.fd, frame.data(), frame.size(), 5.0) !=
+              util::IoStatus::kOk) {
         close_session(s, true);
         fail_attempt(t, &s, WorkerOutcome::kCrashed,
-                     "connection to " + s.name + " lost sending the job");
+                     "connection to " + s.name +
+                         " lost sending the solve request");
         continue;
       }
       s.state = Session::State::kBusy;
       s.task = t;
+      s.request_id = request.id;
       s.job_start = s.last_heard = Clock::now();
       s.heartbeat_misses = 0;
       s.miss_flagged = false;
       s.have_entry = false;
+      s.solution.clear();
       s.inj_stall = injured && plan->net_fault == NetFault::kStall;
       s.inj_corrupt = injured && plan->net_fault == NetFault::kCorrupt;
       s.inj_slow = injured && plan->net_fault == NetFault::kSlow;
@@ -769,73 +780,79 @@ WorkerPoolResult run_worker_pool(
       WireFrame f;
       bool closed = false;
       while (!closed && s.stream.next(&f) == WireDecode::kOk) {
-        switch (f.tag) {
-          case 'A': {
-            if (s.state != Session::State::kHandshaking) break;
-            if (f.payload == "ok") {
-              s.state = Session::State::kIdle;
-              s.connect_failures = 0;
-            } else {
-              // A config/version rejection will not heal with retries.
-              util::log_warn() << "remote " << s.name
-                               << " rejected the handshake: " << f.payload;
-              s.state = Session::State::kDead;
-              close_session(s, false);
-              closed = true;
-            }
-            break;
+        if (f.tag == serve::kTagHelloAck) {
+          if (s.state != Session::State::kHandshaking) continue;
+          serve::HelloAck ack;
+          if (serve::decode_hello_ack(f.payload, &ack) && ack.ok) {
+            s.state = Session::State::kIdle;
+            s.connect_failures = 0;
+          } else {
+            // A version skew will not heal with retries.
+            util::log_warn() << "remote " << s.name
+                             << " rejected the hello: "
+                             << (ack.error.empty() ? f.payload : ack.error);
+            s.state = Session::State::kDead;
+            close_session(s, false);
+            closed = true;
           }
-          case 'H':
-            break;  // liveness only; last_heard is already updated
-          case 'R': {
-            if (s.state != Session::State::kBusy) break;
-            JournalEntry e;
-            if (!parse_journal_entry(f.payload, &e) ||
-                std::abs(e.job_cap_watts - tasks[s.task].job_cap_watts) >
-                    1e-9) {
+          continue;
+        }
+        // Everything else answers the in-flight solve; heartbeats ('H')
+        // only prove liveness, and last_heard is already updated.
+        if (s.state != Session::State::kBusy) continue;
+        const std::size_t t = s.task;
+        std::string id;
+        switch (f.tag) {
+          case serve::kTagRow: {
+            serve::ServeRow row;
+            if (!serve::decode_row(f.payload, &row) ||
+                row.id != s.request_id ||
+                std::abs(row.entry.job_cap_watts -
+                         tasks[t].job_cap_watts) > 1e-9) {
               fail_busy_session(s, WorkerOutcome::kCrashed,
                                 "unusable result payload from " + s.name);
               closed = true;
               break;
             }
-            if (e.verdict == StatusCode::kCancelled) {
-              // The worker is draining for shutdown; the cap did not
-              // really settle.
-              const std::size_t t = s.task;
-              s.state = Session::State::kIdle;
-              states[t].wall_ms += ms_between(s.job_start, Clock::now());
-              fail_attempt(t, &s, WorkerOutcome::kCrashed,
-                           "remote worker " + s.name +
-                               " cancelled the attempt (shutting down)");
-              break;
-            }
-            if (e.verdict == StatusCode::kOk) {
-              s.entry = std::move(e);
-              s.have_entry = true;  // accept once the 'S' artifact lands
-              break;
-            }
-            // Degraded / infeasible verdicts carry no bound worth
-            // forging; accept as reported.
-            const std::size_t t = s.task;
-            s.state = Session::State::kIdle;
-            states[t].wall_ms += ms_between(s.job_start, Clock::now());
-            settle_ok(t, std::move(e), &s);
+            s.entry = std::move(row.entry);
+            s.have_entry = true;  // settles when the 'D' lands
             break;
           }
-          case 'S': {
-            if (s.state != Session::State::kBusy || !s.have_entry) {
+          case serve::kTagArtifact: {
+            if (!s.have_entry ||
+                !serve::decode_artifact(f.payload, &id, &s.solution) ||
+                id != s.request_id) {
               fail_busy_session(s, WorkerOutcome::kCrashed,
                                 "unexpected solution frame from " + s.name);
               closed = true;
+            }
+            break;
+          }
+          case serve::kTagDone: {
+            serve::ServeDone done;
+            if (!serve::decode_done(f.payload, &done) ||
+                done.id != s.request_id) {
+              fail_busy_session(s, WorkerOutcome::kCrashed,
+                                "unusable done frame from " + s.name);
+              closed = true;
               break;
             }
-            const std::size_t t = s.task;
-            const Status verdict =
-                remote.gate ? remote.gate(s.entry, f.payload) : Status::Ok();
-            s.have_entry = false;
-            states[t].wall_ms += ms_between(s.job_start, Clock::now());
             s.state = Session::State::kIdle;
-            if (!verdict.ok()) {
+            states[t].wall_ms += ms_between(s.job_start, Clock::now());
+            if (!s.have_entry) {
+              fail_attempt(t, &s, WorkerOutcome::kCrashed,
+                           "remote " + s.name +
+                               " finished the solve without a result row");
+            } else if (s.entry.verdict == StatusCode::kCancelled) {
+              // The daemon's solve child was interrupted; the cap did
+              // not really settle.
+              fail_attempt(t, &s, WorkerOutcome::kCrashed,
+                           "remote worker " + s.name +
+                               " cancelled the attempt (shutting down)");
+            } else if (const Status verdict =
+                           remote.gate ? remote.gate(s.entry, s.solution)
+                                       : Status::Ok();
+                       !verdict.ok()) {
               ++out.stats.certificate_rejects;
               // The peer is lying but alive: keep the session for other
               // caps; this cap never returns to it.
@@ -843,27 +860,49 @@ WorkerPoolResult run_worker_pool(
                            "remote result from " + s.name +
                                " rejected: " + verdict.to_string());
             } else {
-              settle_ok(t, s.entry, &s);
+              settle_ok(t, std::move(s.entry), &s);
             }
+            s.have_entry = false;
+            s.solution.clear();
             break;
           }
-          case 'E': {
-            if (s.state != Session::State::kBusy) break;
-            const std::size_t t = s.task;
+          case serve::kTagError: {
+            std::string detail;
+            if (!serve::decode_error(f.payload, &id, &detail) ||
+                id != s.request_id) {
+              fail_busy_session(s, WorkerOutcome::kCrashed,
+                                "unusable error frame from " + s.name);
+              closed = true;
+              break;
+            }
             s.state = Session::State::kIdle;
             states[t].wall_ms += ms_between(s.job_start, Clock::now());
-            const std::size_t space = f.payload.find(' ');
+            const std::size_t space = detail.find(' ');
             const WorkerOutcome o =
-                outcome_from_wire_name(f.payload.substr(0, space));
+                outcome_from_wire_name(detail.substr(0, space));
             fail_attempt(t, &s, o,
                          "remote attempt on " + s.name + " failed: " +
                              (space == std::string::npos
-                                  ? f.payload
-                                  : f.payload.substr(space + 1)));
+                                  ? detail
+                                  : detail.substr(space + 1)));
+            break;
+          }
+          case serve::kTagOverloaded: {
+            // Shed (queue full, draining): reconnect through backoff; a
+            // daemon that is going away stops accepting and is declared
+            // dead.
+            serve::ServeOverloaded shed;
+            const bool parsed = serve::decode_overloaded(f.payload, &shed);
+            fail_busy_session(s, WorkerOutcome::kCrashed,
+                              "remote " + s.name + " shed the solve" +
+                                  (parsed ? " (" + shed.reason + "): " +
+                                                shed.detail
+                                          : std::string()));
+            closed = true;
             break;
           }
           default:
-            break;  // unknown frame tags are ignored for forward compat
+            break;  // heartbeats and unknown tags
         }
       }
       if (!closed && s.stream.poisoned()) {
@@ -899,10 +938,10 @@ WorkerPoolResult run_worker_pool(
     out.interrupted = true;
     out.stop = stop;
   }
+  // Closing the socket is the goodbye: powerlimd kills the solve child
+  // of a connection that went away.
   for (Session& s : sessions) {
     if (s.fd >= 0) {
-      const std::string quit = encode_wire_frame('Q', "");
-      util::send_all(s.fd, quit.data(), quit.size(), 0.5);
       ::close(s.fd);
       s.fd = -1;
     }

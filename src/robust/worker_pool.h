@@ -1,6 +1,7 @@
 // The worker pool: process-isolated cap solves with crash containment
 // and resource budgets, run on local fork workers and, optionally, on
-// remote serve-workers (robust/remote_worker.h) in one event loop.
+// remote powerlimd endpoints (`solve` requests, serve/protocol.h) in one
+// event loop.
 //
 // A cap sweep is embarrassingly parallel - one independent LP ladder
 // per cap - but a serial in-process sweep dies whole when any single
@@ -19,10 +20,13 @@
 //   * wall deadline overrun          -> SIGKILL by the parent, timed out
 //   * clean exit, garbled frame      -> protocol error, treated as crash
 //
-// With remote endpoints, idle serve-worker sessions pull caps from the
-// front of the queue and free local slots pull from the back. A cap
-// lost to disconnect, heartbeat silence, job timeout, corrupt frame, or
-// a result the certificate gate rejects walks the reassignment ladder:
+// With remote endpoints, idle powerlimd sessions pull caps from the
+// front of the queue and free local slots pull from the back; each
+// remote attempt is one `solve` request carrying the trace, the cap,
+// the cap deadline and the attempt number. A cap lost to disconnect,
+// heartbeat silence, job timeout, corrupt frame, a shed or failed
+// request, or a result the certificate gate rejects walks the
+// reassignment ladder:
 //
 //   1. retried once on a *different* worker (never the endpoint that
 //      just lost it),
@@ -57,6 +61,7 @@
 #include "robust/journal.h"
 #include "robust/solve_driver.h"
 #include "robust/status.h"
+#include "serve/protocol.h"
 #include "util/deadline.h"
 #include "util/socket_io.h"
 
@@ -98,8 +103,8 @@ StatusCode status_code_for(WorkerOutcome outcome);
 
 /// What a task's child ships back: the result entry as an 'R' frame
 /// and, when non-empty, the solution artifact (core::write_schedule
-/// text) as an 'S' frame after it - the proof a serve-worker's result
-/// must carry for the scheduler's certificate gate. Tasks that ship no
+/// text) as an 'S' frame after it - the proof a powerlimd solve must
+/// carry for the scheduler's certificate gate. Tasks that ship no
 /// artifact return a bare JournalEntry.
 struct WorkerTaskOutput {
   WorkerTaskOutput(JournalEntry e, std::string solution = {})
@@ -150,19 +155,19 @@ struct WorkerPoolStats {
   int timeouts = 0;
   int retries = 0;
   long max_peak_rss_kb = 0;
-  /// Caps settled by a remote serve-worker.
+  /// Caps settled by a remote powerlimd.
   int remote_clean = 0;
   /// Remote attempts lost to disconnect / timeout / corrupt frame /
-  /// rejected result.
+  /// shed or failed request / rejected result.
   int remote_failures = 0;
   /// Remote results rejected by the local certificate gate.
   int certificate_rejects = 0;
 };
 
-/// Byzantine gate: invoked for every remote kOk result with its 'S'
-/// solution artifact before acceptance. A non-ok Status rejects the
-/// result - classified like a corrupt frame, so the cap walks the
-/// reassignment ladder.
+/// Byzantine gate: invoked for every remote result with its 'S'
+/// solution artifact (empty when none arrived) before acceptance. A
+/// non-ok Status rejects the result - classified like a corrupt frame,
+/// so the cap walks the reassignment ladder.
 using RemoteResultGate =
     std::function<Status(const JournalEntry& entry,
                          const std::string& solution_text)>;
@@ -170,11 +175,13 @@ using RemoteResultGate =
 /// The remote half of a pool. Every field but `remotes` is ignored
 /// while `remotes` is empty.
 struct RemoteWorkerOptions {
-  /// Serve-worker endpoints; empty runs a local-only pool.
+  /// powerlimd endpoints; empty runs a local-only pool.
   std::vector<util::Endpoint> remotes;
-  /// Prebuilt 'T' payload (encode_handshake), sent on every (re)connect.
-  std::string handshake;
-  /// Re-verifies each remote kOk result; empty accepts as reported.
+  /// The `solve` request every remote attempt sends: kind "solve", the
+  /// cap deadline as deadline_ms, and the trace. Each dispatch fills in
+  /// its own id, cap and attempt.
+  serve::ServeRequest request;
+  /// Re-verifies each remote result; empty accepts as reported.
   RemoteResultGate gate;
   /// Heartbeat silence that declares a busy peer dead, ms.
   double heartbeat_timeout_ms = 2000.0;
@@ -220,7 +227,7 @@ WorkerPoolResult run_worker_pool(
     const std::function<void(const WorkerTaskResult&, std::size_t)>&
         on_result = {});
 
-// --- building blocks shared with the serve-worker's job child ---
+// --- building blocks shared with powerlimd's solve children ---
 
 /// What one worker *attempt* came back as, before retry policy.
 struct WorkerAttemptVerdict {

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "robust/solve_driver.h"
@@ -72,8 +73,16 @@ bool parse_int(const std::string& text, long* out) {
 }
 
 bool valid_kind(const std::string& kind) {
-  return kind == "bound" || kind == "sweep";
+  return kind == "bound" || kind == "sweep" || kind == "solve";
 }
+
+/// bound and solve name exactly one cap.
+bool one_cap_kind(const std::string& kind) {
+  return kind == "bound" || kind == "solve";
+}
+
+/// The field a solve header appends to its journal-request line.
+constexpr char kAttemptField[] = " attempt=";
 
 bool parse_u64(const std::string& text, std::uint64_t* out) {
   if (text.empty() || text.size() > 20) return false;
@@ -151,17 +160,21 @@ bool decode_hello(const std::string& payload, std::string* error) {
 
 std::string encode_request(const ServeRequest& request) {
   if (!valid_kind(request.kind)) return "";
-  if (request.kind == "bound" && request.caps.size() != 1) return "";
+  if (one_cap_kind(request.kind) && request.caps.size() != 1) return "";
   if (!single_token(request.id)) return "";
   if (request.caps.empty()) return "";
   if (request.trace_text.empty()) return "";
+  if (request.attempt < 0) return "";
   robust::JournalRequest jr;
   jr.id = request.id;
   jr.kind = request.kind;
   jr.deadline_ms = request.deadline_ms;
   jr.caps = request.caps;
-  const std::string line = robust::serialize_journal_request(jr);
+  std::string line = robust::serialize_journal_request(jr);
   if (line.empty()) return "";
+  if (request.kind == "solve") {
+    line += kAttemptField + std::to_string(request.attempt);
+  }
   return line + "\n" + request.trace_text;
 }
 
@@ -169,6 +182,17 @@ bool decode_request(const std::string& payload, ServeRequest* out,
                     std::string* error) {
   std::string line, trace;
   split_first_line(payload, &line, &trace);
+  long attempt = 0;
+  const std::size_t at = line.rfind(kAttemptField);
+  const bool has_attempt = at != std::string::npos;
+  if (has_attempt) {
+    if (!parse_int(line.substr(at + std::strlen(kAttemptField)), &attempt) ||
+        attempt < 0 || attempt > std::numeric_limits<int>::max()) {
+      *error = "malformed request header";
+      return false;
+    }
+    line.erase(at);
+  }
   robust::JournalRequest jr;
   if (!robust::parse_journal_request(line, &jr)) {
     *error = "malformed request header";
@@ -178,8 +202,12 @@ bool decode_request(const std::string& payload, ServeRequest* out,
     *error = "unknown request kind \"" + jr.kind + "\"";
     return false;
   }
-  if (jr.kind == "bound" && jr.caps.size() != 1) {
-    *error = "bound request must carry exactly one cap";
+  if (one_cap_kind(jr.kind) && jr.caps.size() != 1) {
+    *error = jr.kind + " request must carry exactly one cap";
+    return false;
+  }
+  if (has_attempt != (jr.kind == "solve")) {
+    *error = "attempt= belongs to solve requests, and only to them";
     return false;
   }
   if (trace.empty()) {
@@ -190,6 +218,7 @@ bool decode_request(const std::string& payload, ServeRequest* out,
   out->kind = jr.kind;
   out->deadline_ms = jr.deadline_ms;
   out->caps = jr.caps;
+  out->attempt = static_cast<int>(attempt);
   out->trace_text = trace;
   error->clear();
   return true;
@@ -301,6 +330,31 @@ bool decode_error(const std::string& payload, std::string* id,
     return false;
   }
   return true;
+}
+
+std::string encode_heartbeat(const std::string& id) {
+  if (!single_token(id)) return "";
+  return "id=" + id;
+}
+
+bool decode_heartbeat(const std::string& payload, std::string* id) {
+  std::string rest = payload;
+  return take_field(&rest, "id", id) && rest.empty() && single_token(*id);
+}
+
+std::string encode_artifact(const std::string& id,
+                            const std::string& schedule_text) {
+  if (!single_token(id) || schedule_text.empty()) return "";
+  return "id=" + id + "\n" + schedule_text;
+}
+
+bool decode_artifact(const std::string& payload, std::string* id,
+                     std::string* schedule_text) {
+  std::string line;
+  split_first_line(payload, &line, schedule_text);
+  std::string rest = line;
+  return take_field(&rest, "id", id) && rest.empty() && single_token(*id) &&
+         !schedule_text->empty();
 }
 
 std::string encode_hello_ack(const HelloAck& ack) {

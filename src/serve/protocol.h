@@ -17,6 +17,22 @@
 //                      'D' done: id, terminal status, counts, latencies
 //                      'E' request error: "id=<id>\n<detail>"
 //                      'p' promote ack ("ok epoch=<e>" | "error <why>")
+//                      'H' heartbeat: "id=<id>" (solve requests only)
+//                      'S' schedule artifact: "id=<id>\n" +
+//                          core::write_schedule text (solve only)
+//
+// A `solve` request is one cap of a remote sweep (`sweep --remote`,
+// robust/worker_pool.h): its header line carries one cap, the
+// scheduler's cap deadline as deadline_ms, and " attempt=<n>" (the
+// attempts the cap already lost). The daemon never journals a solve and
+// never answers one from its journal: it forks one rlimit-budgeted
+// child per solve and, while the request is queued or running, sends
+// 'H' every kSolveHeartbeatMs. A child that settles answers 'R', then
+// 'S' (only for an `ok` row: the proof the scheduler's certificate gate
+// re-verifies), then 'D'; a child that dies answers
+// 'E' "<failure-class> <detail>" (robust::to_string(WorkerOutcome)),
+// with no degraded row and no second fork. Connections that send only
+// bound/sweep requests never see 'H' or 'S'.
 //
 // The same port also speaks the replication sub-protocol
 // ("powerlimd-repl v1"): a warm standby's first frame is 'H' instead of
@@ -37,7 +53,7 @@
 //                      'Y' resync: the standby's copy diverged or
 //                          outran the primary; quarantine and refetch
 //
-// The 'U' header line is *exactly* the journal's `Q` record payload
+// A bound/sweep 'U' header line is *exactly* the journal's `Q` record payload
 // (robust/journal.h serialize_journal_request), so the daemon journals
 // the admission intent byte-for-byte as it arrived; and an 'R' row body
 // is exactly a journal `R` payload, so a served row and a journaled row
@@ -65,7 +81,11 @@ inline constexpr char kServeProtoMagic[] = "powerlimd v1";
 inline constexpr char kReplProtoMagic[] = "powerlimd-repl v1";
 /// Protocol revision pinned next to the RunReport schema in the hello.
 /// v2: hello ack carries epoch/role; promote and replication frames.
-inline constexpr int kServeProtoVersion = 2;
+/// v3: `solve` requests with their heartbeat and artifact frames.
+inline constexpr int kServeProtoVersion = 3;
+
+/// Interval between 'H' frames while a solve is queued or running, ms.
+inline constexpr double kSolveHeartbeatMs = 100.0;
 
 // Frame tags (client -> daemon).
 inline constexpr char kTagHello = 'T';
@@ -78,6 +98,8 @@ inline constexpr char kTagOverloaded = 'O';
 inline constexpr char kTagDone = 'D';
 inline constexpr char kTagError = 'E';
 inline constexpr char kTagPromoteAck = 'p';
+inline constexpr char kTagHeartbeat = 'H';
+inline constexpr char kTagArtifact = 'S';
 // Replication frame tags (standby -> primary).
 inline constexpr char kTagReplHello = 'H';
 inline constexpr char kTagReplAck = 'k';
@@ -111,23 +133,28 @@ struct HelloAck {
 std::string encode_hello_ack(const HelloAck& ack);
 bool decode_hello_ack(const std::string& payload, HelloAck* out);
 
-/// One bound/sweep request. `kind` is "bound" (exactly one cap) or
-/// "sweep"; ids are single tokens, unique per connection (the client
-/// matches replies by id).
+/// One request. `kind` is "bound" (exactly one cap), "sweep", or
+/// "solve" (exactly one cap, never journaled; see above); ids are
+/// single tokens, unique per connection (the client matches replies by
+/// id).
 struct ServeRequest {
   std::string id;
   std::string kind;
-  /// Client-side deadline for the whole request, ms (0 = none). The
-  /// daemon sheds the request (reason "deadline") rather than reply
-  /// later than this.
+  /// bound/sweep: client-side deadline for the whole request, ms
+  /// (0 = none); the daemon sheds the request (reason "deadline") rather
+  /// than reply later than this. solve: the cap deadline the solve runs
+  /// under (0 = none); the daemon kills the child 2 s past it.
   double deadline_ms = 0.0;
   std::vector<double> caps;
+  /// solve only: attempts the cap already lost (0 for the first).
+  int attempt = 0;
   /// dag::write_trace text of the graph to solve.
   std::string trace_text;
 };
 
 /// 'U' payload round-trip. encode returns "" on a malformed request
-/// (whitespace in id/kind, no caps, "bound" with != 1 cap).
+/// (whitespace in id/kind, no caps, "bound" or "solve" with != 1 cap).
+/// A bound/sweep header line is exactly the journal's `Q` record.
 std::string encode_request(const ServeRequest& request);
 bool decode_request(const std::string& payload, ServeRequest* out,
                     std::string* error);
@@ -180,6 +207,16 @@ bool decode_done(const std::string& payload, ServeDone* out);
 std::string encode_error(const std::string& id, const std::string& detail);
 bool decode_error(const std::string& payload, std::string* id,
                   std::string* detail);
+
+/// 'H' payload: "id=<id>".
+std::string encode_heartbeat(const std::string& id);
+bool decode_heartbeat(const std::string& payload, std::string* id);
+
+/// 'S' payload: "id=<id>\n<core::write_schedule text>".
+std::string encode_artifact(const std::string& id,
+                            const std::string& schedule_text);
+bool decode_artifact(const std::string& payload, std::string* id,
+                     std::string* schedule_text);
 
 /// 'p' promote ack: "ok epoch=<e>" (idempotent on an already-primary
 /// daemon) or "error <why>".

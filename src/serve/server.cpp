@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -22,14 +23,18 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/schedule_io.h"
 #include "dag/trace_io.h"
+#include "robust/fault_injection.h"
 #include "robust/journal.h"
 #include "robust/pipeline.h"
 #include "robust/solve_driver.h"
 #include "robust/wire.h"
+#include "robust/worker_pool.h"
 #include "serve/protocol.h"
 #include "serve/repl.h"
 #include "util/posix_io.h"
@@ -56,6 +61,19 @@ std::string trace_hash(const std::string& text) {
   return buf;
 }
 
+/// In a forked child: SIGTERM trips the returned token, so a child
+/// stops at the next pivot instead of dying mid-write. Attaching a token
+/// also keeps child reports byte-identical to offline `sweep` runs,
+/// which always attach one (`ladder.cancellable`).
+util::CancelToken& cancel_on_sigterm() {
+  static util::CancelToken token;
+  struct sigaction sa = {};
+  sa.sa_handler = [](int) { token.cancel(); };
+  sigemptyset(&sa.sa_mask);
+  sigaction(SIGTERM, &sa, nullptr);
+  return token;
+}
+
 /// One client connection. Reads decode through a FrameStream (poisoned
 /// stream = hostile/corrupt peer = drop); writes accumulate in `outbuf`
 /// and flush nonblocking, so one stalled reader never blocks the loop.
@@ -76,7 +94,8 @@ struct Conn {
 };
 
 /// One admitted request, through its whole life: queued -> executing
-/// (forked executor streaming 'R' frames up a pipe) -> finished.
+/// (forked executor streaming 'R' frames up a pipe, or a solve child
+/// shipping its one result) -> finished.
 struct Request {
   std::uint64_t conn_id = 0;  ///< 0 = internal (startup resume).
   std::string id;
@@ -102,6 +121,22 @@ struct Request {
   int spawns = 0;
   bool deadline_killed = false;
   bool pipe_poisoned = false;
+  // Solve state (kind "solve"): the attempts the cap already lost, the
+  // cap deadline the child solves under, the net fault its reply
+  // carries, the child's raw pipe bytes (classified when it exits), and
+  // when the last heartbeat went out.
+  int attempt = 0;
+  double cap_deadline_ms = 0.0;
+  robust::NetFault net_fault = robust::NetFault::kNone;
+  std::string child_bytes;
+  Clock::time_point last_beat = Clock::now();
+
+  bool solve() const { return kind == "solve"; }
+  double beat_interval_ms() const {
+    return kSolveHeartbeatMs + (net_fault == robust::NetFault::kSlow
+                                    ? robust::kNetSlowDelayMs
+                                    : 0.0);
+  }
 };
 
 class Daemon {
@@ -133,13 +168,20 @@ class Daemon {
   void handle_pipe_frame(Request& req, const robust::WireFrame& frame);
   void reap_executors();
   void check_deadlines();
+  void beat_solves();
   void schedule();
   void begin_drain(const char* why);
 
   // --- request plumbing ---
   void admit(std::uint64_t conn_id, ServeRequest&& sr);
+  void admit_solve(std::uint64_t conn_id, ServeRequest&& sr);
+  std::vector<int> child_close_fds() const;
   void spawn_executor(Request& req);
   int run_executor(const Request& req, int write_fd);
+  void spawn_solve(Request& req);
+  robust::WorkerTaskOutput run_solve(const Request& req, int attempt) const;
+  void absorb_pipe(Request& req, const char* bytes, std::size_t n);
+  void answer_solve(Request& req, int wait_status);
   void executor_died(Request& req, int wait_status);
   void degrade_unsettled(Request& req, const std::string& death);
   void finish(Request& req, const std::string& status,
@@ -148,6 +190,7 @@ class Daemon {
 
   // --- replies ---
   void send_frame(std::uint64_t conn_id, char tag, const std::string& payload);
+  void send_bytes(std::uint64_t conn_id, const std::string& bytes);
   void send_overloaded(std::uint64_t conn_id, const std::string& id,
                        const std::string& reason, const std::string& detail);
   void reply_row(Request& req, const robust::JournalEntry& entry);
@@ -458,6 +501,7 @@ int Daemon::run() {
     }
 
     check_deadlines();
+    beat_solves();
     schedule();
     repl_tick();
     poll_once();
@@ -542,8 +586,18 @@ void Daemon::poll_once() {
     fds.push_back({standby_link_->fd(), standby_link_->poll_events(), 0});
   }
 
+  // Wake in time for the next solve heartbeat.
+  double timeout_ms = 100.0;
+  const auto next_beat = [&](const Request& req) {
+    if (!req.solve()) return;
+    timeout_ms = std::min(timeout_ms,
+                          req.beat_interval_ms() - ms_since(req.last_beat));
+  };
+  std::for_each(queued_.begin(), queued_.end(), next_beat);
+  std::for_each(active_.begin(), active_.end(), next_beat);
+  const int wait_ms = static_cast<int>(std::ceil(std::max(0.0, timeout_ms)));
   const int n = util::retry_eintr(
-      [&] { return ::poll(fds.data(), fds.size(), /*timeout_ms=*/100); });
+      [&] { return ::poll(fds.data(), fds.size(), wait_ms); });
   if (n <= 0) return;
 
   if (standby_link_ && link_slot < fds.size() &&
@@ -678,7 +732,8 @@ void Daemon::handle_request(Conn& conn, const robust::WireFrame& frame) {
     send_overloaded(conn_id, sr.id, "draining", "daemon is shutting down");
     return;
   }
-  if (standby_) {
+  // A solve touches no journal, so a standby runs one like a primary.
+  if (standby_ && sr.kind != "solve") {
     handle_standby_request(conn_id, std::move(sr));
     return;
   }
@@ -699,7 +754,33 @@ void Daemon::handle_request(Conn& conn, const robust::WireFrame& frame) {
     send_frame(conn_id, kTagError, encode_error(sr.id, e.what()));
     return;
   }
-  admit(conn_id, std::move(sr));
+  if (sr.kind == "solve") {
+    admit_solve(conn_id, std::move(sr));
+  } else {
+    admit(conn_id, std::move(sr));
+  }
+}
+
+void Daemon::admit_solve(std::uint64_t conn_id, ServeRequest&& sr) {
+  Request req;
+  req.conn_id = conn_id;
+  req.id = sr.id;
+  req.kind = sr.kind;
+  req.caps = sr.caps;
+  req.trace_text = std::move(sr.trace_text);
+  req.attempt = sr.attempt;
+  req.cap_deadline_ms = sr.deadline_ms;
+  // Worker-side network faults (`serve --inject-fail net-*`) injure the
+  // reply to the first net_fault_attempts attempts of a matching cap.
+  const robust::FaultPlan* plan = robust::ScopedFaultPlan::active();
+  if (plan != nullptr && plan->applies_to_cap(req.caps[0]) &&
+      req.attempt < plan->net_fault_attempts) {
+    req.net_fault = plan->net_fault;
+  }
+  // Dead-peer simulation: accept the request, then fall silent - no
+  // heartbeat, no answer - until the scheduler gives up on it.
+  if (req.net_fault == robust::NetFault::kStall) return;
+  queued_.push_back(std::move(req));
 }
 
 void Daemon::admit(std::uint64_t conn_id, ServeRequest&& sr) {
@@ -828,7 +909,28 @@ void Daemon::check_deadlines() {
       ::kill(req.pid, SIGKILL);
       req.deadline_killed = true;
     }
+    // A solve's wall budget: its cap deadline plus 2 s of grace for the
+    // fallback simulation and result serialization, exactly as for a
+    // local pool worker.
+    if (req.pid > 0 && req.solve() && req.cap_deadline_ms > 0.0 &&
+        !req.deadline_killed &&
+        ms_since(req.exec_start) > req.cap_deadline_ms + 2000.0) {
+      ::kill(req.pid, SIGKILL);
+      req.deadline_killed = true;
+    }
   }
+}
+
+void Daemon::beat_solves() {
+  const auto beat = [this](Request& req) {
+    if (!req.solve() || ms_since(req.last_beat) < req.beat_interval_ms()) {
+      return;
+    }
+    req.last_beat = Clock::now();
+    send_frame(req.conn_id, kTagHeartbeat, encode_heartbeat(req.id));
+  };
+  for (Request& req : queued_) beat(req);
+  for (Request& req : active_) beat(req);
 }
 
 void Daemon::schedule() {
@@ -836,10 +938,33 @@ void Daemon::schedule() {
          static_cast<int>(active_.size()) < opt_.max_active) {
     Request req = std::move(queued_.front());
     queued_.pop_front();
+    // Nobody is left to read a solve whose client went away.
+    if (req.solve() && conns_.count(req.conn_id) == 0) continue;
     req.exec_start = Clock::now();
     active_.push_back(std::move(req));
-    spawn_executor(active_.back());
+    if (active_.back().solve()) {
+      spawn_solve(active_.back());
+    } else {
+      spawn_executor(active_.back());
+    }
   }
+}
+
+std::vector<int> Daemon::child_close_fds() const {
+  // A child holding a client socket open would hide that client's
+  // disconnect; the other fds are simply not the child's.
+  std::vector<int> fds;
+  if (listen_fd_ >= 0) fds.push_back(listen_fd_);
+  for (const auto& [id, conn] : conns_) {
+    if (conn.fd >= 0) fds.push_back(conn.fd);
+  }
+  for (const Request& other : active_) {
+    if (other.pipe_fd >= 0) fds.push_back(other.pipe_fd);
+  }
+  if (standby_link_ && standby_link_->fd() >= 0) {
+    fds.push_back(standby_link_->fd());
+  }
+  return fds;
 }
 
 void Daemon::spawn_executor(Request& req) {
@@ -857,13 +982,7 @@ void Daemon::spawn_executor(Request& req) {
   }
   if (pid == 0) {
     // Executor child: drop every daemon fd except the result pipe.
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    for (auto& [id, conn] : conns_) {
-      if (conn.fd >= 0) ::close(conn.fd);
-    }
-    for (Request& other : active_) {
-      if (other.pipe_fd >= 0) ::close(other.pipe_fd);
-    }
+    for (int fd : child_close_fds()) ::close(fd);
     ::close(pfd[0]);
     ::_exit(run_executor(req, pfd[1]));
   }
@@ -894,15 +1013,7 @@ int Daemon::run_executor(const Request& req, int write_fd) {
 
     robust::ResilientSweepOptions ropt;
     ropt.driver.cap_deadline_ms = opt_.cap_deadline_ms;
-    // A cancel token keeps executor reports byte-identical to offline
-    // `sweep` runs (which always attach one); SIGTERM trips it so a
-    // draining daemon can interrupt executors cleanly before the
-    // SIGKILL grace backstop.
-    static util::CancelToken executor_cancel;
-    struct sigaction sa = {};
-    sa.sa_handler = [](int) { executor_cancel.cancel(); };
-    sigemptyset(&sa.sa_mask);
-    sigaction(SIGTERM, &sa, nullptr);
+    util::CancelToken& executor_cancel = cancel_on_sigterm();
     ropt.driver.cancel = &executor_cancel;
     ropt.workers = opt_.workers;
     ropt.worker_mem_mb = opt_.worker_mem_mb;
@@ -936,11 +1047,76 @@ int Daemon::run_executor(const Request& req, int write_fd) {
   }
 }
 
-void Daemon::pump_pipe(Request& req) {
-  char buf[65536];
-  const ssize_t n = util::read_some(req.pipe_fd, buf, sizeof(buf));
-  if (n <= 0) return;  // EOF and errors resolve via waitpid
-  req.pipe_stream.feed(std::string(buf, static_cast<std::size_t>(n)));
+void Daemon::spawn_solve(Request& req) {
+  robust::WorkerTaskSpec job;
+  job.job_cap_watts = req.caps[0];
+  // Runs in the forked child, on its copy of `req`.
+  job.run = [this, &req](int attempt) { return run_solve(req, attempt); };
+  robust::WorkerLimits limits;
+  limits.mem_mb = opt_.worker_mem_mb;
+  limits.cpu_seconds = opt_.worker_cpu_s;
+  robust::SpawnedWorker child;
+  if (!robust::spawn_worker(job, req.attempt, limits,
+                            static_cast<int>(req.conn_id % 1000),
+                            child_close_fds(), &child)) {
+    send_frame(req.conn_id, kTagError,
+               encode_error(req.id, std::string("worker-crashed cannot spawn "
+                                                "worker: ") +
+                                        std::strerror(errno)));
+    ++finished_;
+    return;  // pid and pipe_fd stay -1: reaped on the next pass
+  }
+  // Nonblocking like an executor's pipe: reads stop at EAGAIN.
+  const int flags = ::fcntl(child.read_fd, F_GETFL, 0);
+  if (flags >= 0) ::fcntl(child.read_fd, F_SETFL, flags | O_NONBLOCK);
+  req.pid = child.pid;
+  req.pipe_fd = child.read_fd;
+}
+
+robust::WorkerTaskOutput Daemon::run_solve(const Request& req,
+                                           int attempt) const {
+  const double cap = req.caps[0];
+  robust::maybe_execute_worker_fault(cap, attempt);
+  std::istringstream in(req.trace_text);
+  const dag::TaskGraph graph = dag::read_trace(in, "request:" + req.id);
+  robust::SolveDriverOptions opt;
+  opt.cap_deadline_ms = req.cap_deadline_ms;
+  opt.cancel = &cancel_on_sigterm();
+  robust::FaultPlan lie_plan;
+  std::optional<robust::ScopedFaultPlan> lie_scope;
+  if (req.net_fault == robust::NetFault::kLie) {
+    // The Byzantine worker: skip local verification and ship a bound
+    // shrunk just past feasibility. Invisible to replay; only the
+    // scheduler's exact certificate gate can catch it.
+    opt.verify_certificate = false;
+    lie_plan.corrupt_solution_epsilon = 0.05;
+    lie_scope.emplace(lie_plan);
+  }
+  const robust::SolveOutcome out =
+      robust::SolveDriver(graph, model_, cluster_, opt).solve(cap);
+  robust::JournalEntry entry =
+      robust::isolated_worker_entry(out.report, attempt);
+  if (out.report.verdict != robust::StatusCode::kOk) return entry;
+  // The artifact is what the scheduler's certificate gate re-verifies.
+  core::SavedSchedule saved;
+  saved.schedule = out.lp.schedule;
+  saved.frontiers = out.lp.frontiers;
+  saved.vertex_time = out.lp.vertex_time;
+  saved.job_cap_watts = cap;
+  saved.makespan = out.lp.makespan;
+  std::ostringstream schedule;
+  core::write_schedule(schedule, saved);
+  return {std::move(entry), schedule.str()};
+}
+
+void Daemon::absorb_pipe(Request& req, const char* bytes, std::size_t n) {
+  // A solve child's bytes are classified whole when it exits; an
+  // executor's frames are journaled and replied as they arrive.
+  if (req.solve()) {
+    req.child_bytes.append(bytes, n);
+    return;
+  }
+  req.pipe_stream.feed(std::string(bytes, n));
   for (;;) {
     robust::WireFrame frame;
     const robust::WireDecode d = req.pipe_stream.next(&frame);
@@ -954,6 +1130,13 @@ void Daemon::pump_pipe(Request& req) {
     }
     handle_pipe_frame(req, frame);
   }
+}
+
+void Daemon::pump_pipe(Request& req) {
+  char buf[65536];
+  const ssize_t n = util::read_some(req.pipe_fd, buf, sizeof(buf));
+  if (n <= 0) return;  // EOF and errors resolve via waitpid
+  absorb_pipe(req, buf, static_cast<std::size_t>(n));
 }
 
 void Daemon::handle_pipe_frame(Request& req, const robust::WireFrame& frame) {
@@ -997,25 +1180,24 @@ void Daemon::reap_executors() {
       continue;
     }
     if (req.pid > 0) {
-      // Drain whatever the executor wrote before dying; rows that made
-      // it out whole are real results. Nonblocking reads: stop at
-      // EAGAIN too, in case orphaned worker children still hold the
-      // write end open.
+      // The child is reaped: never signal its pid again.
+      req.pid = -1;
+      // Drain whatever it wrote before dying; frames that made it out
+      // whole are real results. Nonblocking reads: stop at EAGAIN too,
+      // in case orphaned worker children still hold the write end open.
       for (;;) {
         char buf[65536];
         const ssize_t n = util::read_some(req.pipe_fd, buf, sizeof(buf));
         if (n <= 0) break;
-        req.pipe_stream.feed(std::string(buf, static_cast<std::size_t>(n)));
-      }
-      for (;;) {
-        robust::WireFrame frame;
-        if (req.pipe_stream.next(&frame) != robust::WireDecode::kOk) break;
-        handle_pipe_frame(req, frame);
+        absorb_pipe(req, buf, static_cast<std::size_t>(n));
       }
       ::close(req.pipe_fd);
       req.pipe_fd = -1;
-      req.pid = -1;
-      executor_died(req, wait_status);
+      if (req.solve()) {
+        answer_solve(req, wait_status);
+      } else {
+        executor_died(req, wait_status);
+      }
     }
     if (req.pid < 0 && req.pipe_fd < 0) {
       active_.erase(active_.begin() + static_cast<long>(i));
@@ -1023,6 +1205,63 @@ void Daemon::reap_executors() {
       ++i;
     }
   }
+}
+
+void Daemon::answer_solve(Request& req, int wait_status) {
+  const robust::WorkerAttemptVerdict v = robust::classify_worker_exit(
+      req.deadline_killed, wait_status, req.child_bytes, req.caps[0]);
+  req.child_bytes.clear();
+  if (v.outcome != robust::WorkerOutcome::kOk) {
+    // No degraded row and no second fork: the scheduler owns the retry.
+    send_frame(req.conn_id, kTagError,
+               encode_error(req.id, std::string(robust::to_string(v.outcome)) +
+                                        " " + v.detail));
+    ++finished_;
+    out_ << "powerlimd: " << req.id << " " << robust::to_string(v.outcome)
+         << ": " << v.detail << "\n";
+    out_.flush();
+    return;
+  }
+  ServeRow row;
+  row.id = req.id;
+  row.entry = v.entry;
+  std::string frame = robust::encode_wire_frame(kTagRow, encode_row(row));
+  // Worker-side network faults injure the delivery of an honest result
+  // (net-lie already corrupted the solve itself).
+  switch (req.net_fault) {
+    case robust::NetFault::kDrop: {
+      // Torn frame: ship half the row, then hang up.
+      send_bytes(req.conn_id, frame.substr(0, frame.size() / 2));
+      auto it = conns_.find(req.conn_id);
+      if (it != conns_.end()) it->second.closing = true;
+      ++finished_;
+      return;
+    }
+    case robust::NetFault::kCorrupt: {
+      // Flip one payload byte but keep the header's CRC: the scheduler's
+      // decoder must reject the frame, not misread it.
+      const std::size_t body = frame.find('\n');
+      if (body != std::string::npos && body + 1 < frame.size()) {
+        frame[body + 1] ^= 0x20;
+      }
+      break;
+    }
+    case robust::NetFault::kSlow:
+      // Late but alive. The delay stalls the whole poll loop, which an
+      // injected fault may do.
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(robust::kNetSlowDelayMs));
+      break;
+    default:
+      break;
+  }
+  send_bytes(req.conn_id, frame);
+  ++req.rows;
+  if (!v.solution_text.empty()) {
+    send_frame(req.conn_id, kTagArtifact,
+               encode_artifact(req.id, v.solution_text));
+  }
+  finish(req, "ok", "");
 }
 
 void Daemon::executor_died(Request& req, int wait_status) {
@@ -1157,9 +1396,12 @@ void Daemon::finish(Request& req, const std::string& status,
 
 void Daemon::send_frame(std::uint64_t conn_id, char tag,
                         const std::string& payload) {
+  send_bytes(conn_id, robust::encode_wire_frame(tag, payload));
+}
+
+void Daemon::send_bytes(std::uint64_t conn_id, const std::string& bytes) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;  // client left; the journal has it
-  const std::string bytes = robust::encode_wire_frame(tag, payload);
   if (bytes.empty()) return;
   it->second.outbuf += bytes;
   flush_conn(it->second);
@@ -1207,6 +1449,14 @@ void Daemon::drop_conn(std::uint64_t conn_id, const char* why) {
   if (it->second.fd >= 0) ::close(it->second.fd);
   conns_.erase(it);
   standbys_.erase(conn_id);
+  // Nobody is left to read this connection's solves: stop their
+  // children (the reap answers into the void). Queued ones are dropped
+  // when the scheduler reaches them.
+  for (const Request& req : active_) {
+    if (req.solve() && req.conn_id == conn_id && req.pid > 0) {
+      ::kill(req.pid, SIGKILL);
+    }
+  }
 }
 
 void Daemon::reap_conns() {

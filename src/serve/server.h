@@ -23,13 +23,25 @@
 //     The journals are byte-compatible with offline `powerlim sweep
 //     --journal` files, and a reply row is the journal record's bytes.
 //
-//   * Fault degradation over refusal. Each request runs in a forked
-//     executor wrapping robust::resilient_sweep, so worker crashes,
-//     OOMs, hangs and remote-worker network faults walk the existing
+//   * Fault degradation over refusal. Each bound/sweep request runs in
+//     a forked executor wrapping robust::resilient_sweep, so worker
+//     crashes, OOMs, hangs and remote network faults walk the existing
 //     retry/degradation ladder; if the executor itself dies it is
 //     re-forked once for the unsettled caps, and a second death
 //     degrades those caps to the Static-policy bound - the client
 //     still gets a row per cap.
+//
+// The same listener serves `solve` requests, one cap each, from the
+// worker pool of a remote sweep (`sweep --remote`, robust/worker_pool.h).
+// A solve is never journaled and never answered from a journal: it waits
+// in the same admission queue, then runs in one forked child under the
+// --worker-mem-mb / --worker-cpu-s budgets and a wall budget of its cap
+// deadline plus 2 s, with heartbeats to the client while it is queued or
+// running. The poll loop supervises the child like an executor; a child
+// that dies is answered with its failure class, never re-forked or
+// degraded - the scheduler's reassignment ladder owns the retry. With a
+// ScopedFaultPlan installed, the plan's net-* fault injures solve
+// replies (worker side) as well as the executors' own remote sessions.
 //
 // Lifecycle: SIGTERM (via ServeOptions.cancel) drains - accepts stop,
 // queued requests are shed as `overloaded` (reason "draining"), active
@@ -81,7 +93,9 @@ struct ServeOptions {
   /// Concurrently executing requests (forked executors).
   int max_active = 1;
 
-  /// Executor solve topology, forwarded to ResilientSweepOptions.
+  /// Executor solve topology, forwarded to ResilientSweepOptions. The
+  /// memory and CPU budgets also bound every solve child; `remotes` are
+  /// other powerlimd endpoints.
   int workers = 1;
   long worker_mem_mb = 0;
   double worker_cpu_s = 0.0;
@@ -115,7 +129,7 @@ struct ServeOptions {
   volatile std::sig_atomic_t* reopen_flag = nullptr;
 
   /// Exit after this many requests have finished (0 = run forever).
-  /// Test hook, mirroring serve-worker's --once.
+  /// Test hook.
   long max_requests = 0;
 
   /// Warm-standby mode: replicate from this "host:port" primary instead

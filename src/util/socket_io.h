@@ -1,6 +1,6 @@
 // Socket-semantics siblings of the posix_io EINTR helpers.
 //
-// Distributed sweeps talk TCP to remote serve-worker processes, and a
+// Distributed sweeps and powerlimd talk TCP to remote peers, and a
 // network peer fails in ways a pipe never does: partial send()s once the
 // socket buffer fills, EPIPE/ECONNRESET when the peer vanishes, SIGPIPE
 // delivered mid-write, connect() hanging on a dead host. These wrappers

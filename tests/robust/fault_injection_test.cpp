@@ -223,22 +223,6 @@ TEST(FaultInjection, ForcedInfeasibleIsTerminalNotRetried) {
   EXPECT_FALSE(res.report.degraded);          // no fallback below feasibility
 }
 
-TEST(FaultInjection, FallbackCanBeDisabled) {
-  const dag::TaskGraph g = small_graph();
-  FaultPlan plan;
-  plan.fail_attempts = 99;
-  plan.forced_status = lp::SolveStatus::kNumericalError;
-  const ScopedFaultPlan scope(plan);
-  SolveDriverOptions opt;
-  opt.enable_fallback = false;
-  const SolveDriver driver(g, kModel, kCluster, opt);
-  const SolveOutcome res = driver.solve(2 * 60.0);
-  EXPECT_EQ(res.report.verdict, StatusCode::kSolverNumerical);
-  EXPECT_FALSE(res.report.degraded);
-  EXPECT_FALSE(res.report.usable());
-  EXPECT_LT(res.report.bound_seconds, 0.0);
-}
-
 // --- genuine numerical corruption (not synthesized statuses) ---
 
 TEST(FaultInjection, CoefficientCorruptionNeverThrows) {

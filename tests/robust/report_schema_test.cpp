@@ -30,8 +30,6 @@ RunReport golden_report() {
   rep.wall_ms = 3.5;
   rep.fault_active = true;
   rep.fault_seed = 42;
-  rep.ladder.enable_fallback = true;
-  rep.ladder.validate_replay = true;
   rep.ladder.cap_deadline_ms = 250.0;
   rep.ladder.cancellable = true;
   rep.worker.isolated = true;
@@ -82,7 +80,7 @@ RunReport golden_report() {
 // The golden string. Field order, spelling, and nesting are all
 // contractual; values are chosen to be exact in decimal.
 const char* const kGolden =
-    "{\"schema_version\":10,"
+    "{\"schema_version\":11,"
     "\"result\":{"
     "\"job_cap_watts\":120,"
     "\"socket_cap_watts\":60,"
@@ -94,9 +92,7 @@ const char* const kGolden =
     "\"energy_joules\":345.25,"
     "\"min_feasible_power_watts\":80,"
     "\"fault\":{\"active\":true,\"seed\":42},"
-    "\"ladder\":{\"enable_fallback\":true,"
-    "\"validate_replay\":true,\"cap_deadline_ms\":250,"
-    "\"cancellable\":true},"
+    "\"ladder\":{\"cap_deadline_ms\":250,\"cancellable\":true},"
     "\"attempts\":[{\"rung\":\"warm\",\"outcome\":\"solver-numerical\","
     "\"injected\":true,\"bland_engaged\":true,\"failed_window\":3,"
     "\"detail\":\"injected\"}],"
@@ -122,12 +118,12 @@ TEST(ReportSchema, GoldenShapeIsStable) {
   EXPECT_EQ(golden_report().to_json(), kGolden);
 }
 
-TEST(ReportSchema, VersionIsTen) {
-  EXPECT_EQ(kRunReportSchemaVersion, 10);
-  EXPECT_EQ(RunReport{}.schema_version, 10);
+TEST(ReportSchema, VersionIsEleven) {
+  EXPECT_EQ(kRunReportSchemaVersion, 11);
+  EXPECT_EQ(RunReport{}.schema_version, 11);
   // Every serialized report leads with the version so consumers can
   // dispatch before parsing the rest.
-  EXPECT_EQ(RunReport{}.to_json().rfind("{\"schema_version\":10,", 0), 0u);
+  EXPECT_EQ(RunReport{}.to_json().rfind("{\"schema_version\":11,", 0), 0u);
 }
 
 TEST(ReportSchema, InProcessSolveZeroesWorkerTelemetry) {

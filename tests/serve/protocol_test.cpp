@@ -103,7 +103,7 @@ TEST(ServeProtocol, RequestRejectsMalformedShapes) {
   EXPECT_FALSE(encode_request(req).empty());
 
   ServeRequest bad = req;
-  bad.kind = "solve";  // unknown kind
+  bad.kind = "replan";  // unknown kind
   EXPECT_TRUE(encode_request(bad).empty());
   bad = req;
   bad.kind = "bound";
@@ -127,6 +127,88 @@ TEST(ServeProtocol, RequestRejectsMalformedShapes) {
     SCOPED_TRACE(garbage);
     EXPECT_FALSE(decode_request(garbage, &out, &error));
   }
+}
+
+TEST(ServeProtocol, SolveRequestRoundTripsCapAndAttempt) {
+  ServeRequest req;
+  req.id = "t3a2";
+  req.kind = "solve";
+  req.deadline_ms = 60'000.0;
+  req.caps = {100.0 / 3.0};  // %.17g: the daemon solves the identical cap
+  req.attempt = 2;
+  req.trace_text = "powerlim-trace v1\nranks 2\n";
+  const std::string payload = encode_request(req);
+  ASSERT_FALSE(payload.empty());
+  // The header is the journal-request line plus the attempt.
+  robust::JournalRequest jr;
+  jr.id = req.id;
+  jr.kind = req.kind;
+  jr.deadline_ms = req.deadline_ms;
+  jr.caps = req.caps;
+  EXPECT_EQ(payload.substr(0, payload.find('\n')),
+            robust::serialize_journal_request(jr) + " attempt=2");
+
+  ServeRequest back;
+  std::string error;
+  ASSERT_TRUE(decode_request(payload, &back, &error)) << error;
+  EXPECT_EQ(back.id, req.id);
+  EXPECT_EQ(back.kind, "solve");
+  EXPECT_EQ(back.deadline_ms, req.deadline_ms);
+  EXPECT_EQ(back.caps, req.caps);  // exact, not near
+  EXPECT_EQ(back.attempt, 2);
+  EXPECT_EQ(back.trace_text, req.trace_text);
+}
+
+TEST(ServeProtocol, SolveRequestRejectsMalformedShapes) {
+  ServeRequest req;
+  req.id = "s";
+  req.kind = "solve";
+  req.caps = {100.0};
+  req.trace_text = "t\n";
+  EXPECT_FALSE(encode_request(req).empty());
+  ServeRequest bad = req;
+  bad.caps = {100.0, 200.0};  // one cap per solve
+  EXPECT_TRUE(encode_request(bad).empty());
+  bad = req;
+  bad.attempt = -1;
+  EXPECT_TRUE(encode_request(bad).empty());
+
+  ServeRequest out;
+  std::string error;
+  const std::string line = "req=s kind=solve deadline_ms=0 caps=100";
+  const std::string sweep_line = "req=s kind=sweep deadline_ms=0 caps=100";
+  for (const std::string& garbage :
+       {line + "\nt\n",                     // solve without its attempt
+        sweep_line + " attempt=0\nt\n",     // attempt on a sweep
+        line + " attempt=x\nt\n", line + " attempt=-1\nt\n",
+        line + " attempt=\nt\n",
+        std::string("req=s kind=solve deadline_ms=0 caps=100,200 "
+                    "attempt=0\nt\n")}) {
+    SCOPED_TRACE(garbage);
+    EXPECT_FALSE(decode_request(garbage, &out, &error));
+  }
+  ASSERT_TRUE(decode_request(line + " attempt=0\nt\n", &out, &error))
+      << error;
+  EXPECT_EQ(out.attempt, 0);
+}
+
+TEST(ServeProtocol, HeartbeatAndArtifactRoundTrip) {
+  std::string id;
+  ASSERT_TRUE(decode_heartbeat(encode_heartbeat("t0a0"), &id));
+  EXPECT_EQ(id, "t0a0");
+  EXPECT_TRUE(encode_heartbeat("two tokens").empty());
+  EXPECT_FALSE(decode_heartbeat("", &id));
+  EXPECT_FALSE(decode_heartbeat("id=a b", &id));
+
+  const std::string schedule = "schedule v1\nedges 3\n";
+  std::string text;
+  ASSERT_TRUE(
+      decode_artifact(encode_artifact("t0a0", schedule), &id, &text));
+  EXPECT_EQ(id, "t0a0");
+  EXPECT_EQ(text, schedule);
+  EXPECT_TRUE(encode_artifact("t0a0", "").empty());  // no proof, no frame
+  EXPECT_FALSE(decode_artifact("id=t0a0", &id, &text));
+  EXPECT_FALSE(decode_artifact("garbage\nschedule", &id, &text));
 }
 
 TEST(ServeProtocol, RowRoundTrip) {

@@ -1,7 +1,7 @@
 // The powerlimd correctness anchor: a daemon-served sweep must match an
 // offline `powerlim sweep` run (table and every report's `result`
 // byte-identical) - in the clean case, under worker-crash
-// injection, under net-* injection against remote serve-workers, and
+// injection, under net-* injection against remote powerlimd workers, and
 // after SIGKILLing the daemon mid-solve and restarting with --resume.
 #include <signal.h>
 #include <sys/types.h>
@@ -307,17 +307,17 @@ TEST_F(ServeEquivalence, WorkerCrashInjectionMatchesOffline) {
 }
 
 TEST_F(ServeEquivalence, NetFaultAgainstRemoteWorkersMatchesOffline) {
-  // One serve-worker backs both runs (sequentially). net-drop injures
-  // each cap's first scheduler-side remote attempt; the reassignment
-  // ladder must converge to the serial table on both paths.
+  // One worker powerlimd backs both runs (sequentially). net-drop
+  // injures each cap's first scheduler-side remote attempt; the
+  // reassignment ladder must converge to the serial table on both paths.
   const std::string worker_port_file = temp_path("eq_worker_port");
   std::remove(worker_port_file.c_str());
   const pid_t worker = fork();
   if (worker == 0) {
     install_signal_handlers();
     std::ostringstream out, err;
-    _exit(run({"serve-worker", "--listen", "127.0.0.1:0", "--port-file",
-               worker_port_file},
+    _exit(run({"serve", "--listen", "127.0.0.1:0", "--port-file",
+               worker_port_file, "--state-dir", temp_path("eq_worker_state")},
               out, err));
   }
   int worker_port = 0;

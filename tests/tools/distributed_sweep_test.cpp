@@ -1,5 +1,5 @@
 // End-to-end acceptance for `powerlim sweep --remote` against real
-// `powerlim serve-worker` processes on localhost: a 32-cap distributed
+// `powerlim serve` (powerlimd) processes on localhost: a 32-cap distributed
 // sweep must match the serial reference (table and every report's
 // `result` byte-identical), stay byte-identical under every net-*
 // fault mode and under SIGKILL of a worker mid-sweep, reject a lying
@@ -86,16 +86,19 @@ int stat_before(const std::string& out, const std::string& suffix) {
   return best.empty() ? -1 : std::stoi(best);
 }
 
-/// One serve-worker child process started through the real CLI.
+/// One powerlimd child process started through the real CLI.
 struct Worker {
   pid_t pid = -1;
   int port = 0;
 };
 
 Worker launch_worker(const std::string& port_file,
+                     const std::string& state_dir,
                      std::vector<std::string> extra_args) {
-  std::vector<std::string> args = {"serve-worker", "--listen",
-                                   "127.0.0.1:0", "--port-file", port_file};
+  std::vector<std::string> args = {"serve",       "--listen",
+                                   "127.0.0.1:0", "--port-file",
+                                   port_file,     "--state-dir",
+                                   state_dir};
   args.insert(args.end(), extra_args.begin(), extra_args.end());
   const pid_t pid = fork();
   if (pid == 0) {
@@ -167,12 +170,12 @@ class DistributedSweepCli : public ::testing::Test {
     return scratch_.path(name);
   }
 
-  /// Starts a serve-worker whose port file lives in this test's
-  /// scratch directory.
+  /// Starts a powerlimd whose port file and state dir live in this
+  /// test's scratch directory.
   Worker start_worker(std::vector<std::string> extra_args) {
-    return launch_worker(
-        temp_path("port_" + std::to_string(workers_started_++)),
-        std::move(extra_args));
+    const std::string n = std::to_string(workers_started_++);
+    return launch_worker(temp_path("port_" + n), temp_path("state_" + n),
+                         std::move(extra_args));
   }
 
   // 30..107.5 step 2.5 = 32 caps (the acceptance sweep).
@@ -317,7 +320,7 @@ TEST_F(DistributedSweepCli, WorkerSideFaultMatrixStaysByteIdentical) {
        {"--remote-heartbeat-ms", "400"}},
       {"net-corrupt", {"--inject-fail", "net-corrupt"}, {}},
       {"net-slow",
-       {"--inject-fail", "net-slow", "--slow-delay-ms", "200"},
+       {"--inject-fail", "net-slow"},
        {"--remote-heartbeat-ms", "600"}},
   };
   for (const auto& leg : kLegs) {
@@ -373,12 +376,6 @@ TEST_F(DistributedSweepCli, UsageErrors) {
     const CliResult r = run_cli(args);
     EXPECT_NE(r.code, 0);
   }
-  // serve-worker requires --listen; net fault names are validated.
-  EXPECT_EQ(run_cli({"serve-worker"}).code, 2);
-  EXPECT_EQ(run_cli({"serve-worker", "--listen", "127.0.0.1:0",
-                     "--inject-fail", "worker-crash"})
-                .code,
-            2);
   // Unknown net mode on sweep is an error, not a silent no-op.
   std::vector<std::string> args = base_args();
   args.insert(args.end(), {"--inject-fail", "net-nonsense"});

@@ -25,7 +25,6 @@
 #include "robust/fault_injection.h"
 #include "robust/journal.h"
 #include "robust/pipeline.h"
-#include "robust/remote_worker.h"
 #include "robust/solve_driver.h"
 #include "serve/client.h"
 #include "serve/loadgen.h"
@@ -118,19 +117,12 @@ const char* kUsage =
     "            completed caps durably and --resume skips them on\n"
     "            restart; --workers > 1 forks each cap into an isolated,\n"
     "            crash-contained worker under optional memory/CPU\n"
-    "            budgets; --remote mixes serve-worker peers into the\n"
-    "            pool - lost caps retry on a different worker, then\n"
-    "            locally, then degrade, and remote results must pass the\n"
-    "            local certificate gate; exit 75 = interrupted, re-run\n"
-    "            to resume)\n"
-    "  serve-worker --listen HOST:PORT [--port-file FILE] [--once]\n"
-    "           [--heartbeat-ms MS] [--worker-mem-mb M] [--worker-cpu-s S]\n"
-    "           [--inject-fail net-drop|net-stall|net-corrupt|net-slow\n"
-    "            |net-lie] [--inject-attempts N] [--slow-delay-ms MS]\n"
-    "           (remote cap-solve worker for `sweep --remote`: solves\n"
-    "            jobs in rlimit-budgeted forked children, heartbeats\n"
-    "            while solving, drains gracefully on SIGTERM; port 0\n"
-    "            binds an ephemeral port, published via --port-file)\n"
+    "            budgets; --remote mixes powerlimd endpoints (`serve`)\n"
+    "            into the pool, one `solve` request per remote cap -\n"
+    "            lost caps retry on a different worker, then locally,\n"
+    "            then degrade, and remote results must pass the local\n"
+    "            certificate gate; exit 75 = interrupted, re-run to\n"
+    "            resume)\n"
     "  serve    --listen HOST:PORT [--port-file FILE] [--state-dir DIR]\n"
     "           [--resume] [--max-queue N] [--max-active N] [--workers N]\n"
     "           [--worker-mem-mb M] [--worker-cpu-s S]\n"
@@ -139,7 +131,7 @@ const char* kUsage =
     "           [--default-deadline-ms MS] [--max-deadline-ms MS]\n"
     "           [--io-timeout-s S] [--idle-timeout-s S] [--max-requests N]\n"
     "           [--inject-fail worker-crash|worker-oom|worker-hang\n"
-    "            |net-drop|net-stall|net-corrupt|net-slow]\n"
+    "            |net-drop|net-stall|net-corrupt|net-slow|net-lie]\n"
     "           [--inject-attempts N]\n"
     "           [--standby-of HOST:PORT [--promote-after-ms MS]]\n"
     "           [--repl-heartbeat-ms MS]\n"
@@ -154,7 +146,12 @@ const char* kUsage =
     "            primary's journals, serving read-only repeats, and\n"
     "            promoting on `powerlim promote` or - with\n"
     "            --promote-after-ms - on heartbeat silence; a deposed\n"
-    "            primary fences itself and exits 76)\n"
+    "            primary fences itself and exits 76; the same port\n"
+    "            answers the one-cap `solve` requests of `sweep\n"
+    "            --remote`, each in a budgeted forked child; net-*\n"
+    "            faults injure those replies and the executors' own\n"
+    "            remote attempts, worker-* faults the solve and sweep\n"
+    "            workers)\n"
     "  promote  --server HOST:PORT [--timeout-s S]\n"
     "           (ask a standby powerlimd to take over as primary: bumps\n"
     "            the failover epoch, after which the old primary is\n"
@@ -766,50 +763,6 @@ int cmd_sweep(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   return stats.usable == 0 && stats.hard_failures > 0 ? 1 : 0;
 }
 
-int cmd_serve_worker(const ParsedArgs& p, std::ostream& out,
-                     std::ostream& err) {
-  const auto listen_it = p.options.find("--listen");
-  if (listen_it == p.options.end()) {
-    err << "serve-worker: --listen HOST:PORT is required\n";
-    return 2;
-  }
-  robust::ServeWorkerOptions opt;
-  if (!util::parse_endpoint(listen_it->second, &opt.listen)) {
-    err << "serve-worker: bad --listen '" << listen_it->second
-        << "' (want host:port)\n";
-    return 2;
-  }
-  if (const auto it = p.options.find("--port-file"); it != p.options.end()) {
-    opt.port_file = it->second;
-  }
-  opt.once = p.flags.count("--once") > 0;
-  if (const auto ms = opt_double(p, "--heartbeat-ms")) {
-    if (*ms <= 0) {
-      err << "serve-worker: --heartbeat-ms must be > 0\n";
-      return 2;
-    }
-    opt.heartbeat_ms = *ms;
-  }
-  opt.limits.mem_mb = opt_int(p, "--worker-mem-mb", 0);
-  if (const auto s = opt_double(p, "--worker-cpu-s")) {
-    opt.limits.cpu_seconds = *s;
-  }
-  if (const auto it = p.options.find("--inject-fail");
-      it != p.options.end()) {
-    if (!robust::net_fault_from_string(it->second, &opt.fault)) {
-      err << "serve-worker: --inject-fail wants "
-             "net-drop|net-stall|net-corrupt|net-slow|net-lie\n";
-      return 2;
-    }
-  }
-  opt.fault_attempts = opt_int(p, "--inject-attempts", 1);
-  if (const auto ms = opt_double(p, "--slow-delay-ms")) {
-    opt.slow_delay_ms = *ms;
-  }
-  opt.cancel = &global_cancel();
-  return robust::serve_worker(opt, out, err);
-}
-
 /// Per-socket watt range -> job-level caps, the same arithmetic
 /// `sweep` uses (so `query` against a daemon asks for the identical
 /// cap set).
@@ -906,9 +859,11 @@ int cmd_serve(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
     so.repl_heartbeat_ms = *ms;
   }
 
-  // Fault injection inherited by every forked executor: worker-* faults
-  // injure the executors' solve workers, net-* their scheduler-side
-  // remote attempts (same semantics as offline `sweep --inject-fail`).
+  // Fault injection inherited by every forked executor and solve child:
+  // worker-* faults injure the executors' workers and the solve children
+  // (same semantics as offline `sweep --inject-fail`); net-* faults
+  // injure the replies to `solve` requests and the executors' own remote
+  // attempts.
   robust::FaultPlan plan;
   std::optional<robust::ScopedFaultPlan> scope;
   if (const auto it = p.options.find("--inject-fail");
@@ -921,7 +876,7 @@ int cmd_serve(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
       plan.net_fault = nf;
     } else {
       err << "serve: --inject-fail wants worker-crash|worker-oom|"
-             "worker-hang|net-drop|net-stall|net-corrupt|net-slow\n";
+             "worker-hang|net-drop|net-stall|net-corrupt|net-slow|net-lie\n";
       return 2;
     }
     plan.worker_fault_attempts = opt_int(p, "--inject-attempts", 1);
@@ -1518,15 +1473,6 @@ int run(const std::vector<std::string>& args, std::ostream& out,
                               "--remote-heartbeat-ms"},
                              {"--resume", "--no-lint"}),
                        out, err);
-    }
-    if (cmd == "serve-worker") {
-      return cmd_serve_worker(
-          parse(args, 1,
-                {"--listen", "--port-file", "--heartbeat-ms",
-                 "--worker-mem-mb", "--worker-cpu-s", "--inject-fail",
-                 "--inject-attempts", "--slow-delay-ms"},
-                {"--once"}),
-          out, err);
     }
     if (cmd == "serve") {
       return cmd_serve(

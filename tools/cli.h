@@ -33,16 +33,16 @@
 // the containment path. Results stream to the journal as caps complete,
 // so --resume composes with parallel sweeps unchanged.
 //
-// sweep --remote HOST:PORT[,...] mixes remote serve-worker processes
-// into the pool (robust/remote_worker): remote sessions pull caps over
-// TCP with heartbeats and capped-backoff reconnects, a lost cap retries
-// on a different worker / falls back locally / degrades, and every
-// remote kOk result must re-verify through the local exact certificate
-// gate before it is journaled. serve-worker is the matching worker
-// process: it solves jobs in rlimit-budgeted forked children and drains
-// gracefully on SIGTERM. --inject-fail net-drop / net-stall /
-// net-corrupt / net-slow (and net-lie on the worker) exercise the
-// failure ladder from either endpoint.
+// sweep --remote HOST:PORT[,...] mixes powerlimd endpoints (`serve`)
+// into the pool (robust/worker_pool): remote sessions send one `solve`
+// request per cap over TCP, with heartbeats and capped-backoff
+// reconnects; a lost cap retries on a different worker / falls back
+// locally / degrades, and every remote kOk result must re-verify
+// through the local exact certificate gate before it is journaled. The
+// daemon solves each request in an rlimit-budgeted forked child.
+// --inject-fail net-drop / net-stall / net-corrupt / net-slow (and
+// net-lie on the daemon) exercise the failure ladder from either
+// endpoint.
 //
 // Exit codes: 0 success (including degraded/partial results), 1 runtime
 // failure (bad file, infeasible cap, total sweep failure), 2 usage
