@@ -189,8 +189,7 @@ LpScheduleResult LpFormulation::solve(const LpScheduleOptions& options) const {
     if (!sol.optimal()) return out;
     values = sol.values;
   } else {
-    const lp::Solution sol =
-        lp::solve_lp(lp_model, options.simplex, options.warm);
+    const lp::Solution sol = lp::solve_lp(lp_model, options.simplex);
     out.status = sol.status;
     out.iterations = sol.iterations;
     out.degenerate_pivots = sol.degenerate_pivots;

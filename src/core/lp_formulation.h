@@ -81,11 +81,6 @@ struct LpScheduleOptions {
   double max_makespan = 0.0;
   lp::SimplexOptions simplex;
   lp::BranchBoundOptions branch_bound;
-  /// Optional warm-start slot (continuous mode only). Reuse one slot per
-  /// formulation across solves with different caps to skip phase I; the
-  /// solver falls back to a cold start whenever the snapshot does not fit
-  /// (see lp::WarmStart).
-  lp::WarmStart* warm = nullptr;
   /// Fault-injection seam: invoked on the fully built LP model right
   /// before the solve (robust/fault_injection.h uses it to corrupt
   /// coefficients). Production callers leave it empty.

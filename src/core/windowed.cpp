@@ -102,9 +102,6 @@ struct WindowSweeper::Impl {
   const dag::TaskGraph* graph;
   std::vector<dag::Window> windows;
   std::vector<std::unique_ptr<LpFormulation>> forms;
-  /// Per-window warm-start slots: a logically-invisible cache, hence
-  /// mutable (solve() is const).
-  mutable std::vector<lp::WarmStart> warm;
 };
 
 WindowSweeper::WindowSweeper(const dag::TaskGraph& graph,
@@ -119,21 +116,6 @@ WindowSweeper::WindowSweeper(const dag::TaskGraph& graph,
     impl_->forms.push_back(
         std::make_unique<LpFormulation>(win.graph, model, cluster, hooks));
   }
-  impl_->warm.resize(impl_->windows.size());
-}
-
-void WindowSweeper::clear_warm_starts() const {
-  for (lp::WarmStart& w : impl_->warm) w.clear();
-}
-
-std::vector<lp::WarmStart> WindowSweeper::warm_starts() const {
-  return impl_->warm;
-}
-
-void WindowSweeper::restore_warm_starts(
-    std::vector<lp::WarmStart> warm) const {
-  if (warm.size() != impl_->warm.size()) return;
-  impl_->warm = std::move(warm);
 }
 
 WindowSweeper::~WindowSweeper() = default;
@@ -174,11 +156,7 @@ WindowedLpResult WindowSweeper::solve(const LpScheduleOptions& options) const {
   for (std::size_t w = 0; w < impl_->windows.size(); ++w) {
     const dag::Window& win = impl_->windows[w];
     const LpFormulation& form = *impl_->forms[w];
-    LpScheduleOptions per_window = options;
-    if (!options.discrete && per_window.warm == nullptr) {
-      per_window.warm = &impl_->warm[w];
-    }
-    const LpScheduleResult res = form.solve(per_window);
+    const LpScheduleResult res = form.solve(options);
     out.iterations += res.iterations;
     out.energy_joules += res.energy_joules;
     out.power_price_s_per_watt += res.power_price_s_per_watt;

@@ -101,23 +101,6 @@ class WindowSweeper {
   /// solve_windowed_lp).
   WindowedLpResult solve(const LpScheduleOptions& options) const;
 
-  /// Drops the internal per-window warm-start cache. The retry ladder
-  /// uses this to guarantee a genuinely cold re-solve after a warm-started
-  /// attempt fails (a poisoned basis must not seed the retry).
-  void clear_warm_starts() const;
-
-  /// Snapshot of the per-window warm-start cache (one slot per window;
-  /// slots without a cached basis are invalid()). Journaled sweeps
-  /// checkpoint this after each completed cap so a resumed run does not
-  /// start its first solve cold.
-  std::vector<lp::WarmStart> warm_starts() const;
-
-  /// Seeds the warm-start cache from a snapshot. Ignored (cache left
-  /// untouched) when the slot count does not match this trace's window
-  /// count; each slot is further feasibility-checked by the solver, so a
-  /// stale or corrupt basis degrades to a cold start, never an error.
-  void restore_warm_starts(std::vector<lp::WarmStart> warm) const;
-
   /// Smallest job cap for which every window is feasible.
   double min_feasible_power() const;
   /// Sum of window optima with unlimited power.

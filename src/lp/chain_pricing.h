@@ -39,11 +39,11 @@ enum class VarStatus : char { kAtLower, kAtUpper, kBasic, kFree };
 /// Relative margin under which two pricing violations / ratio-test pivot
 /// magnitudes are treated as tied, with the earlier index winning.
 /// Symmetric traces produce columns whose reduced costs are *exactly*
-/// equal in real arithmetic; warm and cold pivot paths compute them
-/// with different rounding, so a strict comparison would break such
-/// ties by +-1ulp noise and send otherwise-identical solves to
-/// different optimal bases. The sweep pipeline's byte-identity contract
-/// (warm serial == cold worker) needs tie-breaks that noise cannot flip.
+/// equal in real arithmetic but are computed with rounding, so a strict
+/// comparison would break such ties by +-1ulp noise: any change that
+/// only reorders a sum (a kernel, a refactorization point) would send
+/// otherwise-identical solves to different optimal bases. Tie-breaks
+/// that noise cannot flip keep the pinned pivot paths stable.
 constexpr double kTieRel = 1e-9;
 
 namespace chain {

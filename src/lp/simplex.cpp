@@ -82,7 +82,7 @@ class ScopedTimer {
 /// sides are folded into slack bounds, so b == 0 throughout.
 ///
 /// SimplexCore owns the computational columns, the basis factorization,
-/// the two-phase driver, warm starts, pricing, the ratio test, the
+/// the two-phase driver, pricing, the ratio test, the
 /// anti-cycling state machine, and deadline/cancellation plumbing.
 class SimplexCore {
  public:
@@ -98,12 +98,12 @@ class SimplexCore {
     chain_scratch_.resize(chains_.max_size);
   }
 
-  Solution run(WarmStart* warm = nullptr) {
+  Solution run() {
     // An already-dead deadline exits before any setup work: the retry
     // ladder relies on exhausted budgets failing in O(1).
     const util::StopReason pre = opt_.deadline.stop_reason();
     if (pre != util::StopReason::kNone) {
-      return finish(stop_status(pre), warm);
+      return finish(stop_status(pre));
     }
     if (m_ == 0) {
       return solve_unconstrained();
@@ -116,11 +116,8 @@ class SimplexCore {
                     ? opt_.max_iterations
                     : 200 * static_cast<long>(m_ + n_) + 2000;
 
-    const bool warmed = warm != nullptr && try_warm_init(*warm);
-    if (!warmed) {
-      const SolveStatus p1 = phase_one();
-      if (p1 != SolveStatus::kOptimal) return finish(p1, warm);
-    }
+    const SolveStatus p1 = phase_one();
+    if (p1 != SolveStatus::kOptimal) return finish(p1);
 
     // Phase II with drift verification: after the loop converges,
     // refactorize to recompute the point *exactly*; a catastrophic pivot
@@ -128,20 +125,20 @@ class SimplexCore {
     // basics out of bounds or as newly improving candidates, both of
     // which we repair instead of returning a corrupted answer.
     for (int attempt = 0;; ++attempt) {
-      if (!iterate(cost_)) return finish(stop_status_, warm);
-      if (unbounded_) return finish(SolveStatus::kUnbounded, warm);
-      if (!refactor()) return finish(SolveStatus::kNumericalError, warm);
+      if (!iterate(cost_)) return finish(stop_status_);
+      if (unbounded_) return finish(SolveStatus::kUnbounded);
+      if (!refactor()) return finish(SolveStatus::kNumericalError);
       if (!basics_within_bounds()) {
-        if (attempt >= 2) return finish(SolveStatus::kNumericalError, warm);
-        const SolveStatus p1 = phase_one();  // full cold restart
-        if (p1 != SolveStatus::kOptimal) return finish(p1, warm);
+        if (attempt >= 2) return finish(SolveStatus::kNumericalError);
+        const SolveStatus restart = phase_one();  // full cold restart
+        if (restart != SolveStatus::kOptimal) return finish(restart);
         continue;
       }
       compute_duals(cost_);
       if (price(cost_) < 0) break;  // optimal at the exact point
-      if (attempt >= 4) return finish(SolveStatus::kNumericalError, warm);
+      if (attempt >= 4) return finish(SolveStatus::kNumericalError);
     }
-    return finish(SolveStatus::kOptimal, warm);
+    return finish(SolveStatus::kOptimal);
   }
 
  private:
@@ -252,13 +249,10 @@ class SimplexCore {
   /// earlier index, see kTieRel), or under Bland's rule (engaged by
   /// note_progress()) the first eligible column.
   ///
-  /// Dantzig is the only rule. Under degenerate alternative optima,
-  /// partial pricing (candidate lists, Devex) can reach a different
-  /// optimal vertex from a warm start than from a cold one, and the
-  /// sweep pipeline requires warm and cold solves to agree
-  /// byte-for-byte: serial sweeps warm-start, while parallel, distributed
-  /// and daemon workers solve cold. A full Dantzig scan converges to the
-  /// same vertex from either start.
+  /// Dantzig is the only rule. Under degenerate alternative optima no
+  /// rule, Dantzig's included, reaches the same optimal vertex from every
+  /// starting basis; serial, pooled, remote and daemon solves agree
+  /// because every solve starts cold from the same crash basis.
   ///
   /// Pricing is the largest share of a pivot on window LPs. Columns that
   /// form a convex chain (lp/chain_pricing.h: a task's configuration
@@ -413,11 +407,11 @@ class SimplexCore {
   /// (0 for free variables), then sizes the artificial basis to absorb the
   /// residual of every row.
   void initialize_point() {
-    // Re-arm the artificials. A previous phase I (or a warm init) pinned
-    // their bounds to [0,0] and possibly flipped their column signs; a
-    // restart that kept those pins would walk a different pivot path than
-    // a fresh cold solve, and the drift-verification loop depends on its
-    // cold restart reproducing the fresh-solve result exactly.
+    // Re-arm the artificials. A previous phase I pinned their bounds to
+    // [0,0] and possibly flipped their column signs; a restart that kept
+    // those pins would walk a different pivot path than a fresh cold
+    // solve, and the drift-verification loop depends on its cold restart
+    // reproducing the fresh-solve result exactly.
     for (std::size_t k = 0; k < m_; ++k) {
       lb_[art_begin_ + k] = 0.0;
       ub_[art_begin_ + k] = kInfinity;
@@ -518,65 +512,6 @@ class SimplexCore {
       const int b = basis_[i];
       if (xval_[b] < lb_[b] - 10 * kPrimalTol ||
           xval_[b] > ub_[b] + 10 * kPrimalTol) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Seeds statuses/basis from a snapshot of a structurally identical
-  /// model and verifies primal feasibility under the *current* bounds.
-  /// Returns false (leaving state untouched for a cold start) when the
-  /// snapshot does not fit or the warmed point is infeasible.
-  bool try_warm_init(const WarmStart& warm) {
-    if (!warm.valid() || warm.status.size() != num_cols_ ||
-        warm.basis.size() != m_) {
-      return false;
-    }
-    // Reject bases containing artificials: their column signs are
-    // solve-specific.
-    for (int b : warm.basis) {
-      if (b < 0 || b >= static_cast<int>(num_cols_) ||
-          b >= static_cast<int>(art_begin_)) {
-        return false;
-      }
-    }
-    status_.resize(num_cols_);
-    for (std::size_t j = 0; j < num_cols_; ++j) {
-      status_[j] = static_cast<VarStatus>(warm.status[j]);
-    }
-    basis_.assign(warm.basis.begin(), warm.basis.end());
-    // Artificials stay pinned out of the problem.
-    for (std::size_t k = 0; k < m_; ++k) {
-      lb_[art_begin_ + k] = 0.0;
-      ub_[art_begin_ + k] = 0.0;
-      status_[art_begin_ + k] = VarStatus::kAtLower;
-    }
-    // Nonbasic values snap to the (possibly changed) bounds.
-    xval_.assign(num_cols_, 0.0);
-    for (std::size_t j = 0; j < num_cols_; ++j) {
-      switch (status_[j]) {
-        case VarStatus::kAtLower:
-          if (!is_finite_bound(lb_[j])) return false;
-          xval_[j] = lb_[j];
-          break;
-        case VarStatus::kAtUpper:
-          if (!is_finite_bound(ub_[j])) return false;
-          xval_[j] = ub_[j];
-          break;
-        case VarStatus::kFree:
-          xval_[j] = 0.0;
-          break;
-        case VarStatus::kBasic:
-          break;
-      }
-    }
-    if (!refactor()) return false;  // rebuilds the factors, computes x_B
-    // The warmed point must be primal feasible for a pure phase-II solve.
-    for (std::size_t i = 0; i < m_; ++i) {
-      const int b = basis_[i];
-      if (xval_[b] < lb_[b] - kPrimalTol ||
-          xval_[b] > ub_[b] + kPrimalTol) {
         return false;
       }
     }
@@ -798,7 +733,7 @@ class SimplexCore {
     return sol;
   }
 
-  Solution finish(SolveStatus status, WarmStart* warm = nullptr) {
+  Solution finish(SolveStatus status) {
     Solution sol;
     sol.status = status;
     sol.iterations = iterations_;
@@ -822,19 +757,6 @@ class SimplexCore {
       sol.primal_infeasibility = model_.max_violation(sol.values);
       if (sol.primal_infeasibility > 1e-5) {
         sol.status = SolveStatus::kNumericalError;
-      }
-    }
-    // Export the basis only for a verified-optimal finish; a poisoned
-    // snapshot would sabotage the caller's next warm solve.
-    if (warm != nullptr) {
-      if (sol.status == SolveStatus::kOptimal) {
-        warm->status.assign(num_cols_, 0);
-        for (std::size_t j = 0; j < num_cols_; ++j) {
-          warm->status[j] = static_cast<char>(status_[j]);
-        }
-        warm->basis.assign(basis_.begin(), basis_.end());
-      } else {
-        warm->clear();
       }
     }
     stats_.iterations = iterations_;
@@ -887,12 +809,7 @@ class SimplexCore {
 }  // namespace
 
 Solution solve_lp(const Model& model, const SimplexOptions& options) {
-  return solve_lp(model, options, nullptr);
-}
-
-Solution solve_lp(const Model& model, const SimplexOptions& options,
-                  WarmStart* warm) {
-  Solution sol = SimplexCore(model, options).run(warm);
+  Solution sol = SimplexCore(model, options).run();
   if (sol.status == SolveStatus::kNumericalError &&
       options.deadline.stop_reason() == util::StopReason::kNone) {
     // Numerical trouble (drift the verification loop could not repair,
@@ -901,9 +818,7 @@ Solution solve_lp(const Model& model, const SimplexOptions& options,
     SimplexOptions retry = options;
     retry.refactor_interval = 20;
     retry.pivot_tol = std::max(options.pivot_tol, 1e-8);
-    // Retry cold: the failed pass cleared `warm`, and a cleared warm
-    // start is ignored.
-    sol = SimplexCore(model, retry).run(warm);
+    sol = SimplexCore(model, retry).run();
   }
   return sol;
 }

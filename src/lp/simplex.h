@@ -17,11 +17,13 @@
 //
 // Pricing is Dantzig's rule (largest dual infeasibility, near-ties to
 // the lowest index), with Bland's rule as the anti-cycling override
-// (bland_trigger). It is the only rule because warm-started and cold
-// solves must reach the same optimal vertex; price() in simplex.cpp says
-// why. Each pivot chooses exactly the column a full scan would, but runs
-// of columns that form a convex chain (a task's configuration shares)
-// are priced from a few reduced costs each (lp/chain_pricing.h).
+// (bland_trigger). Every solve starts cold from the same crash basis, so
+// its pivot path, and the optimal vertex it ends on, depend only on the
+// model and the options: that is what makes a serial, pooled, remote or
+// daemon solve of one cap agree. Each pivot chooses exactly the column a
+// full scan would, but runs of columns that form a convex chain (a
+// task's configuration shares) are priced from a few reduced costs each
+// (lp/chain_pricing.h).
 //
 // Every accepted solve is independently re-verified in dyadic-rational
 // arithmetic downstream (check/certificate.h), so the core is free to be
@@ -80,7 +82,7 @@ struct SimplexOptions {
 };
 
 /// Per-solve counters and (optional) per-bucket timings. Counters are
-/// deterministic for a given model/options/warm-start and are surfaced
+/// deterministic for a given model and options and are surfaced
 /// into RunReport solver telemetry; the *_ns buckets are wall-clock
 /// telemetry (bench only) and are zero unless
 /// SimplexOptions::collect_timing was set.
@@ -110,23 +112,6 @@ struct SimplexStats {
   double ratio_ns = 0.0;
   double update_ns = 0.0;
   double factor_ns = 0.0;
-};
-
-/// Opaque basis snapshot for warm-started re-solves. Valid only for a
-/// model with the *same constraint structure* (identical variables, rows
-/// and nonzeros) as the solve that produced it - the cap-sweep pattern,
-/// where only bounds change between solves. solve_lp() verifies primal
-/// feasibility of the warmed basis under the new bounds and silently
-/// falls back to a cold start when it does not hold (e.g. after a cap
-/// decrease), so warm starting is always safe.
-struct WarmStart {
-  std::vector<char> status;  // internal column statuses
-  std::vector<int> basis;    // basic column per row
-  bool valid() const { return !basis.empty(); }
-  void clear() {
-    status.clear();
-    basis.clear();
-  }
 };
 
 struct Solution {
@@ -159,10 +144,5 @@ struct Solution {
 /// Solves the continuous relaxation of `model` (integrality flags are
 /// ignored here; see branch_bound.h).
 Solution solve_lp(const Model& model, const SimplexOptions& options = {});
-
-/// Warm-started variant: `warm` (if valid) seeds the basis, and on an
-/// optimal finish is overwritten with the final basis for the next solve.
-Solution solve_lp(const Model& model, const SimplexOptions& options,
-                  WarmStart* warm);
 
 }  // namespace powerlim::lp

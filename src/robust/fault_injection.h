@@ -132,6 +132,13 @@ struct FaultPlan {
 
   bool applies_to_cap(double job_cap_watts) const;
   bool forces_status() const { return fail_attempts > 0; }
+  /// Whether the plan injures the solve itself: a forced status,
+  /// coefficient noise, dropped frontiers or a corrupted solution.
+  /// Worker and network faults injure a process or a connection instead.
+  bool injures_solve() const {
+    return forces_status() || coefficient_noise_magnitude > 0.0 ||
+           drop_all_pareto_points || corrupt_solution_epsilon > 0.0;
+  }
 };
 
 /// Executes the active plan's worker fault for this cap/attempt, in the

@@ -98,6 +98,7 @@ std::size_t scan_frames(
     char tag = 0;
     char crc_text[16] = {0};
     unsigned long long len = 0;
+    // 'B' (a legacy basis checkpoint) is a known tag that nothing applies.
     if (std::sscanf(line.c_str(), "%c %15s %llu", &tag, crc_text, &len) !=
             3 ||
         (tag != 'R' && tag != 'B' && tag != 'Q' && tag != 'E') ||
@@ -290,72 +291,11 @@ std::uint32_t crc32(const void* data, std::size_t len) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-std::string serialize_warm_starts(const std::vector<lp::WarmStart>& warm) {
-  std::string out;
-  for (const lp::WarmStart& w : warm) {
-    if (!w.valid()) {
-      out += "-\n";
-      continue;
-    }
-    out += std::to_string(w.status.size());
-    out += ' ';
-    out += std::to_string(w.basis.size());
-    for (char s : w.status) {
-      out += ' ';
-      out += std::to_string(static_cast<int>(s));
-    }
-    for (int b : w.basis) {
-      out += ' ';
-      out += std::to_string(b);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-bool parse_warm_starts(const std::string& text,
-                       std::vector<lp::WarmStart>* out) {
-  std::vector<lp::WarmStart> warm;
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    lp::WarmStart w;
-    if (line == "-") {
-      warm.push_back(std::move(w));
-      continue;
-    }
-    std::istringstream is(line);
-    std::size_t ns = 0, nb = 0;
-    if (!(is >> ns >> nb)) return false;
-    // Basis snapshots are bounded by the LP size; a journal claiming a
-    // multi-million-entry basis is corrupt, not big.
-    if (ns > 1'000'000 || nb > 1'000'000) return false;
-    w.status.reserve(ns);
-    w.basis.reserve(nb);
-    for (std::size_t i = 0; i < ns; ++i) {
-      int v = 0;
-      if (!(is >> v)) return false;
-      w.status.push_back(static_cast<char>(v));
-    }
-    for (std::size_t i = 0; i < nb; ++i) {
-      int v = 0;
-      if (!(is >> v)) return false;
-      w.basis.push_back(v);
-    }
-    std::string extra;
-    if (is >> extra) return false;
-    warm.push_back(std::move(w));
-  }
-  *out = std::move(warm);
-  return true;
-}
-
 struct SweepJournal::Impl {
   std::string path;
   int fd = -1;
   RecoverySummary recovery;
   std::vector<JournalEntry> entries;
-  std::vector<lp::WarmStart> warm;
   std::vector<JournalRequest> requests;
   std::uint64_t epoch = 0;
   bool pinned = false;
@@ -370,7 +310,8 @@ struct SweepJournal::Impl {
   }
 
   /// Parses one intact frame's payload and (when `apply`) folds it into
-  /// the recovered state. Returns false on an unparseable payload.
+  /// the recovered state. Returns false on an unparseable payload. A
+  /// legacy `B` frame carries nothing this build reads and is skipped.
   bool absorb_frame(char tag, const std::string& payload, bool apply) {
     if (tag == 'R') {
       JournalEntry e;
@@ -396,12 +337,6 @@ struct SweepJournal::Impl {
       if (!apply) return true;
       if (e > epoch) epoch = e;
       ++recovery.epoch_records;
-    } else {
-      std::vector<lp::WarmStart> w;
-      if (!parse_warm_starts(payload, &w)) return false;
-      if (!apply) return true;
-      warm = std::move(w);
-      ++recovery.basis_records;
     }
     return true;
   }
@@ -495,9 +430,6 @@ const RecoverySummary& SweepJournal::recovery() const {
 }
 const std::vector<JournalEntry>& SweepJournal::entries() const {
   return impl_->entries;
-}
-const std::vector<lp::WarmStart>& SweepJournal::warm_starts() const {
-  return impl_->warm;
 }
 const std::vector<JournalRequest>& SweepJournal::requests() const {
   return impl_->requests;
@@ -643,19 +575,6 @@ Status SweepJournal::append_request(const JournalRequest& request) {
   return Status::Ok();
 }
 
-Status SweepJournal::append_basis(const std::vector<lp::WarmStart>& warm) {
-  bool any = false;
-  for (const lp::WarmStart& w : warm) any = any || w.valid();
-  if (!any) return Status::Ok();
-  Status st = impl_->prepare_append();
-  if (!st.ok()) return st;
-  st = impl_->write_durable(frame('B', serialize_warm_starts(warm)));
-  if (!st.ok()) return st;
-  impl_->warm = warm;
-  ++impl_->recovery.basis_records;
-  return Status::Ok();
-}
-
 std::uint64_t SweepJournal::epoch() const { return impl_->epoch; }
 
 Status SweepJournal::advance_epoch(std::uint64_t epoch) {
@@ -771,7 +690,6 @@ CompactResult compact_journal(const std::string& path,
   std::vector<CapRecord> kept;  // first-appearance order of caps
   std::vector<std::string> request_payloads;
   std::vector<JournalRequest> request_parsed;
-  std::string basis_payload;
   int r_frames = 0;
   int basis_frames = 0;
   int epoch_frames = 0;
@@ -806,10 +724,7 @@ CompactResult compact_journal(const std::string& path,
       ++epoch_frames;
       if (e > epoch) epoch = e;
     } else {
-      std::vector<lp::WarmStart> w;
-      if (!parse_warm_starts(payload, &w)) return false;
-      ++basis_frames;
-      basis_payload = payload;
+      ++basis_frames;  // legacy `B`: dropped from the rewrite
     }
     return true;
   });
@@ -820,7 +735,7 @@ CompactResult compact_journal(const std::string& path,
   result.records_dropped = r_frames - static_cast<int>(kept.size());
   result.epoch = epoch;
   result.epoch_records_dropped = epoch_frames > 0 ? epoch_frames - 1 : 0;
-  result.basis_dropped = basis_frames > 0 ? basis_frames - 1 : 0;
+  result.basis_dropped = basis_frames;
 
   std::string out;
   out += kMagic;
@@ -844,7 +759,6 @@ CompactResult compact_journal(const std::string& path,
       ++result.requests_dropped;
     }
   }
-  if (!basis_payload.empty()) out += frame('B', basis_payload);
 
   const std::string tmp = path + ".compact.tmp";
   const int out_fd =

@@ -10,7 +10,6 @@
 //
 //   powerlim-journal v1\n
 //   R <crc32-hex> <payload-bytes>\n<payload>\n        (one per cap)
-//   B <crc32-hex> <payload-bytes>\n<payload>\n        (basis checkpoint)
 //   Q <crc32-hex> <payload-bytes>\n<payload>\n        (request intent)
 //   E <crc32-hex> <payload-bytes>\n<payload>\n        (epoch stamp)
 //
@@ -20,18 +19,21 @@
 // powerlimd daemon journals every admitted request before its first
 // solve starts), so a daemon killed mid-request can resume: caps from
 // recovered `Q` records that lack a trusted `R` record are exactly the
-// work still owed. A `B` payload is a text serialization of the
-// per-window warm-start cache; on resume the *last* intact `B` record
-// seeds the solver so the restarted sweep warm-starts where the dead
-// run left off (stale snapshots are safe: the solver feasibility-checks
-// warmed bases and cold-starts on mismatch). An `E` payload
-// (`epoch=<n>`) is a failover-epoch stamp: the high-availability layer
-// appends one whenever a daemon opens the journal under a newer epoch
-// than the journal has seen, and recovery reports the highest intact
-// stamp via `epoch()`. A writer that `pin_epoch()`s itself is *fenced*:
-// every later append re-checks the file for foreign appends first and
-// refuses with kStaleEpoch once any writer has stamped a higher epoch -
-// a deposed primary cannot scribble over a promoted standby's history.
+// work still owed. An `E` payload (`epoch=<n>`) is a failover-epoch
+// stamp: the high-availability layer appends one whenever a daemon opens
+// the journal under a newer epoch than the journal has seen, and
+// recovery reports the highest intact stamp via `epoch()`. A writer
+// that `pin_epoch()`s itself is *fenced*: every later append re-checks
+// the file for foreign appends first and refuses with kStaleEpoch once
+// any writer has stamped a higher epoch - a deposed primary cannot
+// scribble over a promoted standby's history.
+//
+// Older builds also wrote `B` frames (same framing): per-window simplex
+// basis checkpoints for warm-starting a resumed sweep. Nothing writes
+// them any more, since every cap solves cold, but a journal that holds
+// them still opens: recovery, replication and compaction accept an
+// intact `B` frame as a frame and ignore its payload (compaction drops
+// it), so it is never mistaken for corruption.
 //
 // Durability and recovery:
 //   * every append is a single write() of the whole frame (on an
@@ -63,7 +65,6 @@
 #include <string>
 #include <vector>
 
-#include "lp/simplex.h"
 #include "robust/status.h"
 
 namespace powerlim::robust {
@@ -107,8 +108,6 @@ struct JournalRequest {
 struct RecoverySummary {
   /// Intact per-cap records recovered (after duplicate dedup).
   int records = 0;
-  /// Intact basis checkpoints seen (only the last one is kept).
-  int basis_records = 0;
   /// Intact request-intent records recovered.
   int request_records = 0;
   /// Intact epoch stamps seen (only the highest value matters).
@@ -153,13 +152,6 @@ bool parse_journal_entry(const std::string& payload, JournalEntry* out);
 std::string serialize_journal_request(const JournalRequest& request);
 bool parse_journal_request(const std::string& payload, JournalRequest* out);
 
-/// Serialize / parse the warm-start cache for `B` records. Exposed for
-/// tests; the format is one window per line: `<status-chars> <basis
-/// ints...>` (`-` for an empty slot).
-std::string serialize_warm_starts(const std::vector<lp::WarmStart>& warm);
-bool parse_warm_starts(const std::string& text,
-                       std::vector<lp::WarmStart>* out);
-
 class SweepJournal {
  public:
   /// Opens (creating if absent) and recovers a journal. Fails only on
@@ -181,9 +173,6 @@ class SweepJournal {
   /// is bit-faithful for doubles.
   bool contains(double job_cap_watts) const;
   const JournalEntry* find(double job_cap_watts) const;
-
-  /// Last intact basis checkpoint (empty when none survived).
-  const std::vector<lp::WarmStart>& warm_starts() const;
 
   /// Recovered request intents, in journal (= admission) order.
   const std::vector<JournalRequest>& requests() const;
@@ -222,8 +211,6 @@ class SweepJournal {
   /// Durably appends one per-cap record (write + fsync before return).
   /// An entry for an already-journaled cap is dropped as a duplicate.
   [[nodiscard]] Status append(const JournalEntry& entry);
-  /// Durably appends a basis checkpoint. Empty snapshots are skipped.
-  [[nodiscard]] Status append_basis(const std::vector<lp::WarmStart>& warm);
   /// Durably appends a request intent *before* any of its caps solve.
   /// Malformed requests (whitespace in id/kind) are kBadInput.
   [[nodiscard]] Status append_request(const JournalRequest& request);
@@ -263,15 +250,16 @@ struct CompactResult {
   /// Request intents kept (still owe at least one cap) / dropped.
   int requests_kept = 0;
   int requests_dropped = 0;
-  /// Superseded basis checkpoints and epoch stamps collapsed away.
+  /// Legacy `B` basis checkpoints dropped (all of them).
   int basis_dropped = 0;
+  /// Superseded epoch stamps collapsed away.
   int epoch_records_dropped = 0;
 };
 
 /// Rewrites `path` keeping only the latest *proven* record per cap (the
 /// certificate gate is re-checked on every kOk record), request intents
-/// that still owe work, the last basis checkpoint, and a single epoch
-/// stamp. Crash-safe: the replacement is written to `<path>.compact.tmp`,
+/// that still owe work, and a single epoch stamp; legacy `B` frames go.
+/// Crash-safe: the replacement is written to `<path>.compact.tmp`,
 /// fsynced, renamed over the original, and the directory fsynced - a
 /// crash at any point leaves either the old or the new journal intact.
 /// Offline only: compacting a journal another process is appending to

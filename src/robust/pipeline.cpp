@@ -197,8 +197,7 @@ const JournalEntry* resumable_record(const std::optional<SweepJournal>& journal,
 /// The pooled path (workers > 1 or remotes): every cap the journal does
 /// not already hold is solved in an isolated worker. Results stream
 /// into the journal in completion order (each cap durable the moment it
-/// lands); rows are still assembled in request order. Basis checkpoints
-/// are skipped - workers share no warm-start cache.
+/// lands); rows are still assembled in request order.
 Status pooled_sweep(const dag::TaskGraph& graph,
                     const machine::PowerModel& model,
                     const machine::ClusterSpec& cluster,
@@ -346,9 +345,6 @@ Result<ResilientSweepResult> resilient_sweep(
   driver_opt.deadline =
       util::Deadline::sooner(driver_opt.deadline, options.deadline);
   const SolveDriver driver(graph, model, cluster, driver_opt);
-  if (journal && options.resume && !journal->warm_starts().empty()) {
-    driver.restore_warm_starts(journal->warm_starts());
-  }
 
   for (double cap : job_caps) {
     if (const JournalEntry* e = resumable_record(journal, options, cap)) {
@@ -386,12 +382,8 @@ Result<ResilientSweepResult> resilient_sweep(
 
     SweepRow row{entry_from_report(outcome.report), false};
     if (journal) {
-      // Row first, then the basis snapshot: a crash between the two
-      // costs only the warm start, never the result.
       const Status st = journal->append(row);
       if (!st.ok()) return st;
-      const Status bs = journal->append_basis(driver.warm_starts());
-      if (!bs.ok()) return bs;
     }
     if (options.on_row) options.on_row(row);
     out.rows.push_back(std::move(row));
@@ -420,7 +412,7 @@ JournalEntry degraded_entry_for_failure(
                " spawn(s); last: " + failure.detail;
   rep.wall_ms = failure.wall_ms;
   rep.ladder = ladder_echo(driver_opt);
-  echo_fault_plan(rep);
+  echo_fault_plan(rep, /*worker_died=*/true);
   rep.worker.isolated = true;
   rep.worker.spawns = failure.spawns;
   rep.worker.retries = failure.spawns > 0 ? failure.spawns - 1 : 0;

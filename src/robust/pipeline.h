@@ -63,8 +63,8 @@ struct ResilientSweepOptions {
   /// flight) with crash containment; a cap that loses every attempt the
   /// pool allows degrades to the Static-policy bound under a
   /// worker-crashed / resource-exhausted verdict. 1 (the default) with
-  /// no remotes runs the serial in-process path. Pooled sweeps skip
-  /// warm-start basis checkpoints (workers share no cache).
+  /// no remotes runs the serial in-process path; both paths solve every
+  /// cap cold, so they report the same rows.
   int workers = 1;
   /// Per-worker RLIMIT_AS budget, MiB (0 = unlimited; ignored under
   /// AddressSanitizer).

@@ -18,10 +18,8 @@ namespace powerlim::robust {
 
 namespace {
 
-/// Ladder order. "warm" relies on the sweeper's internal per-window
-/// basis cache; "bland" drops it first so a poisoned basis never seeds
-/// the retry.
-constexpr const char* kRungs[] = {"warm", "bland"};
+/// Ladder order: the two rungs differ only in the pricing rule.
+constexpr const char* kRungs[] = {"dantzig", "bland"};
 
 /// The detail of an attempt the solver ended without an optimum: its
 /// status and, when one window failed, which.
@@ -237,12 +235,15 @@ LadderEcho ladder_echo(const SolveDriverOptions& options) {
   return echo;
 }
 
-const FaultPlan* echo_fault_plan(RunReport& report) {
+const FaultPlan* echo_fault_plan(RunReport& report, bool worker_died) {
   const FaultPlan* plan = ScopedFaultPlan::active();
   if (plan && !plan->applies_to_cap(report.job_cap_watts)) plan = nullptr;
-  report.fault_active = plan != nullptr;
-  report.fault_seed = plan ? plan->seed : 0;
-  return plan;
+  const bool solve = plan && plan->injures_solve();
+  const bool worker =
+      plan && worker_died && plan->worker_fault != WorkerFault::kNone;
+  report.fault_active = solve || worker;
+  report.fault_seed = report.fault_active ? plan->seed : 0;
+  return solve ? plan : nullptr;
 }
 
 std::optional<sim::SimResult> static_fallback(
@@ -277,9 +278,6 @@ struct SolveDriver::Impl {
   /// Built lazily so that a faulty build (empty frontier under an active
   /// FaultPlan) is reported per-solve and retried once the fault clears.
   mutable std::unique_ptr<core::WindowSweeper> sweeper;
-  /// Warm-start checkpoint restored before the sweeper exists (journal
-  /// resume installs it ahead of the first solve).
-  mutable std::vector<lp::WarmStart> pending_warm;
   /// Built lazily on the first accepted solve. The checker re-derives
   /// windows/frontiers/event orders hook-free, so the cache is immune to
   /// the fault seams; it is cap-independent, so one instance serves a
@@ -322,10 +320,6 @@ struct SolveDriver::Impl {
     try {
       sweeper = std::make_unique<core::WindowSweeper>(*graph, *model,
                                                       *cluster, &hooks);
-      if (!pending_warm.empty()) {
-        sweeper->restore_warm_starts(std::move(pending_warm));
-        pending_warm.clear();
-      }
       return true;
     } catch (const core::EmptyFrontierError& e) {
       report.verdict = StatusCode::kEmptyFrontier;
@@ -389,7 +383,10 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
     rep.detail = "power cap must be a positive finite wattage";
     return out;
   }
-  if (!im.ensure_sweeper(rep)) return out;
+  if (!im.ensure_sweeper(rep)) {
+    echo_fault_plan(rep);  // dropped frontiers surface here
+    return out;
+  }
 
   rep.min_feasible_power_watts = im.sweeper->min_feasible_power();
   if (job_cap_watts < rep.min_feasible_power_watts - 1e-9) {
@@ -433,11 +430,7 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
       core::LpScheduleOptions o = im.options.lp;
       o.power_cap = job_cap_watts;
       o.simplex.deadline = deadline;
-      if (r > 0) {
-        // "bland": only the pricing rule changes.
-        im.sweeper->clear_warm_starts();
-        o.simplex.bland_trigger = 0;
-      }
+      if (r > 0) o.simplex.bland_trigger = 0;  // "bland"
       if (plan && plan->coefficient_noise_magnitude > 0.0) {
         const double mag = plan->coefficient_noise_magnitude;
         const std::uint64_t seed = plan->seed;
@@ -565,19 +558,6 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
     out.simulated = std::move(sim);
   }
   return out;
-}
-
-std::vector<lp::WarmStart> SolveDriver::warm_starts() const {
-  if (!impl_->sweeper) return {};
-  return impl_->sweeper->warm_starts();
-}
-
-void SolveDriver::restore_warm_starts(std::vector<lp::WarmStart> warm) const {
-  if (impl_->sweeper) {
-    impl_->sweeper->restore_warm_starts(std::move(warm));
-  } else {
-    impl_->pending_warm = std::move(warm);
-  }
 }
 
 std::vector<SolveOutcome> SolveDriver::sweep(

@@ -5,9 +5,9 @@
 // with a structured per-cap verdict instead of dying on the first
 // numerical failure. Each solve walks a two-rung ladder:
 //
-//   1. "warm"  - warm-started solve (per-window basis cache)
-//   2. "bland" - warm-start cache dropped, Bland's rule from the first
-//                pivot; nothing else changes
+//   1. "dantzig" - every window solved cold under Dantzig's rule
+//   2. "bland"   - the same cold solves under Bland's rule from the
+//                  first pivot; nothing else changes
 //
 // and, when the ladder ends without an accepted solve, degrades to the
 // Static-policy bound: the uniform-RAPL schedule is always simulable, so
@@ -20,13 +20,14 @@
 // windowed-average sense (sim::check_cap); a violating schedule is
 // treated as a failed attempt (kReplayCapViolation), not returned.
 //
-// Any retryable failure at "warm" runs "bland"; any failure at "bland"
-// ends the ladder. Dantzig pricing reaches the same optimal vertex from
-// a warm start and from a cold one (lp/simplex.h), so a retry that kept
-// it would judge the same vertex again after a replay or certificate
-// failure; Bland's rule is the one change that can reach another optimal
-// vertex. A numerical failure needs no rung of its own: lp::solve_lp
-// already retries the failing window cold, refactoring every 20 pivots.
+// Any retryable failure at "dantzig" runs "bland"; any failure at
+// "bland" ends the ladder. Every solve starts cold (lp/simplex.h), so a
+// retry that kept Dantzig's rule would judge the same vertex again after
+// a replay or certificate failure; Bland's rule is the one change that
+// can reach another optimal vertex. A numerical failure needs no rung of
+// its own: lp::solve_lp already retries the failing window, refactoring
+// every 20 pivots. Because nothing carries over from one cap to the
+// next, a cap's whole report depends only on the trace and the cap.
 //
 // Every attempt is recorded in a RunReport (rung, outcome, iterations,
 // degenerate pivots, refactorizations, Bland engagement, primal
@@ -70,8 +71,11 @@ namespace powerlim::robust {
 /// dropped `ladder.enable_ladder`: the two-rung ladder is always on.
 /// Schema 11 dropped `ladder.enable_fallback` and
 /// `ladder.validate_replay`: every solve is replay-validated and every
-/// exhausted ladder degrades to the Static-policy bound.
-inline constexpr int kRunReportSchemaVersion = 11;
+/// exhausted ladder degrades to the Static-policy bound. Schema 12
+/// renamed the first rung from `warm` to `dantzig` (every solve starts
+/// cold), and `fault.active` echoes only a fault that could have shaped
+/// the row.
+inline constexpr int kRunReportSchemaVersion = 12;
 
 /// One rung of the ladder, as executed.
 struct SolveAttempt {
@@ -112,9 +116,9 @@ struct CertificateEcho {
   /// True when weak duality was validated (solver duals available).
   bool duality_checked = false;
   double max_violation = 0.0;
-  /// Floating-point residual of the duals, serialized as telemetry: two
-  /// warm-start paths to the same vertex give gaps that differ in the
-  /// last bits, while the exact verdicts above do not.
+  /// Floating-point residual of the duals, serialized as telemetry: it
+  /// is a rounding residue, not a verdict (the exact verdicts above
+  /// are what a bound stands on).
   double duality_gap = 0.0;
   /// First failing rule's message; empty when ok.
   std::string detail;
@@ -201,8 +205,8 @@ struct RunReport {
   double min_feasible_power_watts = 0.0;
   /// Wall-clock time the driver spent on this cap, ms (telemetry).
   double wall_ms = 0.0;
-  /// True when a FaultPlan was active for this cap; `fault_seed` then
-  /// reproduces the injected faults bit-identically.
+  /// True when an injected fault could have shaped this row (see
+  /// echo_fault_plan); `fault_seed` then reproduces it bit-identically.
   bool fault_active = false;
   std::uint64_t fault_seed = 0;
   /// Resolved supervision options for this solve.
@@ -292,9 +296,13 @@ struct FaultPlan;
 /// The resolved options a report echoes (RunReport::ladder).
 LadderEcho ladder_echo(const SolveDriverOptions& options);
 
-/// Records in `report` whether the active FaultPlan applies to its cap,
-/// and the plan's seed when it does. Returns that plan, or nullptr.
-const FaultPlan* echo_fault_plan(RunReport& report);
+/// Records in `report` whether the active FaultPlan injures its cap's
+/// solve (FaultPlan::injures_solve), and the plan's seed when it does.
+/// With `worker_died` a worker fault on the cap counts too: the row of a
+/// dead worker is shaped by it. Network faults never count; a row that
+/// crossed an injured connection is the row a clean solve produced.
+/// Returns the plan when it injures the solve, or nullptr.
+const FaultPlan* echo_fault_plan(RunReport& report, bool worker_died = false);
 
 /// Substitutes the Static-policy bound at the report's cap: the
 /// uniform-RAPL schedule is simulated and `degraded`, `fallback`,
@@ -324,16 +332,6 @@ class SolveDriver {
   /// Per-cap sweep; one outcome per cap, in order, independent of
   /// individual failures.
   std::vector<SolveOutcome> sweep(const std::vector<double>& job_caps) const;
-
-  /// Snapshot of the per-window warm-start cache (empty before the first
-  /// solve). Journaled sweeps persist this as the checkpoint a resumed
-  /// run warm-starts from.
-  std::vector<lp::WarmStart> warm_starts() const;
-
-  /// Seeds the warm-start cache from a checkpoint. Safe with stale or
-  /// mismatched snapshots: a basis that does not fit is dropped and the
-  /// solve falls back to a cold start.
-  void restore_warm_starts(std::vector<lp::WarmStart> warm) const;
 
  private:
   struct Impl;

@@ -401,7 +401,7 @@ WorkerPoolResult run_worker_pool(
 
   const auto schedule_backoff = [&](Session& s) {
     ++s.connect_failures;
-    if (s.connect_failures >= remote.max_connect_failures) {
+    if (s.connect_failures >= kMaxConnectFailures) {
       util::log_warn() << "remote " << s.name << " declared dead after "
                        << s.connect_failures << " consecutive failures";
       s.state = Session::State::kDead;
@@ -409,9 +409,8 @@ WorkerPoolResult run_worker_pool(
     }
     const int doublings = std::min(s.connect_failures - 1, 20);
     const double base =
-        std::min(remote.backoff_max_ms,
-                 remote.backoff_initial_ms *
-                     static_cast<double>(1 << doublings));
+        std::min(kBackoffMaxMs,
+                 kBackoffInitialMs * static_cast<double>(1 << doublings));
     const double delay = base * s.rng.uniform(0.5, 1.5);
     s.backoff_ms_total += delay;
     s.retry_at = Clock::now() + std::chrono::microseconds(
@@ -495,7 +494,7 @@ WorkerPoolResult run_worker_pool(
           if (now < s.retry_at) break;
           std::string cerr_msg;
           const int fd = util::connect_timeout(
-              s.endpoint, remote.connect_timeout_ms / 1000.0, &cerr_msg);
+              s.endpoint, kConnectTimeoutMs / 1000.0, &cerr_msg);
           if (fd < 0) {
             schedule_backoff(s);
             break;

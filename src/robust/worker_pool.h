@@ -188,14 +188,16 @@ struct RemoteWorkerOptions {
   /// Per-job wall ceiling on a remote attempt, ms (0 = none; heartbeat
   /// supervision still polices liveness).
   double job_timeout_ms = 0.0;
-  double connect_timeout_ms = 1000.0;
-  /// Capped exponential backoff between connect attempts, with
-  /// deterministic jitter in [0.5, 1.5).
-  double backoff_initial_ms = 25.0;
-  double backoff_max_ms = 1000.0;
-  /// Consecutive connect failures after which an endpoint is dead.
-  int max_connect_failures = 4;
 };
+
+/// Wall budget of one connect attempt to a remote endpoint, ms.
+inline constexpr double kConnectTimeoutMs = 1000.0;
+/// Capped exponential backoff between connect attempts, ms, with
+/// deterministic jitter in [0.5, 1.5).
+inline constexpr double kBackoffInitialMs = 25.0;
+inline constexpr double kBackoffMaxMs = 1000.0;
+/// Consecutive connect failures after which an endpoint is dead.
+inline constexpr int kMaxConnectFailures = 4;
 
 struct WorkerPoolOptions {
   /// Max local children in flight. A local-only pool clamps it to >= 1;

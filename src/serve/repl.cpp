@@ -89,18 +89,16 @@ std::uint64_t load_epoch_file(const std::string& state_dir) {
   return epoch;
 }
 
-bool store_epoch_file(const std::string& state_dir, std::uint64_t epoch,
-                      std::string* error) {
-  const std::string path = state_dir + "/epoch";
+bool store_file(const std::string& path, const std::string& bytes,
+                std::string* error) {
   const std::string tmp = path + ".tmp";
-  const std::string body = "epoch=" + std::to_string(epoch) + "\n";
   const int fd = ::open(tmp.c_str(),
                         O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) {
     if (error) *error = errno_message(("open " + tmp).c_str());
     return false;
   }
-  if (util::write_full(fd, body.data(), body.size()) != 0 ||
+  if (util::write_full(fd, bytes.data(), bytes.size()) != 0 ||
       util::fsync_full(fd) != 0) {
     if (error) *error = errno_message(("write " + tmp).c_str());
     ::close(fd);
@@ -118,6 +116,12 @@ bool store_epoch_file(const std::string& state_dir, std::uint64_t epoch,
     return false;
   }
   return true;
+}
+
+bool store_epoch_file(const std::string& state_dir, std::uint64_t epoch,
+                      std::string* error) {
+  return store_file(state_dir + "/epoch",
+                    "epoch=" + std::to_string(epoch) + "\n", error);
 }
 
 bool file_prefix_crc(const std::string& path, std::uint64_t offset,
@@ -421,23 +425,14 @@ void StandbyLink::handle_trace(const std::string& payload) {
     return;
   }
   const std::string path = trace_path(opt_.state_dir, trace.hash);
-  // O_EXCL: trace snapshots are immutable once taken (the hash *is* the
-  // content key), so a re-sent snapshot after a reconnect is a no-op.
-  const int fd = ::open(path.c_str(),
-                        O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    if (errno == EEXIST) return;
-    log_ << "powerlimd: standby: cannot write " << path << ": "
-         << std::strerror(errno) << "\n";
-    return;
-  }
-  const bool ok = util::write_full(fd, trace.trace_text.data(),
-                                   trace.trace_text.size()) == 0 &&
-                  util::fsync_full(fd) == 0;
-  ::close(fd);
-  if (!ok || util::fsync_parent_dir(path) != 0) {
-    log_ << "powerlimd: standby: cannot persist " << path << "\n";
-    ::unlink(path.c_str());
+  // Trace snapshots are immutable once taken (the primary stores one
+  // trace per hash), so a re-sent snapshot after a reconnect is a no-op.
+  struct stat sb = {};
+  if (::stat(path.c_str(), &sb) == 0) return;
+  std::string error;
+  if (!store_file(path, trace.trace_text, &error)) {
+    log_ << "powerlimd: standby: cannot persist " << path << ": " << error
+         << "\n";
   }
 }
 

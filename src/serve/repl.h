@@ -59,10 +59,17 @@ bool valid_trace_hash(const std::string& hash);
 /// Missing directory = empty list.
 std::vector<std::string> journal_hashes(const std::string& state_dir);
 
+/// Writes `bytes` to `path` via `<path>.tmp` + fsync + rename +
+/// dir-fsync, so a crash leaves either the old file (or none) or the
+/// whole new one, never a torn one. On failure `*error` (when non-null)
+/// names the step that failed.
+bool store_file(const std::string& path, const std::string& bytes,
+                std::string* error);
+
 /// Failover-epoch persistence: `<state_dir>/epoch` holds "epoch=<n>\n",
-/// rewritten via tmp + fsync + rename + dir-fsync so a crash leaves
-/// either the old or the new value. load returns 0 when the file is
-/// absent or unparseable (a state dir the failover layer never touched).
+/// rewritten via store_file so a crash leaves either the old or the new
+/// value. load returns 0 when the file is absent or unparseable (a state
+/// dir the failover layer never touched).
 std::uint64_t load_epoch_file(const std::string& state_dir);
 bool store_epoch_file(const std::string& state_dir, std::uint64_t epoch,
                       std::string* error);

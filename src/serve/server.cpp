@@ -17,6 +17,7 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -51,6 +52,11 @@ double ms_since(Clock::time_point t) {
 
 double sec_since(Clock::time_point t) { return ms_since(t) / 1000.0; }
 
+/// Extra wall grace past a request's deadline before its executor is
+/// SIGKILLed (the executor observes the deadline cooperatively and
+/// normally exits on its own well within this), ms.
+constexpr double kDeadlineGraceMs = 2000.0;
+
 /// crc32 of the trace text, hex: the per-trace key under --state-dir.
 /// Requests for the same graph share one journal (and its proven caps)
 /// no matter which client sends them.
@@ -59,6 +65,25 @@ std::string trace_hash(const std::string& text) {
   std::snprintf(buf, sizeof(buf), "%08x",
                 robust::crc32(text.data(), text.size()));
   return buf;
+}
+
+/// How a request's trace compares with the snapshot kept under its hash.
+enum class Snapshot { kAbsent, kSame, kOther };
+
+/// CRC-32 names a trace's snapshot and journal but proves nothing: four
+/// chosen bytes give any trace any hash. So a request is served from, or
+/// journaled into, a hash only when its trace is that hash's snapshot.
+Snapshot compare_snapshot(const std::string& path, const std::string& text) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f) return Snapshot::kAbsent;
+  const std::string have{std::istreambuf_iterator<char>(f),
+                         std::istreambuf_iterator<char>()};
+  return have == text ? Snapshot::kSame : Snapshot::kOther;
+}
+
+std::string collision_error(const std::string& hash) {
+  return "trace hash " + hash +
+         " belongs to a different trace; refusing to serve or journal it";
 }
 
 /// In a forked child: SIGTERM trips the returned token, so a child
@@ -806,23 +831,17 @@ void Daemon::admit(std::uint64_t conn_id, ServeRequest&& sr) {
 
   // Snapshot the trace once per hash: the journal's resume path needs
   // the graph after a SIGKILL, and the snapshot is what makes a `Q`
-  // intent self-contained.
-  const std::string trace_path =
-      opt_.state_dir + "/trace-" + req.hash + ".trace";
-  const int tfd = ::open(trace_path.c_str(),
-                         O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
-  if (tfd >= 0) {
-    const bool ok =
-        util::write_full(tfd, req.trace_text.data(), req.trace_text.size()) ==
-            0 &&
-        util::fsync_full(tfd) == 0;
-    ::close(tfd);
-    if (!ok || util::fsync_parent_dir(trace_path) != 0) {
-      send_frame(conn_id, kTagError,
-                 encode_error(req.id, "cannot persist trace snapshot"));
-      return;
-    }
-  } else if (errno != EEXIST) {
+  // intent self-contained. It is stored whole or not at all: a torn
+  // snapshot would refuse its own trace as a collision.
+  const std::string snapshot = trace_path(opt_.state_dir, req.hash);
+  const Snapshot match = compare_snapshot(snapshot, req.trace_text);
+  if (match == Snapshot::kOther) {
+    send_frame(conn_id, kTagError,
+               encode_error(req.id, collision_error(req.hash)));
+    return;
+  }
+  if (match == Snapshot::kAbsent &&
+      !store_file(snapshot, req.trace_text, nullptr)) {
     send_frame(conn_id, kTagError,
                encode_error(req.id, "cannot persist trace snapshot"));
     return;
@@ -905,7 +924,7 @@ void Daemon::check_deadlines() {
   // wedged one).
   for (Request& req : active_) {
     if (req.pid > 0 && req.has_deadline && !req.deadline_killed &&
-        ms_since(req.deadline) > opt_.deadline_grace_ms) {
+        ms_since(req.deadline) > kDeadlineGraceMs) {
       ::kill(req.pid, SIGKILL);
       req.deadline_killed = true;
     }
@@ -1831,11 +1850,13 @@ void Daemon::fence_self(const std::string& why) {
 
 void Daemon::handle_standby_request(std::uint64_t conn_id,
                                     ServeRequest&& sr) {
-  // A standby is a read replica: it serves a request if and only if
-  // *every* cap has a trusted (certificate-gated) record in the replica
-  // journal; anything less is shed with a typed reason so failover
-  // clients move on to the primary. No partial row streams - a half
-  // answer would duplicate rows once the client retries elsewhere.
+  // A standby is a read replica: it serves a request if and only if its
+  // trace is the replicated snapshot under its hash and *every* cap has
+  // a trusted (certificate-gated) record in the replica journal; anything
+  // less is shed with a typed reason so failover clients move on to the
+  // primary, and a trace that only collides with the snapshot gets `E`.
+  // No partial row streams - a half answer would duplicate rows once the
+  // client retries elsewhere.
   Request req;
   req.conn_id = conn_id;
   req.id = sr.id;
@@ -1843,11 +1864,18 @@ void Daemon::handle_standby_request(std::uint64_t conn_id,
   req.caps = sr.caps;
   req.trace_text = std::move(sr.trace_text);
   req.hash = trace_hash(req.trace_text);
+  const Snapshot match =
+      compare_snapshot(trace_path(opt_.state_dir, req.hash), req.trace_text);
+  if (match == Snapshot::kOther) {
+    send_frame(conn_id, kTagError,
+               encode_error(req.id, collision_error(req.hash)));
+    return;
+  }
   const std::string path = journal_path(opt_.state_dir, req.hash);
   int proven = 0;
   std::unique_ptr<robust::SweepJournal> journal;
   struct stat sb = {};
-  if (::stat(path.c_str(), &sb) == 0) {
+  if (match == Snapshot::kSame && ::stat(path.c_str(), &sb) == 0) {
     auto opened = robust::SweepJournal::open(path);
     if (opened.ok()) {
       journal = std::make_unique<robust::SweepJournal>(

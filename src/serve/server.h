@@ -109,10 +109,6 @@ struct ServeOptions {
   double default_deadline_ms = 0.0;
   /// Ceiling clamped onto every request's deadline, ms (0 = no ceiling).
   double max_deadline_ms = 0.0;
-  /// Extra wall grace past a request's deadline before its executor is
-  /// SIGKILLed (the executor observes the deadline cooperatively and
-  /// normally exits on its own well within this).
-  double deadline_grace_ms = 2000.0;
 
   /// A connection that makes no handshake, or whose pending output makes
   /// no progress, for this long is dropped (slow-client containment).

@@ -5,9 +5,8 @@
 // verified independently of the solver's rounding.
 //
 // Also covers: the degenerate/cycling fixture (Beale) driving the
-// Bland's-rule rung, warm starts from an optimal basis, the statuses of
-// infeasible/unbounded models, and the 100k-task scale target the
-// sparse LU exists for.
+// Bland's-rule rung, the statuses of infeasible/unbounded models, and
+// the 100k-task scale target the sparse LU exists for.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -102,32 +101,6 @@ TEST(BackendEquivalence, BlandRungRunsOnTheSparsePath) {
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, -0.05, 1e-9);
   EXPECT_TRUE(s.stats.bland_engaged);
-}
-
-TEST(BackendEquivalence, WarmStartsCrossBackends) {
-  // A solve's basis snapshot seeds a re-solve, and the re-solve's
-  // snapshot seeds the next.
-  const dag::TaskGraph g = apps::make_comd({.ranks = 4, .iterations = 2});
-  const core::LpFormulation form(g, model(), cluster());
-  const core::BuiltModel built =
-      form.build_model({.power_cap = 4 * 50.0});
-
-  const lp::SimplexOptions opt;
-  lp::WarmStart warm;
-  const lp::Solution cold = lp::solve_lp(built.model, opt, &warm);
-  ASSERT_TRUE(cold.optimal());
-  ASSERT_TRUE(warm.valid());
-
-  const lp::Solution rewarmed = lp::solve_lp(built.model, opt, &warm);
-  ASSERT_TRUE(rewarmed.optimal());
-  EXPECT_NEAR(rewarmed.objective, cold.objective, 1e-9);
-  // Warm-started from the optimal basis: phase I is skipped entirely,
-  // so the re-solve takes (near) zero pivots.
-  EXPECT_LE(rewarmed.iterations, cold.iterations);
-
-  const lp::Solution again = lp::solve_lp(built.model, opt, &warm);
-  ASSERT_TRUE(again.optimal());
-  EXPECT_NEAR(again.objective, cold.objective, 1e-9);
 }
 
 TEST(BackendEquivalence, StatusParityOnInfeasibleAndUnbounded) {

@@ -3,8 +3,9 @@
 // Pricing is the hottest loop of the solver, and it is where a "pure
 // speed" change can silently pick a different entering column: a
 // reordered sum, a changed tie-break or a column visited out of order
-// still reaches a certified optimum, but by a different path, and the
-// sweep pipeline's warm-vs-cold byte-identity rests on the path. So
+// still reaches a certified optimum, but by a different path, and with
+// it possibly at a different optimal vertex: every report value that
+// depends on the vertex (energy, replay peak) would move with it. So
 // this suite records, per solve, the iteration, degenerate-pivot and
 // refactorization counts and the exact bits of the objective, and
 // requires every later build to reproduce them.

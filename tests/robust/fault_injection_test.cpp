@@ -123,6 +123,7 @@ TEST(FaultInjection, DroppedParetoPointsYieldEmptyFrontierVerdict) {
   EXPECT_EQ(res.report.verdict, StatusCode::kEmptyFrontier);
   EXPECT_FALSE(res.report.usable());
   EXPECT_NE(res.report.detail.find("frontier"), std::string::npos);
+  EXPECT_TRUE(res.report.fault_active);  // the fault shaped this row
 }
 
 TEST(FaultInjection, DriverRecoversOnceFrontierFaultClears) {
@@ -145,14 +146,14 @@ TEST(FaultInjection, DriverRecoversOnceFrontierFaultClears) {
 TEST(FaultInjection, NumericalErrorRecoversAtLaterRung) {
   const dag::TaskGraph g = small_graph();
   FaultPlan plan;
-  plan.fail_attempts = 1;  // "warm" fails injected
+  plan.fail_attempts = 1;  // "dantzig" fails injected
   plan.forced_status = lp::SolveStatus::kNumericalError;
   const ScopedFaultPlan scope(plan);
   const SolveDriver driver(g, kModel, kCluster);
   const SolveOutcome res = driver.solve(2 * 60.0);
   ASSERT_TRUE(res.ok()) << res.report.detail;
   ASSERT_EQ(res.report.attempts.size(), 2u);
-  EXPECT_EQ(res.report.attempts[0].rung, "warm");
+  EXPECT_EQ(res.report.attempts[0].rung, "dantzig");
   EXPECT_TRUE(res.report.attempts[0].injected);
   EXPECT_EQ(res.report.attempts[0].outcome, StatusCode::kSolverNumerical);
   EXPECT_EQ(res.report.attempts[1].rung, "bland");
@@ -191,7 +192,7 @@ TEST(FaultInjection, EveryRungIsExercisedBeforeDegrading) {
 
   // Both rungs recorded, in order.
   ASSERT_EQ(res.report.attempts.size(), 2u);
-  const char* expected[] = {"warm", "bland"};
+  const char* expected[] = {"dantzig", "bland"};
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(res.report.attempts[i].rung, expected[i]) << i;
     EXPECT_TRUE(res.report.attempts[i].injected) << i;
@@ -224,6 +225,31 @@ TEST(FaultInjection, ForcedInfeasibleIsTerminalNotRetried) {
 }
 
 // --- genuine numerical corruption (not synthesized statuses) ---
+
+// A row echoes a fault only when the fault could have shaped it: a
+// network fault never does, and a worker fault only on the row
+// synthesized for a cap whose worker died.
+TEST(FaultInjection, EchoMarksOnlyRowsAFaultCouldShape) {
+  const dag::TaskGraph g = small_graph();
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.net_fault = NetFault::kDrop;
+  plan.worker_fault = WorkerFault::kCrash;
+  const ScopedFaultPlan scope(plan);
+  const SolveOutcome solved = SolveDriver(g, kModel, kCluster).solve(2 * 60.0);
+  ASSERT_TRUE(solved.ok());
+  EXPECT_FALSE(solved.report.fault_active);
+  EXPECT_EQ(solved.report.fault_seed, 0u);
+
+  WorkerFailure failure;
+  failure.detail = "signal 6 (SIGABRT)";
+  failure.spawns = 2;
+  const JournalEntry dead =
+      degraded_entry_for_failure(g, kModel, kCluster, {}, 2 * 60.0, failure);
+  EXPECT_NE(dead.report_json.find("\"fault\":{\"active\":true,\"seed\":7}"),
+            std::string::npos)
+      << dead.report_json;
+}
 
 TEST(FaultInjection, CoefficientCorruptionNeverThrows) {
   const dag::TaskGraph g = small_graph();

@@ -43,7 +43,7 @@ RunReport golden_report() {
   rep.transport.heartbeat_misses = 3;
 
   SolveAttempt a;
-  a.rung = "warm";
+  a.rung = "dantzig";
   a.outcome = StatusCode::kSolverNumerical;
   a.injected = true;
   a.detail = "injected";
@@ -80,7 +80,7 @@ RunReport golden_report() {
 // The golden string. Field order, spelling, and nesting are all
 // contractual; values are chosen to be exact in decimal.
 const char* const kGolden =
-    "{\"schema_version\":11,"
+    "{\"schema_version\":12,"
     "\"result\":{"
     "\"job_cap_watts\":120,"
     "\"socket_cap_watts\":60,"
@@ -93,7 +93,7 @@ const char* const kGolden =
     "\"min_feasible_power_watts\":80,"
     "\"fault\":{\"active\":true,\"seed\":42},"
     "\"ladder\":{\"cap_deadline_ms\":250,\"cancellable\":true},"
-    "\"attempts\":[{\"rung\":\"warm\",\"outcome\":\"solver-numerical\","
+    "\"attempts\":[{\"rung\":\"dantzig\",\"outcome\":\"solver-numerical\","
     "\"injected\":true,\"bland_engaged\":true,\"failed_window\":3,"
     "\"detail\":\"injected\"}],"
     "\"replay\":{\"checked\":true,\"ok\":true,\"cap_watts\":120,"
@@ -118,12 +118,12 @@ TEST(ReportSchema, GoldenShapeIsStable) {
   EXPECT_EQ(golden_report().to_json(), kGolden);
 }
 
-TEST(ReportSchema, VersionIsEleven) {
-  EXPECT_EQ(kRunReportSchemaVersion, 11);
-  EXPECT_EQ(RunReport{}.schema_version, 11);
+TEST(ReportSchema, VersionIsTwelve) {
+  EXPECT_EQ(kRunReportSchemaVersion, 12);
+  EXPECT_EQ(RunReport{}.schema_version, 12);
   // Every serialized report leads with the version so consumers can
   // dispatch before parsing the rest.
-  EXPECT_EQ(RunReport{}.to_json().rfind("{\"schema_version\":11,", 0), 0u);
+  EXPECT_EQ(RunReport{}.to_json().rfind("{\"schema_version\":12,", 0), 0u);
 }
 
 TEST(ReportSchema, InProcessSolveZeroesWorkerTelemetry) {

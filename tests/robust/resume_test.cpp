@@ -1,10 +1,14 @@
-// resilient_sweep semantics: journaled rows, resume merging, warm-start
-// checkpoints, and interruption classification - all in-process. The
-// process-kill crash proof lives in tests/tools/resume_kill_test.cpp.
+// resilient_sweep semantics: journaled rows, resume merging, journals
+// left by older builds, and interruption classification - all
+// in-process. The process-kill crash proof lives in
+// tests/tools/resume_kill_test.cpp.
 #include "robust/pipeline.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -23,10 +27,9 @@ dag::TaskGraph small_graph() {
   return apps::make_comd({.ranks = 2, .iterations = 3, .seed = 17});
 }
 
-/// A report's telemetry without its leading wall_ms member. A resumed
-/// sweep warm-starts from the journal's checkpoint, so it must take the
-/// same pivots as an uninterrupted one: every counter matches, only the
-/// clock differs.
+/// A report's telemetry without its leading wall_ms member. Every cap
+/// solves cold, so a resumed sweep takes the same pivots as an
+/// uninterrupted one: every counter matches, only the clock differs.
 std::string telemetry_after_wall_ms(const std::string& json) {
   const std::string telemetry = report_telemetry(json);
   return telemetry.substr(telemetry.find(','));
@@ -125,24 +128,86 @@ TEST(ResilientSweep, PartialJournalResumesOnlyMissingCaps) {
   expect_rows_identical(fresh->rows, resumed->rows);
 }
 
-TEST(ResilientSweep, JournalPersistsWarmStartCheckpoints) {
+/// One frame in the journal's framing, as every build writes them.
+std::string frame(char tag, const std::string& payload) {
+  char crc[16];
+  std::snprintf(crc, sizeof crc, "%08x",
+                static_cast<unsigned>(crc32(payload.data(), payload.size())));
+  return std::string(1, tag) + " " + crc + " " +
+         std::to_string(payload.size()) + "\n" + payload + "\n";
+}
+
+// Older builds appended a `B` basis checkpoint after every row. Such a
+// journal, with request intents and an epoch stamp besides, must open
+// whole, replicate, resume without re-solving a proven cap, and compact
+// to a journal without its `B` frames.
+TEST(ResilientSweep, JournalWithLegacyBasisCheckpointsResumesAndCompacts) {
   const dag::TaskGraph g = small_graph();
   const ScratchDir scratch("resume");
   ASSERT_TRUE(scratch.ok());
-  const std::string path = scratch.path("resume_warm");
-  ResilientSweepOptions jopt;
-  jopt.journal_path = path;
-  ASSERT_TRUE(
-      resilient_sweep(g, kModel, kCluster, {2 * 50.0}, jopt).ok());
+  const std::vector<double> caps = {2 * 50.0, 2 * 60.0, 2 * 70.0};
+  const auto fresh = resilient_sweep(g, kModel, kCluster, caps, {});
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_EQ(fresh->rows.size(), caps.size());
 
+  const std::string basis = "-\n4 2 2 0 2 0 0 2\n";
+  JournalRequest intent;
+  intent.id = "req-1";
+  intent.kind = "sweep";
+  intent.caps = caps;
+  std::string bytes = "powerlim-journal v1\n" + frame('E', "epoch=3") +
+                      frame('Q', serialize_journal_request(intent));
+  for (const SweepRow& row : fresh->rows) {
+    bytes += frame('R', serialize_journal_entry(row)) + frame('B', basis);
+  }
+  const std::string path = scratch.path("legacy_basis");
+  std::ofstream(path, std::ios::binary) << bytes;
+
+  {
+    auto j = SweepJournal::open(path);
+    ASSERT_TRUE(j.ok()) << j.status().to_string();
+    EXPECT_TRUE(j->recovery().clean());
+    EXPECT_EQ(j->recovery().records, 3);
+    EXPECT_EQ(j->recovery().request_records, 1);
+    EXPECT_EQ(j->epoch(), 3u);
+    EXPECT_EQ(std::filesystem::file_size(path), bytes.size());
+  }
+
+  // A standby replicating the journal applies its bytes verbatim.
+  {
+    auto replica = SweepJournal::open(scratch.path("legacy_replica"));
+    ASSERT_TRUE(replica.ok());
+    ASSERT_TRUE(replica.value()
+                    .append_raw(journal_header_bytes(),
+                                bytes.substr(journal_header_bytes()))
+                    .ok());
+    EXPECT_EQ(replica->entries().size(), 3u);
+    EXPECT_EQ(replica->epoch(), 3u);
+  }
+
+  ResilientSweepOptions ropt;
+  ropt.journal_path = path;
+  ropt.resume = true;
+  const auto resumed = resilient_sweep(g, kModel, kCluster, caps, ropt);
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ(resumed->solved, 0);
+  EXPECT_EQ(resumed->resumed, 3);
+  EXPECT_FALSE(resumed->recovery.quarantined_file);
+  EXPECT_EQ(resumed->recovery.quarantined_bytes, 0);
+  expect_rows_identical(fresh->rows, resumed->rows);
+
+  const CompactResult compacted = compact_journal(path);
+  ASSERT_TRUE(compacted.status.ok()) << compacted.status.to_string();
+  EXPECT_EQ(compacted.basis_dropped, 3);
+  EXPECT_EQ(compacted.records_kept, 3);
+  std::ifstream in(path, std::ios::binary);
+  for (std::string line; std::getline(in, line);) {
+    EXPECT_NE(line.rfind("B ", 0), 0u) << line;
+  }
   auto j = SweepJournal::open(path);
   ASSERT_TRUE(j.ok());
-  EXPECT_GE(j->recovery().basis_records, 1);
-  bool any_valid = false;
-  for (const lp::WarmStart& w : j->warm_starts()) {
-    any_valid = any_valid || w.valid();
-  }
-  EXPECT_TRUE(any_valid);
+  EXPECT_EQ(j->entries().size(), 3u);
+  EXPECT_EQ(j->epoch(), 3u);
 }
 
 TEST(ResilientSweep, PreCancelledSweepSolvesNothingAndIsResumable) {

@@ -4,7 +4,8 @@
 //
 //   * a warm standby's journal and trace files become byte-identical
 //     copies of the primary's, and the standby serves fully-proven
-//     repeat queries read-only (sheds the rest as 'overloaded standby');
+//     repeat queries read-only (sheds the rest as 'overloaded standby',
+//     and refuses a trace that only shares a snapshot's hash);
 //   * SIGKILLing the primary mid-sweep and promoting the standby
 //     yields a served table, and report `result`s, byte-identical to
 //     offline `powerlim sweep` with zero replicated-proven rows
@@ -34,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "forged_trace.h"
 #include "report_parts.h"
 #include "robust/wire.h"
 #include "scratch_dir.h"
@@ -337,6 +339,24 @@ TEST_F(FailoverTest, StandbyReplicatesByteIdenticalAndServesReadOnly) {
   EXPECT_NE(uq.err.find("overloaded (standby)"), std::string::npos)
       << uq.err;
   EXPECT_EQ(journaled_rows(standby.state_dir), kCaps);
+
+  // A trace that only shares the replicated trace's hash is refused,
+  // not answered from that trace's journal. (`query` sends a canonical
+  // serialization, which drops comments, so the forged bytes go raw.)
+  ServeRequest forged;
+  forged.id = "forged";
+  forged.kind = "bound";
+  forged.caps = {2 * 30.0};
+  forged.trace_text = same_crc_other_trace(read_file(*trace_));
+  ServeClient raw;
+  ASSERT_TRUE(raw.connect(standby.endpoint).ok());
+  ASSERT_TRUE(raw.submit(forged).ok());
+  const serve::CollectResult got = raw.collect("forged", 30.0);
+  EXPECT_EQ(got.status, serve::CollectStatus::kRequestError);
+  EXPECT_TRUE(got.rows.empty());
+  EXPECT_NE(got.error_detail.find("different trace"), std::string::npos)
+      << got.error_detail;
+  raw.close();
 
   EXPECT_EQ(standby.stop(), 0);
   EXPECT_EQ(primary.stop(), 0);

@@ -205,7 +205,7 @@ std::string tags_of(const std::vector<WireFrame>& frames) {
 
 // --- the daemon's solve request ---
 
-TEST(ServeWorker, SolvesAJobEndToEndWithHeartbeatsAndArtifact) {
+TEST(PowerlimdSolve, SolvesAJobEndToEndWithHeartbeatsAndArtifact) {
   ScratchDir dir("solve_e2e");
   ASSERT_TRUE(dir.ok());
   Daemon d;
@@ -246,7 +246,7 @@ TEST(ServeWorker, SolvesAJobEndToEndWithHeartbeatsAndArtifact) {
   EXPECT_EQ(d.stop(), 0);
 }
 
-TEST(ServeWorker, RejectsVersionSkewWithCleanAck) {
+TEST(PowerlimdSolve, RejectsVersionSkewWithCleanAck) {
   ScratchDir dir("solve_skew");
   ASSERT_TRUE(dir.ok());
   Daemon d;
@@ -269,7 +269,7 @@ TEST(ServeWorker, RejectsVersionSkewWithCleanAck) {
   EXPECT_EQ(d.stop(), 0);
 }
 
-TEST(ServeWorker, SigtermDrainsGracefullyMidConnection) {
+TEST(PowerlimdSolve, SigtermDrainsGracefullyMidConnection) {
   // SIGTERM while a solve is in flight: the daemon drains, the solve's
   // final frame is flushed, and the daemon exits 0 - never a crash,
   // never a hang.
@@ -435,9 +435,6 @@ struct PoolFixture {
     remote.request.deadline_ms = 60'000.0;
     remote.request.trace_text = trace_text(graph);
     remote.heartbeat_timeout_ms = 5000.0;
-    remote.connect_timeout_ms = 1000.0;
-    remote.backoff_initial_ms = 5.0;
-    remote.backoff_max_ms = 50.0;
   }
 };
 
@@ -488,13 +485,12 @@ TEST(DistributedPool, AllCapsSettleRemotelyWithLocalWorkersDisabled) {
 }
 
 TEST(DistributedPool, DeadEndpointDrainsToLocalWorkers) {
-  // Nothing listens on the endpoint: after max_connect_failures backoff
+  // Nothing listens on the endpoint: after kMaxConnectFailures backoff
   // rounds the remote is declared dead and every cap settles locally.
   const int port = dead_port();
   ASSERT_GT(port, 0);
   PoolFixture fix({120.0, 110.0});
   fix.remote.remotes = {{"127.0.0.1", port}};
-  fix.remote.max_connect_failures = 2;
   robust::WorkerPoolOptions pool;
   pool.workers = 2;
   pool.remote = fix.remote;

@@ -10,8 +10,12 @@
 //   * hostile bytes on the daemon socket - oversized length prefixes
 //     and random fuzz - drop that connection only (satellite: shared
 //     kMaxFrameBytes ceiling enforced at the daemon socket);
-//   * SIGHUP (journal reopen) does not disturb service.
+//   * SIGHUP (journal reopen) does not disturb service;
+//   * a trace that only shares another trace's CRC-32 hash is refused,
+//     not answered from the other trace's journal, and a snapshot write
+//     that fails leaves nothing that would refuse the trace later.
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -26,6 +30,9 @@
 #include <thread>
 #include <vector>
 
+#include "dag/trace_io.h"
+#include "forged_trace.h"
+#include "robust/journal.h"
 #include "robust/wire.h"
 #include "scratch_dir.h"
 #include "serve/client.h"
@@ -369,6 +376,85 @@ TEST_F(PowerlimdLifecycle, SighupReopensJournalsWithoutDisturbingService) {
   EXPECT_EQ(got.done.resumed, 2);
 
   EXPECT_EQ(d.stop(), 0);
+}
+
+// powerlimd keys journals by CRC-32, which four chosen bytes can forge.
+// A trace that only shares another's hash must get an error, never the
+// other trace's proven rows.
+TEST_F(PowerlimdLifecycle, TraceHashCollisionIsRefusedNotServed) {
+  const std::string forged = same_crc_other_trace(*trace_text_);
+  ASSERT_NE(forged, *trace_text_);
+  ASSERT_EQ(robust::crc32(forged.data(), forged.size()),
+            robust::crc32(trace_text_->data(), trace_text_->size()));
+  {
+    std::istringstream in(forged);
+    ASSERT_NO_THROW((void)dag::read_trace(in, "forged"));
+  }
+
+  Daemon d = start_daemon({});
+  ASSERT_GT(d.endpoint.port, 0);
+  ServeClient client;
+  ASSERT_TRUE(client.connect(d.endpoint).ok());
+  ASSERT_TRUE(client.submit(request("genuine", 2)).ok());
+  ASSERT_EQ(client.collect("genuine", 60.0).status, CollectStatus::kDone);
+
+  ServeRequest collide = request("collide", 2);
+  collide.trace_text = forged;
+  ASSERT_TRUE(client.submit(collide).ok());
+  const CollectResult got = client.collect("collide", 60.0);
+  EXPECT_EQ(got.status, CollectStatus::kRequestError);
+  EXPECT_TRUE(got.rows.empty());
+  EXPECT_NE(got.error_detail.find("different trace"), std::string::npos)
+      << got.error_detail;
+
+  // The genuine trace is still served from its journal.
+  ASSERT_TRUE(client.submit(request("again", 2)).ok());
+  const CollectResult again = client.collect("again", 60.0);
+  EXPECT_EQ(again.status, CollectStatus::kDone);
+  EXPECT_EQ(again.done.resumed, 2);
+
+  EXPECT_EQ(d.stop(), 0);
+}
+
+// A trace snapshot whose write fails (here it outgrows a file-size
+// limit) must not stay behind torn: the next daemon on the state dir
+// would take it for another trace's snapshot and refuse this trace.
+TEST_F(PowerlimdLifecycle, FailedSnapshotWriteLeavesNoTornSnapshot) {
+  constexpr rlim_t kLimitBytes = 512;
+  ASSERT_GT(trace_text_->size(), kLimitBytes);
+  rlimit unlimited = {};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &unlimited), 0);
+  rlimit limited = unlimited;
+  limited.rlim_cur = kLimitBytes;
+  // The forked daemon inherits both: writes past the limit fail with
+  // EFBIG instead of killing it with SIGXFSZ.
+  const auto prev = ::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &limited), 0);
+  Daemon d = start_daemon({});
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &unlimited), 0);
+  ::signal(SIGXFSZ, prev);
+  ASSERT_GT(d.endpoint.port, 0);
+  {
+    ServeClient client;
+    ASSERT_TRUE(client.connect(d.endpoint).ok());
+    ASSERT_TRUE(client.submit(request("limited", 2)).ok());
+    const CollectResult got = client.collect("limited", 60.0);
+    EXPECT_EQ(got.status, CollectStatus::kRequestError);
+    EXPECT_NE(got.error_detail.find("cannot persist trace snapshot"),
+              std::string::npos)
+        << got.error_detail;
+  }
+  EXPECT_EQ(d.stop(), 0);
+
+  Daemon again = launch_daemon(d.state_dir + ".port", d.state_dir, {});
+  ASSERT_GT(again.endpoint.port, 0);
+  ServeClient client;
+  ASSERT_TRUE(client.connect(again.endpoint).ok());
+  ASSERT_TRUE(client.submit(request("unlimited", 2)).ok());
+  const CollectResult got = client.collect("unlimited", 60.0);
+  EXPECT_EQ(got.status, CollectStatus::kDone) << got.error_detail;
+  EXPECT_EQ(got.rows.size(), 2u);
+  EXPECT_EQ(again.stop(), 0);
 }
 
 TEST_F(PowerlimdLifecycle, VersionSkewedClientIsRejectedAtHello) {

@@ -308,7 +308,8 @@ TEST_F(DistributedSweepCli, LyingWorkerIsRejectedAndResolvedLocally) {
 TEST_F(DistributedSweepCli, WorkerSideFaultMatrixStaysByteIdentical) {
   // Worker-side injection: each mode injures every cap's first attempt
   // on that worker; the reassignment ladder must still converge to the
-  // serial table with exit 0.
+  // serial table and to the serial run's `result`s, with exit 0. A
+  // network fault never touches a solve, so no row echoes it.
   const struct {
     const char* mode;
     std::vector<std::string> worker_extra;
@@ -327,21 +328,24 @@ TEST_F(DistributedSweepCli, WorkerSideFaultMatrixStaysByteIdentical) {
     SCOPED_TRACE(leg.mode);
     const Worker w = start_worker(leg.worker_extra);
     ASSERT_GT(w.port, 0);
+    const std::string report = temp_path(std::string(leg.mode) + ".json");
     std::vector<std::string> args = base_args();
-    args.insert(args.end(), {"--remote", endpoint(w), "--workers", "2"});
+    args.insert(args.end(), {"--remote", endpoint(w), "--workers", "2",
+                             "--report", report});
     args.insert(args.end(), leg.sweep_extra.begin(), leg.sweep_extra.end());
     const CliResult dist = run_cli(args);
     ASSERT_EQ(dist.code, 0) << dist.err;
     EXPECT_EQ(head_lines(dist.out, 2 + kCaps), serial_table());
+    EXPECT_EQ(report_results(read_file(report)),
+              report_results(read_file(*serial_report_)));
     stop_worker(w);
   }
 }
 
 TEST_F(DistributedSweepCli, SchedulerSideFaultMatrixStaysByteIdentical) {
   // Scheduler-side injection (`sweep --inject-fail net-*`): the injured
-  // attempts are lost on this side of the socket; the table must still
-  // match a serial run (reports are not compared - locally re-solved
-  // caps echo the active fault plan, remote ones cannot).
+  // attempts are lost on this side of the socket; the table and every
+  // report's `result` must still match a serial run.
   const struct {
     const char* mode;
     std::vector<std::string> extra;
@@ -355,13 +359,16 @@ TEST_F(DistributedSweepCli, SchedulerSideFaultMatrixStaysByteIdentical) {
     SCOPED_TRACE(leg.mode);
     const Worker w = start_worker({});
     ASSERT_GT(w.port, 0);
+    const std::string report = temp_path(std::string(leg.mode) + ".json");
     std::vector<std::string> args = base_args();
     args.insert(args.end(), {"--remote", endpoint(w), "--workers", "2",
-                             "--inject-fail", leg.mode});
+                             "--inject-fail", leg.mode, "--report", report});
     args.insert(args.end(), leg.extra.begin(), leg.extra.end());
     const CliResult dist = run_cli(args);
     ASSERT_EQ(dist.code, 0) << dist.err;
     EXPECT_EQ(head_lines(dist.out, 2 + kCaps), serial_table());
+    EXPECT_EQ(report_results(read_file(report)),
+              report_results(read_file(*serial_report_)));
     stop_worker(w);
   }
 }

@@ -2,9 +2,10 @@
 // sweep with every cap's first worker spawn crash-injected must
 // complete, retry only the injured spawns, and produce table rows,
 // journal records, and report `result`s identical to an uninterrupted
-// serial (--workers 1) run. Plus the parent-crash
-// half of the satellite: SIGKILLing the *sweep process* mid-parallel-
-// run and resuming converges to the identical final table.
+// serial (--workers 1) run; a LULESH sweep whose serial and pooled
+// reports differ only in where each cap ran; and SIGKILLing the *sweep
+// process* mid-parallel-run and resuming converges to the identical
+// final table.
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -14,6 +15,7 @@
 
 #include <chrono>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -95,12 +97,10 @@ TEST_F(ParallelSweepCli, CrashInjectedParallelMatchesSerialByteForByte) {
                                          "--to",  "105", "--step", "5"};
   const int n_caps = 16;
 
-  // The serial reference also passes --inject-fail worker-crash: worker
-  // faults are a documented no-op at --workers 1, so the solve is
-  // untouched but both reports echo the same fault block.
+  // The serial reference is a clean run: a worker that crashed and was
+  // replaced leaves no trace in the `result` of the cap it then solved.
   std::vector<std::string> serial_args = base;
-  serial_args.insert(serial_args.end(), {"--inject-fail", "worker-crash",
-                                         "--report", serial_report});
+  serial_args.insert(serial_args.end(), {"--report", serial_report});
   const CliResult serial = run_cli(serial_args);
   ASSERT_EQ(serial.code, 0) << serial.err;
 
@@ -133,6 +133,47 @@ TEST_F(ParallelSweepCli, CrashInjectedParallelMatchesSerialByteForByte) {
 
   // All 16 caps landed durably.
   EXPECT_EQ(count_records(journal), n_caps);
+}
+
+/// `text` with each report's wall time, worker block and transport
+/// block cut out of its telemetry: what tells how and where a cap was
+/// solved, as opposed to what its solve did.
+std::string without_placement(const std::string& text) {
+  static const std::regex kPlacement(
+      "\"wall_ms\":[^,]*,\"worker\":\\{[^}]*\\},\"transport\":\\{[^}]*\\},");
+  return std::regex_replace(text, kPlacement, "");
+}
+
+// A serial sweep solves its caps one after another, a pooled one each in
+// its own worker; since every cap solves cold, the two report the same
+// pivots and the same vertex. This LULESH trace's 60 W cap once reached
+// another optimal vertex serially (25,574 J instead of 27,092 J) when
+// it started from the 55 W cap's basis.
+TEST_F(ParallelSweepCli, LuleshSerialAndPooledReportsDifferOnlyInPlacement) {
+  const std::string trace = temp_path("lulesh_trace");
+  const std::string serial_report = temp_path("lulesh_serial.json");
+  const std::string pooled_report = temp_path("lulesh_pooled.json");
+  ASSERT_EQ(run_cli({"trace", "lulesh", "-o", trace, "--ranks", "8",
+                     "--iterations", "12", "--seed", "8"})
+                .code,
+            0);
+  const std::vector<std::string> base = {"sweep", trace, "--from", "55",
+                                         "--to",  "60",  "--step", "5"};
+  std::vector<std::string> serial_args = base;
+  serial_args.insert(serial_args.end(), {"--report", serial_report});
+  ASSERT_EQ(run_cli(serial_args).code, 0);
+  std::vector<std::string> pooled_args = base;
+  pooled_args.insert(pooled_args.end(),
+                     {"--workers", "2", "--report", pooled_report});
+  ASSERT_EQ(run_cli(pooled_args).code, 0);
+
+  const std::string serial = read_file(serial_report);
+  const std::string pooled = read_file(pooled_report);
+  ASSERT_NE(pooled.find("\"isolated\":true"), std::string::npos);
+  EXPECT_EQ(without_placement(pooled), without_placement(serial));
+  EXPECT_NE(serial.find("\"energy_joules\":27092.1124209"),
+            std::string::npos)
+      << serial;
 }
 
 TEST_F(ParallelSweepCli, WorkerFaultNamesParse) {

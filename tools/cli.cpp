@@ -946,7 +946,8 @@ int cmd_journal(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
       << " bytes, kept " << res.records_kept << " cap record(s) (dropped "
       << res.records_dropped << "), kept " << res.requests_kept
       << " request intent(s) (dropped " << res.requests_dropped
-      << "), collapsed " << res.basis_dropped << " basis checkpoint(s), "
+      << "), dropped " << res.basis_dropped
+      << " legacy basis checkpoint(s), collapsed "
       << res.epoch_records_dropped << " epoch stamp(s)";
   if (res.epoch > 0) out << ", epoch=" << res.epoch;
   out << "\n";
