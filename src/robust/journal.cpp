@@ -12,6 +12,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "robust/solve_driver.h"  // kRunReportSchemaVersion
 #include "util/posix_io.h"
 
 namespace powerlim::robust {
@@ -125,27 +126,32 @@ std::size_t scan_frames(
   return good;
 }
 
-}  // namespace
-
-bool journal_entry_trusted(const JournalEntry& entry,
-                           bool require_certificate) {
-  if (entry.verdict != StatusCode::kOk) return true;
-  if (!require_certificate) return true;
-  // RunReport::to_json emits keys in a fixed order, so these exact
-  // substrings appear iff the report is schema >= 4 and the accepted
-  // solution passed verification. (The schema check alone is not enough:
-  // a run with verification disabled also stamps schema 4.) From schema
-  // 9 the verdicts sit in `result`; the `telemetry` certificate block
-  // holds only the duality gap, so it cannot match.
+/// The trust rule (see journal.h): a record is current when its report
+/// opens with this build's schema and, if it claims an LP bound (kOk),
+/// carries a passed exact certificate. RunReport::to_json emits keys in
+/// a fixed order, so both tests are exact substrings. The certificate
+/// verdict sits in `result`; the `telemetry` certificate block holds
+/// only the duality gap, and a quote inside a string value is escaped,
+/// so nothing else can match.
+bool current_record(const JournalEntry& entry) {
+  static const std::string kSchema =
+      "{\"schema_version\":" + std::to_string(kRunReportSchemaVersion) + ",";
   const std::string& json = entry.report_json;
-  const std::size_t v = json.find("\"schema_version\":");
-  if (v == std::string::npos) return false;
-  const int schema =
-      static_cast<int>(std::strtol(json.c_str() + v + 17, nullptr, 10));
-  if (schema < 4) return false;
-  return json.find("\"certificate\":{\"checked\":true,\"ok\":true") !=
-         std::string::npos;
+  if (json.compare(0, kSchema.size(), kSchema) != 0) return false;
+  return entry.verdict != StatusCode::kOk ||
+         json.find("\"certificate\":{\"checked\":true,\"ok\":true") !=
+             std::string::npos;
 }
+
+const JournalEntry* find_cap(const std::vector<JournalEntry>& entries,
+                             double job_cap_watts) {
+  for (const JournalEntry& e : entries) {
+    if (e.job_cap_watts == job_cap_watts) return &e;
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 std::string serialize_journal_entry(const JournalEntry& e) {
   std::string out = "cap=";
@@ -309,6 +315,20 @@ struct SweepJournal::Impl {
     if (fd >= 0) ::close(fd);
   }
 
+  /// Stands `e` for its cap under the trust rule: the first current
+  /// record of a cap stands; a stale one or a later duplicate is counted
+  /// and skipped.
+  void absorb_entry(JournalEntry e) {
+    if (!current_record(e)) {
+      ++recovery.stale_records;
+    } else if (find_cap(entries, e.job_cap_watts) != nullptr) {
+      ++recovery.duplicates_dropped;
+    } else {
+      entries.push_back(std::move(e));
+      ++recovery.records;
+    }
+  }
+
   /// Parses one intact frame's payload and (when `apply`) folds it into
   /// the recovered state. Returns false on an unparseable payload. A
   /// legacy `B` frame carries nothing this build reads and is skipped.
@@ -316,15 +336,7 @@ struct SweepJournal::Impl {
     if (tag == 'R') {
       JournalEntry e;
       if (!parse_journal_entry(payload, &e)) return false;
-      if (!apply) return true;
-      for (const JournalEntry& have : entries) {
-        if (have.job_cap_watts == e.job_cap_watts) {
-          ++recovery.duplicates_dropped;
-          return true;
-        }
-      }
-      entries.push_back(std::move(e));
-      ++recovery.records;
+      if (apply) absorb_entry(std::move(e));
     } else if (tag == 'Q') {
       JournalRequest r;
       if (!parse_journal_request(payload, &r)) return false;
@@ -440,10 +452,7 @@ bool SweepJournal::contains(double job_cap_watts) const {
 }
 
 const JournalEntry* SweepJournal::find(double job_cap_watts) const {
-  for (const JournalEntry& e : impl_->entries) {
-    if (e.job_cap_watts == job_cap_watts) return &e;
-  }
-  return nullptr;
+  return find_cap(impl_->entries, job_cap_watts);
 }
 
 Result<SweepJournal> SweepJournal::open(const std::string& path) {
@@ -554,8 +563,7 @@ Status SweepJournal::append(const JournalEntry& entry) {
   }
   st = impl_->write_durable(frame('R', serialize_journal_entry(entry)));
   if (!st.ok()) return st;
-  impl_->entries.push_back(entry);
-  ++impl_->recovery.records;
+  impl_->absorb_entry(entry);
   return Status::Ok();
 }
 
@@ -681,13 +689,11 @@ CompactResult compact_journal(const std::string& path,
     return result;
   }
 
-  // Raw scan (not SweepJournal::open): recovery dedups first-wins, but
-  // compaction must see *every* R frame to keep the latest proven one.
-  struct CapRecord {
-    double cap;
-    std::string payload;
-  };
-  std::vector<CapRecord> kept;  // first-appearance order of caps
+  // Raw scan (not SweepJournal::open, which would truncate, quarantine
+  // or create the file): each kept R frame is copied verbatim, and it is
+  // exactly the record recovery stands for its cap.
+  std::vector<JournalEntry> kept;
+  std::vector<std::string> kept_payloads;
   std::vector<std::string> request_payloads;
   std::vector<JournalRequest> request_parsed;
   int r_frames = 0;
@@ -700,19 +706,10 @@ CompactResult compact_journal(const std::string& path,
       JournalEntry e;
       if (!parse_journal_entry(payload, &e)) return false;
       ++r_frames;
-      // The certificate gate is re-checked here: a kOk record whose
-      // report no longer proves its bound does not survive compaction
-      // (the cap re-solves on the next resume instead).
-      if (!journal_entry_trusted(e, options.require_certificate)) {
-        return true;
+      if (current_record(e) && find_cap(kept, e.job_cap_watts) == nullptr) {
+        kept.push_back(std::move(e));
+        kept_payloads.push_back(payload);
       }
-      for (CapRecord& c : kept) {
-        if (c.cap == e.job_cap_watts) {
-          c.payload = payload;  // latest proven record wins
-          return true;
-        }
-      }
-      kept.push_back(CapRecord{e.job_cap_watts, payload});
     } else if (tag == 'Q') {
       JournalRequest r;
       if (!parse_journal_request(payload, &r)) return false;
@@ -741,13 +738,11 @@ CompactResult compact_journal(const std::string& path,
   out += kMagic;
   out += '\n';
   if (epoch > 0) out += frame('E', serialize_epoch(epoch));
-  for (const CapRecord& c : kept) out += frame('R', c.payload);
+  for (const std::string& payload : kept_payloads) out += frame('R', payload);
   for (std::size_t i = 0; i < request_parsed.size(); ++i) {
     bool owes = false;
     for (double cap : request_parsed[i].caps) {
-      bool have = false;
-      for (const CapRecord& c : kept) have = have || c.cap == cap;
-      if (!have) {
+      if (find_cap(kept, cap) == nullptr) {
         owes = true;
         break;
       }

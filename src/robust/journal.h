@@ -18,7 +18,7 @@
 // full RunReport JSON. A `Q` payload records a *request intent* (the
 // powerlimd daemon journals every admitted request before its first
 // solve starts), so a daemon killed mid-request can resume: caps from
-// recovered `Q` records that lack a trusted `R` record are exactly the
+// recovered `Q` records that lack a standing `R` record are exactly the
 // work still owed. An `E` payload (`epoch=<n>`) is a failover-epoch
 // stamp: the high-availability layer appends one whenever a daemon opens
 // the journal under a newer epoch than the journal has seen, and
@@ -35,6 +35,19 @@
 // intact `B` frame as a frame and ignore its payload (compaction drops
 // it), so it is never mistaken for corruption.
 //
+// Trust: the first *current* `R` record of a cap stands for it. A record
+// is current when its RunReport carries this build's schema
+// (kRunReportSchemaVersion) and, when its verdict is `ok`, a passed
+// exact certificate (`"certificate":{"checked":true,"ok":true`). The
+// rule lives here and nowhere else: recovery, append, replication
+// apply, foreign-append absorption and compaction all stand the same
+// records, so a resumed sweep, powerlimd and `journal compact` cannot
+// disagree about a cap. A record that is not current (an older build's
+// report, a tampered or unproven bound) is skipped and counted in
+// `RecoverySummary::stale_records`; its bytes stay in the file, so
+// replication offsets do not move, and a fresh record appended after it
+// stands in its place - the cap re-solves once, not on every resume.
+//
 // Durability and recovery:
 //   * every append is a single write() of the whole frame (on an
 //     O_APPEND fd, so concurrent appenders - e.g. two sweep processes
@@ -50,9 +63,9 @@
 //   * a version/magic mismatch renames the file to `<path>.quarantined`
 //     and starts a fresh journal (never silently reinterpret another
 //     format);
-//   * duplicate caps keep the first record and count the drops (a crash
-//     between "solve finished" and "resume check" can legally duplicate
-//     the in-flight cap).
+//   * duplicate caps keep the first current record and count the drops
+//     (a crash between "solve finished" and "resume check" can legally
+//     duplicate the in-flight cap).
 //
 // No dependencies: CRC-32 (IEEE, table-driven) and the framing live
 // here; IO is plain POSIX.
@@ -106,14 +119,17 @@ struct JournalRequest {
 
 /// What recovery found when the journal was opened.
 struct RecoverySummary {
-  /// Intact per-cap records recovered (after duplicate dedup).
+  /// Records standing for their caps (the first current one per cap).
   int records = 0;
   /// Intact request-intent records recovered.
   int request_records = 0;
   /// Intact epoch stamps seen (only the highest value matters).
   int epoch_records = 0;
-  /// Duplicate-cap records dropped (first occurrence wins).
+  /// Current records for a cap that already has a standing one.
   int duplicates_dropped = 0;
+  /// Intact records that are not current (older report schema, or an
+  /// `ok` verdict without a passed certificate): skipped, never stand.
+  int stale_records = 0;
   /// Bytes of torn/corrupt tail removed by truncate-and-continue.
   long quarantined_bytes = 0;
   /// True when a version/magic mismatch moved the old file aside.
@@ -123,20 +139,9 @@ struct RecoverySummary {
 
   bool clean() const {
     return quarantined_bytes == 0 && !quarantined_file &&
-           duplicates_dropped == 0;
+           duplicates_dropped == 0 && stale_records == 0;
   }
 };
-
-/// Resume-trust predicate: may a recovered record be replayed into a
-/// resumed sweep without re-solving its cap? Failure and degraded
-/// records are always trusted (their bound, when any, is a simulated
-/// fallback, not an LP claim). A kOk record claims an LP bound, so when
-/// `require_certificate` is set (the resuming sweep verifies
-/// certificates) its RunReport JSON must show schema >= 4 with a passed
-/// certificate - records journaled before the verification layer, or
-/// tampered after the fact, are re-solved instead of trusted.
-bool journal_entry_trusted(const JournalEntry& entry,
-                           bool require_certificate);
 
 /// Serialize / parse one per-cap record payload (the `R` frame body).
 /// Shared with the worker-pool wire protocol: a worker ships its result
@@ -166,12 +171,14 @@ class SweepJournal {
   const std::string& path() const;
   const RecoverySummary& recovery() const;
 
-  /// Recovered per-cap records, in journal (= completion) order.
+  /// Standing per-cap records, in journal (= completion) order.
   const std::vector<JournalEntry>& entries() const;
-  /// Whether a cap already has a durable record. Caps are matched
-  /// exactly: records round-trip through max-precision decimal, which
-  /// is bit-faithful for doubles.
+  /// Whether a cap has a standing record. Caps are matched exactly:
+  /// records round-trip through max-precision decimal, which is
+  /// bit-faithful for doubles.
   bool contains(double job_cap_watts) const;
+  /// The cap's standing record, or nullptr: the record a resumed sweep
+  /// or powerlimd may serve instead of solving the cap.
   const JournalEntry* find(double job_cap_watts) const;
 
   /// Recovered request intents, in journal (= admission) order.
@@ -209,7 +216,9 @@ class SweepJournal {
   [[nodiscard]] Status append_raw(std::uint64_t offset, const std::string& bytes);
 
   /// Durably appends one per-cap record (write + fsync before return).
-  /// An entry for an already-journaled cap is dropped as a duplicate.
+  /// An entry for a cap that already has a standing record is dropped
+  /// as a duplicate. An entry that is not current is written but never
+  /// stands (it counts in `stale_records`, as it would on recovery).
   [[nodiscard]] Status append(const JournalEntry& entry);
   /// Durably appends a request intent *before* any of its caps solve.
   /// Malformed requests (whitespace in id/kind) are kBadInput.
@@ -223,10 +232,6 @@ class SweepJournal {
 
 /// Options for `compact_journal`.
 struct CompactOptions {
-  /// Re-check the certificate gate on every kOk record during the
-  /// rewrite (journal_entry_trusted): records that no longer prove
-  /// their bound are dropped and will re-solve on the next resume.
-  bool require_certificate = true;
   /// Test hook: stop after the rewritten journal is written and fsynced
   /// but *before* the atomic rename, simulating a crash mid-compaction.
   bool crash_before_rename = false;
@@ -242,10 +247,9 @@ struct CompactResult {
   std::uint64_t bytes_after = 0;
   /// Highest epoch stamp carried over (0 = none).
   std::uint64_t epoch = 0;
-  /// Caps kept (latest proven record per cap).
+  /// Caps kept (the record that stands for each cap).
   int records_kept = 0;
-  /// R frames dropped: superseded duplicates plus kOk records that
-  /// failed the certificate re-check.
+  /// R frames dropped: records that are not current plus duplicates.
   int records_dropped = 0;
   /// Request intents kept (still owe at least one cap) / dropped.
   int requests_kept = 0;
@@ -256,9 +260,9 @@ struct CompactResult {
   int epoch_records_dropped = 0;
 };
 
-/// Rewrites `path` keeping only the latest *proven* record per cap (the
-/// certificate gate is re-checked on every kOk record), request intents
-/// that still owe work, and a single epoch stamp; legacy `B` frames go.
+/// Rewrites `path` keeping exactly the records recovery stands (the
+/// first current record per cap), request intents that still owe work,
+/// and a single epoch stamp; stale records and legacy `B` frames go.
 /// Crash-safe: the replacement is written to `<path>.compact.tmp`,
 /// fsynced, renamed over the original, and the directory fsynced - a
 /// crash at any point leaves either the old or the new journal intact.

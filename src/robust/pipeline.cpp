@@ -166,9 +166,7 @@ Status remote_pool_options(const dag::TaskGraph& graph,
   if (options.remote_heartbeat_ms > 0.0) {
     remote->heartbeat_timeout_ms = options.remote_heartbeat_ms;
   }
-  if (options.remote_timeout_ms > 0.0) {
-    remote->job_timeout_ms = options.remote_timeout_ms;
-  } else if (options.driver.cap_deadline_ms > 0.0) {
+  if (options.driver.cap_deadline_ms > 0.0) {
     // The remote end enforces the cap deadline itself; this ceiling only
     // catches a peer that silently keeps heartbeating past it.
     remote->job_timeout_ms = options.driver.cap_deadline_ms + 5000.0;
@@ -176,22 +174,13 @@ Status remote_pool_options(const dag::TaskGraph& graph,
   return Status::Ok();
 }
 
-/// The journal record a resumed sweep may reuse for `cap`, or nullptr.
-/// An untrusted record (kOk without a passed certificate) falls through
-/// to a fresh solve. The journal keeps the old record (a re-append would
-/// be dropped as a duplicate), so an untrusted cap is re-solved on every
-/// resume - deliberately: trust is a property of the record, not of how
-/// often it has been replayed.
+/// The journal record a resumed sweep may reuse for `cap`, or nullptr:
+/// the record that stands for the cap (robust/journal.h decides which).
 const JournalEntry* resumable_record(const std::optional<SweepJournal>& journal,
                                      const ResilientSweepOptions& options,
                                      double cap) {
   if (!journal || !options.resume) return nullptr;
-  const JournalEntry* e = journal->find(cap);
-  if (e == nullptr ||
-      !journal_entry_trusted(*e, options.driver.verify_certificate)) {
-    return nullptr;
-  }
-  return e;
+  return journal->find(cap);
 }
 
 /// The pooled path (workers > 1 or remotes): every cap the journal does

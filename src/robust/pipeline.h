@@ -50,7 +50,7 @@ struct ResilientSweepOptions {
   SolveDriverOptions driver;
   /// Journal file; empty disables journaling (plain in-memory sweep).
   std::string journal_path;
-  /// Skip caps the journal already holds (requires journal_path).
+  /// Skip caps with a standing journal record (requires journal_path).
   bool resume = false;
   /// Whole-sweep wall budget + cancellation. Checked between caps; the
   /// per-cap solves additionally observe it at pivot granularity (it is
@@ -79,9 +79,6 @@ struct ResilientSweepOptions {
   /// certificate gate before it is journaled, and every report carries
   /// the pool's transport telemetry.
   std::vector<std::string> remotes;
-  /// Per-remote-attempt wall ceiling, ms (0 derives it from the cap
-  /// deadline, or leaves it unlimited when there is none).
-  double remote_timeout_ms = 0.0;
   /// Heartbeat silence that declares a remote peer dead, ms (0 = the
   /// default in RemoteWorkerOptions).
   double remote_heartbeat_ms = 0.0;
@@ -116,8 +113,9 @@ struct ResilientSweepResult {
 /// Journaled, resumable cap sweep: one driver solve per cap, partial
 /// results guaranteed (a failing cap degrades, it does not abort the
 /// sweep). Every completed cap is durably journaled before the
-/// next one starts; on resume=true, journaled caps are skipped and their
-/// recovered rows merged in request order with the fresh ones. Returns a
+/// next one starts; on resume=true, caps with a standing journal record
+/// are skipped and those rows merged in request order with the fresh
+/// ones; a cap whose only records are stale solves afresh. Returns a
 /// Status only for journal-open failures (unwritable path); solve
 /// failures degrade per-cap as usual and never fail the sweep.
 [[nodiscard]] Result<ResilientSweepResult> resilient_sweep(

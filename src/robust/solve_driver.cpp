@@ -283,8 +283,10 @@ struct SolveDriver::Impl {
   /// the fault seams; it is cap-independent, so one instance serves a
   /// whole sweep.
   mutable std::unique_ptr<check::CertificateChecker> checker;
-  /// One-time input-lint echo (stamped into every report once computed).
+  /// One-time input-lint echo (stamped into every report once computed)
+  /// and the first error finding, the detail of every refused solve.
   mutable LintEcho lint_echo;
+  mutable std::string lint_error;
 
   const check::CertificateChecker& ensure_checker() const {
     if (!checker) {
@@ -305,11 +307,17 @@ struct SolveDriver::Impl {
         lint_echo.checked = true;
         lint_echo.errors = report.errors();
         lint_echo.warnings = report.warnings();
-      } catch (const std::exception&) {
-        // An un-lintable input counts as one error; the solve itself will
-        // surface the structural failure with its own verdict.
+        for (const check::LintFinding& f : report.findings) {
+          if (f.severity == check::LintSeverity::kError) {
+            lint_error = f.to_string();
+            break;
+          }
+        }
+      } catch (const std::exception& e) {
+        // An un-lintable input counts as one error.
         lint_echo.checked = true;
         lint_echo.errors = 1;
+        lint_error = std::string("cannot lint the input: ") + e.what();
       }
     }
     return lint_echo;
@@ -381,6 +389,14 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
   if (!std::isfinite(job_cap_watts) || job_cap_watts <= 0.0) {
     rep.verdict = StatusCode::kBadInput;
     rep.detail = "power cap must be a positive finite wattage";
+    return out;
+  }
+  // An input the linter rejects would solve into a vacuous bound (a
+  // zero-work task "proves" a 0 s makespan). Refusing it here refuses
+  // it on every path - CLI, powerlimd executors and remote solves alike.
+  if (rep.lint.errors > 0) {
+    rep.verdict = StatusCode::kBadInput;
+    rep.detail = im.lint_error;
     return out;
   }
   if (!im.ensure_sweeper(rep)) {

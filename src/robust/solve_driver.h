@@ -126,9 +126,9 @@ struct CertificateEcho {
 
 /// Input-lint echo (schema 4): error/warning counts from the one-time
 /// structural lint of the trace + machine model this driver solves (run
-/// on the first solve). Lint findings never block the solve - the CLI
-/// input gate rejects bad traces up front; this echo records that the
-/// inputs of *this* run were (or were not) clean.
+/// on the first solve). Any error refuses every solve: the cap ends
+/// `bad-input` with the first error finding as its detail, before any
+/// ladder attempt. Warnings only echo.
 struct LintEcho {
   bool checked = false;
   int errors = 0;

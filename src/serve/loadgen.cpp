@@ -121,6 +121,10 @@ void send_raw(int fd, const std::string& bytes) {
   (void)util::send_all(fd, bytes.data(), bytes.size(), /*timeout_s=*/5.0);
 }
 
+/// How long a stall, oversize or slow-read saboteur holds its
+/// connection before closing it, us.
+constexpr useconds_t kSaboteurHoldUs = 2'000'000;
+
 /// The saboteur: one misbehaving peer per mode. It never reports
 /// results - its entire job is to NOT take the daemon down with it.
 int run_saboteur(const LoadgenOptions& opt) {
@@ -141,7 +145,7 @@ int run_saboteur(const LoadgenOptions& opt) {
     // Hold a partial frame open past the handshake timeout; the daemon
     // must reap us without stalling anyone else.
     send_raw(fd, "W ");
-    ::usleep(static_cast<useconds_t>(opt.inject_hold_s * 1e6));
+    ::usleep(kSaboteurHoldUs);
     ::close(fd);
     return 0;
   }
@@ -149,7 +153,7 @@ int run_saboteur(const LoadgenOptions& opt) {
     // A hostile length prefix (way past kMaxWirePayload). The daemon
     // must reject it before allocating and drop us.
     send_raw(fd, "W U deadbeef 999999999999999\nx");
-    ::usleep(static_cast<useconds_t>(opt.inject_hold_s * 1e6));
+    ::usleep(kSaboteurHoldUs);
     ::close(fd);
     return 0;
   }
@@ -166,7 +170,7 @@ int run_saboteur(const LoadgenOptions& opt) {
     req.caps = opt.caps;
     req.trace_text = opt.trace_text;
     (void)client.submit(req);
-    ::usleep(static_cast<useconds_t>(opt.inject_hold_s * 1e6));
+    ::usleep(kSaboteurHoldUs);
     return 0;
   }
   ::close(fd);

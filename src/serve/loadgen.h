@@ -64,8 +64,6 @@ struct LoadgenOptions {
   /// Saboteur mode: "" (none), "net-drop", "net-stall", "slow-read",
   /// "oversize".
   std::string inject;
-  /// How long stall-style saboteurs hold their connection, s.
-  double inject_hold_s = 2.0;
 };
 
 struct LoadgenReport {

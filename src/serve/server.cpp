@@ -1,6 +1,5 @@
 #include "serve/server.h"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -128,11 +127,13 @@ struct Request {
   bool has_deadline = false;
   Clock::time_point deadline{};
   std::vector<double> caps;
-  /// Caps owed a fresh solve (requested minus journal-trusted).
+  /// Caps owed a fresh solve (requested minus standing journal records).
   std::vector<double> pending;
   /// Pending caps already settled (journaled + replied) this run.
   std::vector<double> settled;
-  std::string trace_text;
+  /// The trace, parsed once on admission (or from its snapshot on
+  /// resume); forked executors and solve children inherit it.
+  std::shared_ptr<const dag::TaskGraph> graph;
   std::string hash;
   std::unique_ptr<robust::SweepJournal> journal;
   int resumed = 0;
@@ -198,8 +199,10 @@ class Daemon {
   void begin_drain(const char* why);
 
   // --- request plumbing ---
-  void admit(std::uint64_t conn_id, ServeRequest&& sr);
-  void admit_solve(std::uint64_t conn_id, ServeRequest&& sr);
+  void admit(std::uint64_t conn_id, ServeRequest&& sr,
+             std::shared_ptr<const dag::TaskGraph> graph);
+  void admit_solve(std::uint64_t conn_id, ServeRequest&& sr,
+                   std::shared_ptr<const dag::TaskGraph> graph);
   std::vector<int> child_close_fds() const;
   void spawn_executor(Request& req);
   int run_executor(const Request& req, int write_fd);
@@ -382,60 +385,36 @@ bool Daemon::stamp_journal(robust::SweepJournal& journal,
 }
 
 void Daemon::startup_resume() {
-  DIR* dir = ::opendir(opt_.state_dir.c_str());
-  if (dir == nullptr) return;
-  std::vector<std::string> hashes;
-  while (struct dirent* de = ::readdir(dir)) {
-    const std::string name = de->d_name;
-    const std::string prefix = "sweep-", suffix = ".journal";
-    if (name.size() > prefix.size() + suffix.size() &&
-        name.compare(0, prefix.size(), prefix) == 0 &&
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-            0) {
-      hashes.push_back(name.substr(
-          prefix.size(), name.size() - prefix.size() - suffix.size()));
-    }
-  }
-  ::closedir(dir);
-  std::sort(hashes.begin(), hashes.end());
-
-  for (const std::string& hash : hashes) {
-    const std::string journal_path =
-        opt_.state_dir + "/sweep-" + hash + ".journal";
-    const std::string trace_path =
-        opt_.state_dir + "/trace-" + hash + ".trace";
-    auto opened = robust::SweepJournal::open(journal_path);
+  for (const std::string& hash : journal_hashes(opt_.state_dir)) {
+    const std::string journal = journal_path(opt_.state_dir, hash);
+    const std::string snapshot = trace_path(opt_.state_dir, hash);
+    auto opened = robust::SweepJournal::open(journal);
     if (!opened.ok()) {
-      err_ << "powerlimd: resume: cannot open " << journal_path << ": "
+      err_ << "powerlimd: resume: cannot open " << journal << ": "
            << opened.status().to_string() << "\n";
       continue;
     }
-    auto journal =
+    auto handle =
         std::make_unique<robust::SweepJournal>(std::move(opened).value());
-    if (!stamp_journal(*journal, hash)) {
+    if (!stamp_journal(*handle, hash)) {
       fence_self("resume: journal " + hash + " carries a newer epoch");
       return;
     }
     // The work owed is the union of every journaled intent's caps minus
-    // the caps that already have trusted records.
+    // the caps that already have standing records.
     std::vector<double> owed;
-    for (const robust::JournalRequest& jr : journal->requests()) {
+    for (const robust::JournalRequest& jr : handle->requests()) {
       for (double cap : jr.caps) {
-        const robust::JournalEntry* entry = journal->find(cap);
-        if (entry != nullptr &&
-            robust::journal_entry_trusted(*entry, /*require_certificate=*/true))
-          continue;
+        if (handle->contains(cap)) continue;
         if (std::find(owed.begin(), owed.end(), cap) == owed.end())
           owed.push_back(cap);
       }
     }
     if (owed.empty()) continue;
 
-    std::ifstream tf(trace_path);
-    std::stringstream buf;
-    buf << tf.rdbuf();
+    std::ifstream tf(snapshot);
     if (!tf) {
-      err_ << "powerlimd: resume: missing trace snapshot " << trace_path
+      err_ << "powerlimd: resume: missing trace snapshot " << snapshot
            << "; " << owed.size() << " cap(s) cannot be resumed\n";
       continue;
     }
@@ -445,14 +424,13 @@ void Daemon::startup_resume() {
     req.kind = "sweep";
     req.caps = owed;
     req.pending = owed;
-    req.trace_text = buf.str();
     req.hash = hash;
-    req.journal = std::move(journal);
+    req.journal = std::move(handle);
     try {
-      std::istringstream in(req.trace_text);
-      (void)dag::read_trace(in, trace_path);
+      req.graph = std::make_shared<const dag::TaskGraph>(
+          dag::read_trace(tf, snapshot));
     } catch (const std::exception& e) {
-      err_ << "powerlimd: resume: corrupt trace snapshot " << trace_path
+      err_ << "powerlimd: resume: corrupt trace snapshot " << snapshot
            << ": " << e.what() << "\n";
       continue;
     }
@@ -772,27 +750,30 @@ void Daemon::handle_request(Conn& conn, const robust::WireFrame& frame) {
     send_overloaded(conn_id, sr.id, "queue-full", detail.str());
     return;
   }
+  std::shared_ptr<const dag::TaskGraph> graph;
   try {
     std::istringstream in(sr.trace_text);
-    (void)dag::read_trace(in, "request:" + sr.id);
+    graph = std::make_shared<const dag::TaskGraph>(
+        dag::read_trace(in, "request:" + sr.id));
   } catch (const std::exception& e) {
     send_frame(conn_id, kTagError, encode_error(sr.id, e.what()));
     return;
   }
   if (sr.kind == "solve") {
-    admit_solve(conn_id, std::move(sr));
+    admit_solve(conn_id, std::move(sr), std::move(graph));
   } else {
-    admit(conn_id, std::move(sr));
+    admit(conn_id, std::move(sr), std::move(graph));
   }
 }
 
-void Daemon::admit_solve(std::uint64_t conn_id, ServeRequest&& sr) {
+void Daemon::admit_solve(std::uint64_t conn_id, ServeRequest&& sr,
+                         std::shared_ptr<const dag::TaskGraph> graph) {
   Request req;
   req.conn_id = conn_id;
   req.id = sr.id;
   req.kind = sr.kind;
   req.caps = sr.caps;
-  req.trace_text = std::move(sr.trace_text);
+  req.graph = std::move(graph);
   req.attempt = sr.attempt;
   req.cap_deadline_ms = sr.deadline_ms;
   // Worker-side network faults (`serve --inject-fail net-*`) injure the
@@ -808,14 +789,15 @@ void Daemon::admit_solve(std::uint64_t conn_id, ServeRequest&& sr) {
   queued_.push_back(std::move(req));
 }
 
-void Daemon::admit(std::uint64_t conn_id, ServeRequest&& sr) {
+void Daemon::admit(std::uint64_t conn_id, ServeRequest&& sr,
+                   std::shared_ptr<const dag::TaskGraph> graph) {
   Request req;
   req.conn_id = conn_id;
   req.id = sr.id;
   req.kind = sr.kind;
   req.caps = sr.caps;
-  req.trace_text = std::move(sr.trace_text);
-  req.hash = trace_hash(req.trace_text);
+  req.graph = std::move(graph);
+  req.hash = trace_hash(sr.trace_text);
   double deadline_ms = sr.deadline_ms > 0.0 ? sr.deadline_ms
                                             : opt_.default_deadline_ms;
   if (opt_.max_deadline_ms > 0.0 &&
@@ -834,22 +816,21 @@ void Daemon::admit(std::uint64_t conn_id, ServeRequest&& sr) {
   // intent self-contained. It is stored whole or not at all: a torn
   // snapshot would refuse its own trace as a collision.
   const std::string snapshot = trace_path(opt_.state_dir, req.hash);
-  const Snapshot match = compare_snapshot(snapshot, req.trace_text);
+  const Snapshot match = compare_snapshot(snapshot, sr.trace_text);
   if (match == Snapshot::kOther) {
     send_frame(conn_id, kTagError,
                encode_error(req.id, collision_error(req.hash)));
     return;
   }
   if (match == Snapshot::kAbsent &&
-      !store_file(snapshot, req.trace_text, nullptr)) {
+      !store_file(snapshot, sr.trace_text, nullptr)) {
     send_frame(conn_id, kTagError,
                encode_error(req.id, "cannot persist trace snapshot"));
     return;
   }
 
-  const std::string journal_path =
-      opt_.state_dir + "/sweep-" + req.hash + ".journal";
-  auto opened = robust::SweepJournal::open(journal_path);
+  auto opened =
+      robust::SweepJournal::open(journal_path(opt_.state_dir, req.hash));
   if (!opened.ok()) {
     send_frame(conn_id, kTagError,
                encode_error(req.id, "cannot open journal: " +
@@ -865,12 +846,11 @@ void Daemon::admit(std::uint64_t conn_id, ServeRequest&& sr) {
     return;
   }
 
-  // Serve every already-proven cap straight from the journal - the
-  // certificate-gated trust predicate decides, not file presence.
+  // Serve every cap with a standing record straight from the journal;
+  // the journal's trust rule decides, not file presence.
   for (double cap : req.caps) {
     const robust::JournalEntry* entry = req.journal->find(cap);
-    if (entry != nullptr &&
-        robust::journal_entry_trusted(*entry, /*require_certificate=*/true)) {
+    if (entry != nullptr) {
       ++req.resumed;
       reply_row(req, *entry);
     } else {
@@ -1027,9 +1007,6 @@ int Daemon::run_executor(const Request& req, int write_fd) {
       caps.push_back(cap);
   }
   try {
-    std::istringstream in(req.trace_text);
-    const dag::TaskGraph graph = dag::read_trace(in, "request:" + req.id);
-
     robust::ResilientSweepOptions ropt;
     ropt.driver.cap_deadline_ms = opt_.cap_deadline_ms;
     util::CancelToken& executor_cancel = cancel_on_sigterm();
@@ -1038,7 +1015,6 @@ int Daemon::run_executor(const Request& req, int write_fd) {
     ropt.worker_mem_mb = opt_.worker_mem_mb;
     ropt.worker_cpu_s = opt_.worker_cpu_s;
     ropt.remotes = opt_.remotes;
-    ropt.remote_timeout_ms = opt_.remote_timeout_ms;
     ropt.remote_heartbeat_ms = opt_.remote_heartbeat_ms;
     if (req.has_deadline) {
       const double remain_s = std::max(
@@ -1057,7 +1033,7 @@ int Daemon::run_executor(const Request& req, int write_fd) {
     };
 
     const auto result =
-        robust::resilient_sweep(graph, model_, cluster_, caps, ropt);
+        robust::resilient_sweep(*req.graph, model_, cluster_, caps, ropt);
     if (!result.ok()) return 1;
     if (result.value().interrupted) return 75;
     return 0;
@@ -1096,8 +1072,6 @@ robust::WorkerTaskOutput Daemon::run_solve(const Request& req,
                                            int attempt) const {
   const double cap = req.caps[0];
   robust::maybe_execute_worker_fault(cap, attempt);
-  std::istringstream in(req.trace_text);
-  const dag::TaskGraph graph = dag::read_trace(in, "request:" + req.id);
   robust::SolveDriverOptions opt;
   opt.cap_deadline_ms = req.cap_deadline_ms;
   opt.cancel = &cancel_on_sigterm();
@@ -1112,7 +1086,7 @@ robust::WorkerTaskOutput Daemon::run_solve(const Request& req,
     lie_scope.emplace(lie_plan);
   }
   const robust::SolveOutcome out =
-      robust::SolveDriver(graph, model_, cluster_, opt).solve(cap);
+      robust::SolveDriver(*req.graph, model_, cluster_, opt).solve(cap);
   robust::JournalEntry entry =
       robust::isolated_worker_entry(out.report, attempt);
   if (out.report.verdict != robust::StatusCode::kOk) return entry;
@@ -1337,8 +1311,6 @@ void Daemon::degrade_unsettled(Request& req, const std::string& death) {
   const std::vector<double> owed = unsettled(req);
   int degraded = 0;
   try {
-    std::istringstream in(req.trace_text);
-    const dag::TaskGraph graph = dag::read_trace(in, "request:" + req.id);
     robust::SolveDriverOptions driver_opt;
     driver_opt.cap_deadline_ms = opt_.cap_deadline_ms;
     // Offline sweeps always attach a cancel token, and the degraded
@@ -1352,7 +1324,7 @@ void Daemon::degrade_unsettled(Request& req, const std::string& death) {
       failure.detail = death;
       failure.spawns = req.spawns;
       const robust::JournalEntry entry = robust::degraded_entry_for_failure(
-          graph, model_, cluster_, driver_opt, cap, failure);
+          *req.graph, model_, cluster_, driver_opt, cap, failure);
       if (req.journal) {
         const robust::Status st = req.journal->append(entry);
         if (!st.ok()) {
@@ -1829,7 +1801,7 @@ void Daemon::promote_self(const char* why) {
        << why << ")\n";
   out_.flush();
   // The promoted primary owns the owed work now: finish every journaled
-  // intent whose caps still lack trusted records. Proven rows are
+  // intent whose caps still lack standing records. Proven rows are
   // served from the replica journal, never re-solved.
   if (opt_.resume) startup_resume();
 }
@@ -1852,7 +1824,7 @@ void Daemon::handle_standby_request(std::uint64_t conn_id,
                                     ServeRequest&& sr) {
   // A standby is a read replica: it serves a request if and only if its
   // trace is the replicated snapshot under its hash and *every* cap has
-  // a trusted (certificate-gated) record in the replica journal; anything
+  // a standing record in the replica journal; anything
   // less is shed with a typed reason so failover clients move on to the
   // primary, and a trace that only collides with the snapshot gets `E`.
   // No partial row streams - a half answer would duplicate rows once the
@@ -1862,10 +1834,9 @@ void Daemon::handle_standby_request(std::uint64_t conn_id,
   req.id = sr.id;
   req.kind = sr.kind;
   req.caps = sr.caps;
-  req.trace_text = std::move(sr.trace_text);
-  req.hash = trace_hash(req.trace_text);
+  req.hash = trace_hash(sr.trace_text);
   const Snapshot match =
-      compare_snapshot(trace_path(opt_.state_dir, req.hash), req.trace_text);
+      compare_snapshot(trace_path(opt_.state_dir, req.hash), sr.trace_text);
   if (match == Snapshot::kOther) {
     send_frame(conn_id, kTagError,
                encode_error(req.id, collision_error(req.hash)));
@@ -1881,12 +1852,7 @@ void Daemon::handle_standby_request(std::uint64_t conn_id,
       journal = std::make_unique<robust::SweepJournal>(
           std::move(opened).value());
       for (double cap : req.caps) {
-        const robust::JournalEntry* entry = journal->find(cap);
-        if (entry != nullptr &&
-            robust::journal_entry_trusted(*entry,
-                                          /*require_certificate=*/true)) {
-          ++proven;
-        }
+        if (journal->contains(cap)) ++proven;
       }
     }
   }

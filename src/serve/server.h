@@ -84,7 +84,7 @@ struct ServeOptions {
   /// their trace snapshots (`trace-<hash>.trace`). Created if absent.
   std::string state_dir = "powerlimd-state";
   /// Scan state_dir on startup and finish every journaled request
-  /// intent whose caps lack trusted records (the post-SIGKILL path).
+  /// intent whose caps lack standing records (the post-SIGKILL path).
   bool resume = false;
 
   /// Admitted-but-not-executing ceiling; beyond it requests are shed
@@ -100,7 +100,6 @@ struct ServeOptions {
   long worker_mem_mb = 0;
   double worker_cpu_s = 0.0;
   std::vector<std::string> remotes;
-  double remote_timeout_ms = 0.0;
   double remote_heartbeat_ms = 0.0;
   /// Per-cap wall budget inside the executor, ms (0 = unlimited).
   double cap_deadline_ms = 0.0;

@@ -1,14 +1,18 @@
 // The certificate gate inside SolveDriver: every accepted bound is
 // re-verified exactly; a corrupted solution turns into the
 // `certificate-failed` status, walks the ladder, and degrades like any
-// other solver fault; journal resume refuses to trust unverified
-// records.
+// other solver fault. The journal's trust rule: only a current record
+// (this build's report schema and, for an ok verdict, a passed
+// certificate) stands for its cap, so a resume re-solves an unproven or
+// old-schema record once and serves the fresh record from then on.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/exchange.h"
+#include "journal_records.h"
 #include "machine/power_model.h"
 #include "robust/fault_injection.h"
 #include "robust/journal.h"
@@ -140,36 +144,58 @@ class JournalTrustTest : public ::testing::Test {
   std::string path_;
 };
 
-TEST_F(JournalTrustTest, PredicateRequiresPassedCertificateForOkRecords) {
+TEST_F(JournalTrustTest, OnlyCurrentRecordsStand) {
   JournalEntry ok;
   ok.verdict = StatusCode::kOk;
-  ok.report_json =
-      "{\"schema_version\":4,\"certificate\":{\"checked\":true,\"ok\":true,"
-      "\"duality_checked\":true}}";
-  EXPECT_TRUE(journal_entry_trusted(ok, /*require_certificate=*/true));
+  ok.report_json = report_json(kPassedCertificate);
 
   JournalEntry old_schema = ok;
-  old_schema.report_json = "{\"schema_version\":3,\"verdict\":\"ok\"}";
-  EXPECT_FALSE(journal_entry_trusted(old_schema, true));
-  EXPECT_TRUE(journal_entry_trusted(old_schema, false));
+  old_schema.report_json = report_json(kPassedCertificate, /*schema=*/11);
 
   JournalEntry failed_cert = ok;
   failed_cert.report_json =
-      "{\"schema_version\":4,\"certificate\":{\"checked\":true,"
-      "\"ok\":false}}";
-  EXPECT_FALSE(journal_entry_trusted(failed_cert, true));
+      report_json("\"certificate\":{\"checked\":true,\"ok\":false}");
 
   JournalEntry unchecked = ok;
-  unchecked.report_json =
-      "{\"schema_version\":4,\"certificate\":{\"checked\":false}}";
-  EXPECT_FALSE(journal_entry_trusted(unchecked, true));
+  unchecked.report_json = report_json("\"certificate\":{\"checked\":false}");
 
-  // Degraded / failed records carry no LP claim: always trusted.
+  // A degraded record carries no LP claim: the schema alone decides.
   JournalEntry degraded;
   degraded.verdict = StatusCode::kSolverNumerical;
   degraded.degraded = true;
-  degraded.report_json = "{\"schema_version\":3}";
-  EXPECT_TRUE(journal_entry_trusted(degraded, true));
+  degraded.report_json = report_json("");
+  JournalEntry old_degraded = degraded;
+  old_degraded.report_json = report_json("", /*schema=*/11);
+
+  const std::vector<std::pair<JournalEntry, bool>> cases = {
+      {ok, true},          {old_schema, false}, {failed_cert, false},
+      {unchecked, false},  {degraded, true},    {old_degraded, false}};
+  {
+    Result<SweepJournal> journal = SweepJournal::open(path_);
+    ASSERT_TRUE(journal.ok());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      JournalEntry e = cases[i].first;
+      e.job_cap_watts = 10.0 * static_cast<double>(i + 1);
+      ASSERT_TRUE(journal.value().append(e).ok());
+      EXPECT_EQ(journal->contains(e.job_cap_watts), cases[i].second) << i;
+    }
+    EXPECT_EQ(journal->recovery().stale_records, 4);
+  }
+  Result<SweepJournal> journal = SweepJournal::open(path_);
+  ASSERT_TRUE(journal.ok());
+  EXPECT_EQ(journal->recovery().records, 2);
+  EXPECT_EQ(journal->recovery().stale_records, 4);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(journal->contains(10.0 * static_cast<double>(i + 1)),
+              cases[i].second)
+        << i;
+  }
+  // A stale record never blocks the current record that replaces it.
+  JournalEntry fresh = ok;
+  fresh.job_cap_watts = 20.0;
+  ASSERT_TRUE(journal.value().append(fresh).ok());
+  EXPECT_TRUE(journal->contains(20.0));
+  EXPECT_EQ(journal->recovery().duplicates_dropped, 0);
 }
 
 TEST_F(JournalTrustTest, TamperedJournalRecordIsResolvedOnResume) {
@@ -178,8 +204,7 @@ TEST_F(JournalTrustTest, TamperedJournalRecordIsResolvedOnResume) {
   const double cap = comfortable_cap(g);
 
   // Seed the journal with a fabricated kOk record for the cap whose
-  // report carries no passed certificate (as a tampered or pre-schema-4
-  // journal would).
+  // report carries no passed certificate (as a tampered journal would).
   {
     Result<SweepJournal> journal = SweepJournal::open(path_);
     ASSERT_TRUE(journal.ok());
@@ -187,7 +212,8 @@ TEST_F(JournalTrustTest, TamperedJournalRecordIsResolvedOnResume) {
     fake.job_cap_watts = cap;
     fake.verdict = StatusCode::kOk;
     fake.bound_seconds = 1e-6;  // absurd claim a resume must not echo
-    fake.report_json = "{\"schema_version\":3,\"verdict\":\"ok\"}";
+    fake.report_json =
+        report_json("\"verdict\":\"ok\",\"certificate\":{\"checked\":false}");
     ASSERT_TRUE(journal.value().append(fake).ok());
   }
 
@@ -204,6 +230,56 @@ TEST_F(JournalTrustTest, TamperedJournalRecordIsResolvedOnResume) {
   EXPECT_FALSE(swept->rows[0].from_journal);
   EXPECT_EQ(swept->rows[0].verdict, StatusCode::kOk);
   EXPECT_GT(swept->rows[0].bound_seconds, 1e-3);
+
+  // The fresh record stands from now on: the next resume serves it
+  // instead of solving the cap again.
+  const auto again = resilient_sweep(g, test_model(), cluster, {cap}, opt);
+  ASSERT_TRUE(again.ok()) << again.status().to_string();
+  EXPECT_EQ(again->resumed, 1);
+  EXPECT_EQ(again->solved, 0);
+  ASSERT_EQ(again->rows.size(), 1u);
+  EXPECT_TRUE(again->rows[0].from_journal);
+  EXPECT_EQ(again->rows[0].bound_seconds, swept->rows[0].bound_seconds);
+}
+
+// A record an older build journaled (here: schema 11, CRC recomputed so
+// recovery takes it as intact) is re-solved once; every row the resume
+// returns carries this build's schema, and the next resume takes every
+// cap from the journal.
+TEST_F(JournalTrustTest, OldSchemaRecordIsResolvedOnceOnResume) {
+  const dag::TaskGraph g = apps::two_rank_exchange();
+  const machine::ClusterSpec cluster;
+  const double cap = comfortable_cap(g);
+  const std::vector<double> caps = {cap, cap * 1.25, cap * 1.5};
+
+  ResilientSweepOptions opt;
+  opt.journal_path = path_;
+  opt.resume = true;
+  const auto first = resilient_sweep(g, test_model(), cluster, caps, opt);
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  ASSERT_EQ(first->solved, 3);
+
+  edit_journal_records(path_, [](int index, const std::string& payload) {
+    return index == 0 ? with_schema(payload, 11) : payload;
+  });
+
+  const std::string current =
+      "{\"schema_version\":" + std::to_string(kRunReportSchemaVersion) + ",";
+  const auto resumed = resilient_sweep(g, test_model(), cluster, caps, opt);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().to_string();
+  EXPECT_EQ(resumed->resumed, 2);
+  EXPECT_EQ(resumed->solved, 1);
+  EXPECT_EQ(resumed->recovery.stale_records, 1);
+  ASSERT_EQ(resumed->rows.size(), caps.size());
+  EXPECT_FALSE(resumed->rows[0].from_journal);
+  for (const SweepRow& row : resumed->rows) {
+    EXPECT_EQ(row.report_json.rfind(current, 0), 0u) << row.report_json;
+  }
+
+  const auto again = resilient_sweep(g, test_model(), cluster, caps, opt);
+  ASSERT_TRUE(again.ok()) << again.status().to_string();
+  EXPECT_EQ(again->resumed, static_cast<int>(caps.size()));
+  EXPECT_EQ(again->solved, 0);
 }
 
 TEST_F(JournalTrustTest, VerifiedRecordIsStillResumed) {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "journal_records.h"
 #include "robust/journal.h"
 #include "scratch_dir.h"
 
@@ -26,7 +27,8 @@ JournalEntry entry_for(double cap) {
   e.job_cap_watts = cap;
   e.verdict = StatusCode::kOk;
   e.bound_seconds = cap * 1.5;
-  e.report_json = "{\"job_cap_watts\":" + std::to_string(cap) + "}";
+  e.report_json = report_json("\"job_cap_watts\":" + std::to_string(cap) +
+                              "," + kPassedCertificate);
   return e;
 }
 

@@ -10,10 +10,10 @@
 //     offset (kBadInput otherwise) and only when they parse as whole
 //     intact frames (kWireMalformed otherwise) - a replica can never
 //     be talked into a journal the recovery scan would quarantine;
-//   * `journal compact` keeps exactly the latest proven record per
-//     cap (re-checking certificates), pending request intents, and
-//     one epoch stamp, atomically enough that a crash before the
-//     rename leaves the original journal untouched.
+//   * `journal compact` keeps exactly the records recovery stands (the
+//     first current record per cap), pending request intents, and one
+//     epoch stamp, atomically enough that a crash before the rename
+//     leaves the original journal untouched.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 
+#include "journal_records.h"
 #include "robust/journal.h"
 #include "robust/status.h"
 #include "scratch_dir.h"
@@ -51,9 +52,7 @@ class JournalEpochTest : public ::testing::Test {
     e.job_cap_watts = cap;
     e.verdict = StatusCode::kOk;
     e.bound_seconds = bound;
-    e.report_json =
-        "{\"schema_version\":4,\"certificate\":{\"checked\":true,"
-        "\"ok\":true,\"duality_checked\":true}}";
+    e.report_json = report_json(kPassedCertificate);
     return e;
   }
 
@@ -61,8 +60,7 @@ class JournalEpochTest : public ::testing::Test {
   static JournalEntry unproven(double cap) {
     JournalEntry e = proven(cap, 1.0);
     e.report_json =
-        "{\"schema_version\":4,\"certificate\":{\"checked\":true,"
-        "\"ok\":false}}";
+        report_json("\"certificate\":{\"checked\":true,\"ok\":false}");
     return e;
   }
 };
@@ -205,7 +203,7 @@ TEST_F(JournalEpochTest, AppendRawRefusesDamagedFrames) {
   EXPECT_EQ(j.value().entries().size(), 0u);
 }
 
-TEST_F(JournalEpochTest, CompactKeepsLatestProvenRecordPerCap) {
+TEST_F(JournalEpochTest, CompactKeepsFirstCurrentRecordPerCap) {
   {
     auto j = SweepJournal::open(path_);
     ASSERT_TRUE(j.ok());
@@ -229,7 +227,7 @@ TEST_F(JournalEpochTest, CompactKeepsLatestProvenRecordPerCap) {
     degraded.degraded = true;
     degraded.bound_seconds = 3.0;
     degraded.fallback = "static-policy";
-    degraded.report_json = "{\"schema_version\":4}";
+    degraded.report_json = report_json("");
     ASSERT_TRUE(j.value().append(degraded).ok());  // no LP claim: always kept
   }
   const std::uint64_t before = slurp(path_).size();
@@ -283,6 +281,43 @@ TEST_F(JournalEpochTest, CompactCrashBeforeRenameLeavesOriginalIntact) {
   EXPECT_TRUE(j.value().recovery().clean());
   EXPECT_TRUE(j.value().contains(60));
   EXPECT_FALSE(j.value().contains(80));
+}
+
+// A stale record (an older build's report) followed by the current one
+// that replaced it: recovery stands the current one, and compaction
+// keeps exactly that record, so a reopened compacted journal serves the
+// same bytes as before.
+TEST_F(JournalEpochTest, CompactKeepsTheRecordRecoveryStands) {
+  JournalEntry stale = proven(60, 1.0);
+  stale.report_json = report_json(kPassedCertificate, /*schema=*/11);
+  {
+    auto j = SweepJournal::open(path_);
+    ASSERT_TRUE(j.ok());
+    ASSERT_TRUE(j.value().append(stale).ok());
+    ASSERT_TRUE(j.value().append(proven(60, 2.0)).ok());
+  }
+  std::string stood;
+  {
+    auto j = SweepJournal::open(path_);
+    ASSERT_TRUE(j.ok());
+    const JournalEntry* e = j.value().find(60);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->bound_seconds, 2.0);
+    stood = e->report_json;
+  }
+
+  const CompactResult res = compact_journal(path_);
+  ASSERT_TRUE(res.status.ok()) << res.status.to_string();
+  EXPECT_EQ(res.records_kept, 1);
+  EXPECT_EQ(res.records_dropped, 1);
+
+  auto j = SweepJournal::open(path_);
+  ASSERT_TRUE(j.ok());
+  EXPECT_TRUE(j.value().recovery().clean());
+  const JournalEntry* e = j.value().find(60);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->bound_seconds, 2.0);
+  EXPECT_EQ(e->report_json, stood);
 }
 
 TEST_F(JournalEpochTest, CompactRefusesMissingFile) {

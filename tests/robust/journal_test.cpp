@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 
+#include "journal_records.h"
 #include "scratch_dir.h"
 #include "util/posix_io.h"
 
@@ -45,8 +46,8 @@ JournalEntry entry(double cap, double bound) {
   e.job_cap_watts = cap;
   e.verdict = StatusCode::kOk;
   e.bound_seconds = bound;
-  e.report_json = "{\"schema_version\":2,\"job_cap_watts\":" +
-                  std::to_string(cap) + "}";
+  e.report_json = report_json("\"job_cap_watts\":" + std::to_string(cap) +
+                              "," + kPassedCertificate);
   return e;
 }
 

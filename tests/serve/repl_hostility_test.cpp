@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 
+#include "journal_records.h"
 #include "robust/journal.h"
 #include "robust/wire.h"
 #include "scratch_dir.h"
@@ -154,7 +155,7 @@ std::string record_frame_bytes(const ScratchDir& scratch) {
   e.job_cap_watts = 50;
   e.verdict = robust::StatusCode::kOk;
   e.bound_seconds = 1.25;
-  e.report_json = "{}";
+  e.report_json = report_json(kPassedCertificate);
   EXPECT_TRUE(j.value().append(e).ok());
   return slurp(path).substr(robust::journal_header_bytes());
 }

@@ -13,7 +13,9 @@
 //   * SIGHUP (journal reopen) does not disturb service;
 //   * a trace that only shares another trace's CRC-32 hash is refused,
 //     not answered from the other trace's journal, and a snapshot write
-//     that fails leaves nothing that would refuse the trace later.
+//     that fails leaves nothing that would refuse the trace later;
+//   * a trace that fails lint gets `bad-input` rows, not a vacuous
+//     bound, and `query` exits 1.
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/types.h>
@@ -455,6 +457,46 @@ TEST_F(PowerlimdLifecycle, FailedSnapshotWriteLeavesNoTornSnapshot) {
   EXPECT_EQ(got.status, CollectStatus::kDone) << got.error_detail;
   EXPECT_EQ(got.rows.size(), 2u);
   EXPECT_EQ(again.stop(), 0);
+}
+
+// A zero-work task "proves" a 0 s makespan. The daemon's solves refuse
+// such a trace the way the CLI's lint gate does: every cap ends
+// `bad-input` with the lint finding and no ladder attempt.
+TEST_F(PowerlimdLifecycle, LintFailingTraceGetsBadInputRows) {
+  const std::string trace = suite_dir_->path("powerlimd_zero_work.trace");
+  std::ofstream(trace) << "powerlim-trace 1\n"
+                          "ranks 1\n"
+                          "vertex 0 init -1 Init\n"
+                          "vertex 1 finalize -1 Finalize\n"
+                          "task 0 1 0 0 0 0 0.95 4 0 8\n";
+  Daemon d = start_daemon({});
+  ASSERT_GT(d.endpoint.port, 0);
+
+  const std::string report = suite_dir_->path("powerlimd_zero_work.json");
+  std::ostringstream out, err;
+  const int code =
+      run({"query", trace, "--server",
+           "127.0.0.1:" + std::to_string(d.endpoint.port), "--from", "10",
+           "--to", "60", "--step", "25", "--report", report},
+          out, err);
+  EXPECT_EQ(code, 1) << out.str() << err.str();
+  const auto count = [](const std::string& text, const std::string& what) {
+    int n = 0;
+    for (std::size_t at = text.find(what); at != std::string::npos;
+         at = text.find(what, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count(out.str(), "bad-input"), 3) << out.str();
+  std::ifstream rf(report);
+  std::ostringstream rs;
+  rs << rf.rdbuf();
+  EXPECT_EQ(count(rs.str(), "\"verdict\":\"bad-input\""), 3) << rs.str();
+  EXPECT_EQ(count(rs.str(), "[task-work]"), 3) << rs.str();
+  EXPECT_EQ(count(rs.str(), "\"attempts\":[]"), 6) << rs.str();
+
+  EXPECT_EQ(d.stop(), 0);
 }
 
 TEST_F(PowerlimdLifecycle, VersionSkewedClientIsRejectedAtHello) {

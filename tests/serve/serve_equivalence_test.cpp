@@ -1,8 +1,9 @@
 // The powerlimd correctness anchor: a daemon-served sweep must match an
 // offline `powerlim sweep` run (table and every report's `result`
 // byte-identical) - in the clean case, under worker-crash
-// injection, under net-* injection against remote powerlimd workers, and
-// after SIGKILLing the daemon mid-solve and restarting with --resume.
+// injection, under net-* injection against remote powerlimd workers,
+// after SIGKILLing the daemon mid-solve and restarting with --resume,
+// and over a journal whose record for one cap an older build wrote.
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -20,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "journal_records.h"
 #include "report_parts.h"
 #include "robust/journal.h"
 #include "scratch_dir.h"
@@ -413,6 +415,53 @@ TEST_F(ServeEquivalence, SigkillThenResumeServesByteIdenticalTable) {
   EXPECT_EQ(report_results(read_file(report)),
             report_results(read_file(*offline_report_)));
   EXPECT_EQ(third.stop(), 0);
+}
+
+// A state dir whose journal holds an older build's record (schema 11,
+// CRC recomputed) for one requested cap: the daemon re-solves that cap
+// once, so the first sweep carries only this build's schema, and the
+// next sweep is served entirely from the journal.
+TEST_F(ServeEquivalence, OldSchemaRecordIsResolvedOnceThenServed) {
+  const std::string state = temp_path("eq_state_old_schema");
+  {
+    Daemon d = start_daemon(state, {});
+    ASSERT_GT(d.endpoint.port, 0);
+    const CliResult q = run_cli(query_args(d));
+    ASSERT_EQ(q.code, 0) << q.err;
+    EXPECT_EQ(d.stop(), 0);
+  }
+  const std::vector<std::string> hashes = serve::journal_hashes(state);
+  ASSERT_EQ(hashes.size(), 1u);
+  edit_journal_records(serve::journal_path(state, hashes[0]),
+                       [](int index, const std::string& payload) {
+                         return index == 0 ? with_schema(payload, 11)
+                                           : payload;
+                       });
+
+  Daemon d = start_daemon(state, {});
+  ASSERT_GT(d.endpoint.port, 0);
+  const std::string report = temp_path("eq_old_schema.json");
+  std::vector<std::string> args = query_args(d);
+  args.insert(args.end(), {"--report", report});
+  const CliResult q = run_cli(args);
+  ASSERT_EQ(q.code, 0) << q.err;
+  EXPECT_EQ(head_lines(q.out, 2 + kCaps), offline_table());
+  EXPECT_NE(q.out.find("resumed=" + std::to_string(kCaps - 1)),
+            std::string::npos)
+      << q.out;
+  const std::string reports = read_file(report);
+  EXPECT_EQ(reports.find("\"schema_version\":11"), std::string::npos)
+      << reports;
+  EXPECT_EQ(report_results(reports),
+            report_results(read_file(*offline_report_)));
+
+  const CliResult again = run_cli(query_args(d));
+  ASSERT_EQ(again.code, 0) << again.err;
+  EXPECT_EQ(head_lines(again.out, 2 + kCaps), offline_table());
+  EXPECT_NE(again.out.find("resumed=" + std::to_string(kCaps)),
+            std::string::npos)
+      << again.out;
+  EXPECT_EQ(d.stop(), 0);
 }
 
 }  // namespace

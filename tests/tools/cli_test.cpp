@@ -446,17 +446,7 @@ TEST_F(CliLint, BoundRejectsVacuousZeroWorkTrace) {
   const CliResult b = run_cli({"bound", path, "--socket-cap", "45"});
   EXPECT_NE(b.code, 0);
   EXPECT_NE(b.err.find("[task-work]"), std::string::npos) << b.err;
-  EXPECT_NE(b.err.find("--no-lint"), std::string::npos) << b.err;
   EXPECT_EQ(b.out.find("LP bound"), std::string::npos) << b.out;
-}
-
-TEST_F(CliLint, NoLintBypassesTheGate) {
-  const std::string path =
-      write_fixture("cli_bound_zero2.trace", kZeroWorkTrace);
-  const CliResult b =
-      run_cli({"bound", path, "--socket-cap", "45", "--no-lint"});
-  EXPECT_EQ(b.code, 0) << b.err;
-  EXPECT_NE(b.out.find("LP bound"), std::string::npos) << b.out;
 }
 
 TEST_F(CliLint, SweepGateAlsoLints) {

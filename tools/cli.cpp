@@ -95,20 +95,20 @@ const char* kUsage =
     "            grid, LP cap coverage; file:line diagnostics, exit 1 on\n"
     "            any error)\n"
     "  bound    FILE --socket-cap W [--discrete] [-o SCHEDULE]\n"
-    "           [--report FILE] [--deadline-ms MS] [--no-lint]\n"
+    "           [--report FILE] [--deadline-ms MS]\n"
     "           (solves through the retry/degradation ladder; the trace\n"
-    "            must pass lint first (--no-lint to force); -o also\n"
-    "            writes SCHEDULE.runreport.json; --deadline-ms bounds\n"
-    "            the whole ladder in wall time)\n"
+    "            must pass lint first; -o also writes\n"
+    "            SCHEDULE.runreport.json; --deadline-ms bounds the whole\n"
+    "            ladder in wall time)\n"
     "  compare  FILE --socket-cap W\n"
     "  sweep    FILE --from W --to W [--step W] [--report FILE]\n"
     "           [--inject-fail W|worker-crash|worker-oom|worker-hang\n"
     "            |net-drop|net-stall|net-corrupt|net-slow]\n"
-    "           [--journal FILE [--resume]] [--no-lint]\n"
+    "           [--journal FILE [--resume]]\n"
     "           [--deadline-ms MS] [--cap-deadline-ms MS]\n"
     "           [--workers N [--worker-mem-mb M] [--worker-cpu-s S]]\n"
     "           [--remote HOST:PORT[,HOST:PORT...]\n"
-    "            [--remote-timeout-ms MS] [--remote-heartbeat-ms MS]]\n"
+    "            [--remote-heartbeat-ms MS]]\n"
     "           (per-cap verdicts; failed caps degrade to the Static\n"
     "            bound instead of aborting; --inject-fail W forces every\n"
     "            ladder rung to fail at that socket cap, worker-* injures\n"
@@ -126,13 +126,12 @@ const char* kUsage =
     "  serve    --listen HOST:PORT [--port-file FILE] [--state-dir DIR]\n"
     "           [--resume] [--max-queue N] [--max-active N] [--workers N]\n"
     "           [--worker-mem-mb M] [--worker-cpu-s S]\n"
-    "           [--remote HOST:PORT[,...] [--remote-timeout-ms MS]\n"
-    "            [--remote-heartbeat-ms MS]] [--cap-deadline-ms MS]\n"
+    "           [--remote HOST:PORT[,...] [--remote-heartbeat-ms MS]]\n"
+    "           [--cap-deadline-ms MS]\n"
     "           [--default-deadline-ms MS] [--max-deadline-ms MS]\n"
     "           [--io-timeout-s S] [--idle-timeout-s S] [--max-requests N]\n"
     "           [--inject-fail worker-crash|worker-oom|worker-hang\n"
     "            |net-drop|net-stall|net-corrupt|net-slow|net-lie]\n"
-    "           [--inject-attempts N]\n"
     "           [--standby-of HOST:PORT [--promote-after-ms MS]]\n"
     "           [--repl-heartbeat-ms MS]\n"
     "           (powerlimd: long-running bound/sweep daemon with bounded\n"
@@ -156,11 +155,12 @@ const char* kUsage =
     "           (ask a standby powerlimd to take over as primary: bumps\n"
     "            the failover epoch, after which the old primary is\n"
     "            fenced everywhere the epoch travels)\n"
-    "  journal  compact FILE [--no-certificate] [--crash-before-rename]\n"
-    "           (rewrite a sweep journal keeping only the latest proven\n"
-    "            record per cap - certificates are re-checked unless\n"
-    "            --no-certificate - plus pending request intents;\n"
-    "            crash-safe via write-fsync-rename; offline only)\n"
+    "  journal  compact FILE\n"
+    "           (rewrite a sweep journal keeping only the record that\n"
+    "            stands for each cap - the first with this build's report\n"
+    "            schema and, for an ok verdict, a passed certificate -\n"
+    "            plus pending request intents; crash-safe via\n"
+    "            write-fsync-rename; offline only)\n"
     "  query    TRACE --server HOST:PORT --from W --to W [--step W]\n"
     "           [--endpoints HOST:PORT[,HOST:PORT...]]\n"
     "           [--deadline-ms MS] [--timeout-s S] [--id ID]\n"
@@ -174,7 +174,6 @@ const char* kUsage =
     "           [--endpoints HOST:PORT[,...]] [--replay FILE]\n"
     "           [--timeout-s S] [--json]\n"
     "           [--inject net-drop|net-stall|slow-read|oversize]\n"
-    "           [--inject-hold-s S]\n"
     "           (concurrent client fleet against powerlimd; reports\n"
     "            ok/overloaded/error counts and p50/p99 latency; --inject\n"
     "            adds one protocol-misbehaving saboteur client; --replay\n"
@@ -370,10 +369,10 @@ int cmd_lint(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
 /// structurally unsound is rejected up front, with the linter's
 /// file:line diagnostics, instead of being solved into a vacuous bound
 /// (a zero-work chain "proves" a 0 s makespan without any of the LP
-/// machinery noticing). `--no-lint` bypasses the gate.
-bool lint_gate(const std::string& path, const ParsedArgs& p, const char* cmd,
-               std::ostream& err) {
-  if (p.flags.count("--no-lint") > 0) return true;
+/// machinery noticing). SolveDriver refuses such a trace too, on every
+/// path; this gate adds the file:line findings and lints each window's
+/// built model.
+bool lint_gate(const std::string& path, const char* cmd, std::ostream& err) {
   const check::LintReport report =
       check::lint_trace_file(path, model(), machine::ClusterSpec{});
   if (report.ok()) return true;
@@ -383,8 +382,7 @@ bool lint_gate(const std::string& path, const ParsedArgs& p, const char* cmd,
     }
   }
   err << cmd << ": trace '" << path << "' failed lint with "
-      << report.errors()
-      << " error(s); fix the trace or pass --no-lint to solve anyway\n";
+      << report.errors() << " error(s); fix the trace to solve it\n";
   return false;
 }
 
@@ -403,7 +401,7 @@ int cmd_bound(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
     err << "error: " << trace.status().message() << "\n";
     return 1;
   }
-  if (!lint_gate(p.positional[0], p, "bound", err)) return 1;
+  if (!lint_gate(p.positional[0], "bound", err)) return 1;
   const dag::TaskGraph& g = *trace;
   const machine::ClusterSpec cluster;
   const double job_cap = *socket_cap * g.num_ranks();
@@ -610,7 +608,7 @@ int cmd_sweep(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
     err << "error: " << trace.status().message() << "\n";
     return 1;
   }
-  if (!lint_gate(p.positional[0], p, "sweep", err)) return 1;
+  if (!lint_gate(p.positional[0], "sweep", err)) return 1;
   const dag::TaskGraph& g = *trace;
   const machine::ClusterSpec cluster;
 
@@ -668,9 +666,6 @@ int cmd_sweep(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
       err << "sweep: --remote needs at least one host:port\n";
       return 2;
     }
-  }
-  if (const auto ms = opt_double(p, "--remote-timeout-ms")) {
-    ropt.remote_timeout_ms = *ms;
   }
   if (const auto ms = opt_double(p, "--remote-heartbeat-ms")) {
     ropt.remote_heartbeat_ms = *ms;
@@ -737,6 +732,10 @@ int cmd_sweep(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
     if (res.recovery.duplicates_dropped > 0) {
       out << "journal recovery: dropped "
           << res.recovery.duplicates_dropped << " duplicate record(s)\n";
+    }
+    if (res.recovery.stale_records > 0) {
+      out << "journal recovery: skipped " << res.recovery.stale_records
+          << " stale record(s) (older report schema or unproven bound)\n";
     }
   }
 
@@ -810,9 +809,6 @@ int cmd_serve(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
       return 2;
     }
   }
-  if (const auto ms = opt_double(p, "--remote-timeout-ms")) {
-    so.remote_timeout_ms = *ms;
-  }
   if (const auto ms = opt_double(p, "--remote-heartbeat-ms")) {
     so.remote_heartbeat_ms = *ms;
   }
@@ -879,8 +875,6 @@ int cmd_serve(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
              "worker-hang|net-drop|net-stall|net-corrupt|net-slow|net-lie\n";
       return 2;
     }
-    plan.worker_fault_attempts = opt_int(p, "--inject-attempts", 1);
-    plan.net_fault_attempts = plan.worker_fault_attempts;
     scope.emplace(plan);
   }
 
@@ -928,19 +922,10 @@ int cmd_journal(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
     err << "journal: expected 'journal compact FILE'\n";
     return 2;
   }
-  robust::CompactOptions co;
-  co.require_certificate = p.flags.count("--no-certificate") == 0;
-  co.crash_before_rename = p.flags.count("--crash-before-rename") > 0;
-  const robust::CompactResult res =
-      robust::compact_journal(p.positional[1], co);
+  const robust::CompactResult res = robust::compact_journal(p.positional[1]);
   if (!res.status.ok()) {
     err << "journal compact: " << res.status.to_string() << "\n";
     return 1;
-  }
-  if (!res.renamed) {
-    out << "stopped before rename (--crash-before-rename); original "
-           "journal untouched\n";
-    return 0;
   }
   out << "compacted: " << res.bytes_before << " -> " << res.bytes_after
       << " bytes, kept " << res.records_kept << " cap record(s) (dropped "
@@ -1147,7 +1132,6 @@ int cmd_loadgen(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
     }
     lo.inject = it->second;
   }
-  if (const auto s = opt_double(p, "--inject-hold-s")) lo.inject_hold_s = *s;
 
   const serve::LoadgenReport report = serve::run_loadgen(lo, err);
   if (p.flags.count("--json") > 0) {
@@ -1454,7 +1438,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
       return cmd_bound(parse(args, 1,
                              {"--socket-cap", "-o", "--report",
                               "--deadline-ms"},
-                             {"--discrete", "--no-lint"}),
+                             {"--discrete"}),
                        out, err);
     }
     if (cmd == "replay") {
@@ -1470,9 +1454,8 @@ int run(const std::vector<std::string>& args, std::ostream& out,
                               "--deadline-ms", "--cap-deadline-ms",
                               "--workers", "--worker-mem-mb",
                               "--worker-cpu-s", "--remote",
-                              "--remote-timeout-ms",
                               "--remote-heartbeat-ms"},
-                             {"--resume", "--no-lint"}),
+                             {"--resume"}),
                        out, err);
     }
     if (cmd == "serve") {
@@ -1480,11 +1463,11 @@ int run(const std::vector<std::string>& args, std::ostream& out,
           parse(args, 1,
                 {"--listen", "--port-file", "--state-dir", "--max-queue",
                  "--max-active", "--workers", "--worker-mem-mb",
-                 "--worker-cpu-s", "--remote", "--remote-timeout-ms",
-                 "--remote-heartbeat-ms", "--cap-deadline-ms",
+                 "--worker-cpu-s", "--remote", "--remote-heartbeat-ms",
+                 "--cap-deadline-ms",
                  "--default-deadline-ms", "--max-deadline-ms",
                  "--io-timeout-s", "--idle-timeout-s", "--max-requests",
-                 "--inject-fail", "--inject-attempts", "--standby-of",
+                 "--inject-fail", "--standby-of",
                  "--promote-after-ms", "--repl-heartbeat-ms"},
                 {"--resume"}),
           out, err);
@@ -1494,10 +1477,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
                          out, err);
     }
     if (cmd == "journal") {
-      return cmd_journal(
-          parse(args, 1, {},
-                {"--no-certificate", "--crash-before-rename"}),
-          out, err);
+      return cmd_journal(parse(args, 1, {}, {}), out, err);
     }
     if (cmd == "query") {
       return cmd_query(
@@ -1512,7 +1492,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
           parse(args, 1,
                 {"--server", "--endpoints", "--clients", "--requests",
                  "--from", "--to", "--step", "--deadline-ms", "--replay",
-                 "--timeout-s", "--inject", "--inject-hold-s"},
+                 "--timeout-s", "--inject"},
                 {"--json"}),
           out, err);
     }
