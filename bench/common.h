@@ -89,8 +89,7 @@ inline runtime::ComparisonResult run_cap(
     const core::WindowSweeper* sweeper = nullptr) {
   runtime::ComparisonOptions o;
   o.job_cap_watts = socket_watts * graph.num_ranks();
-  return runtime::compare_methods(graph, model(), cluster(), o, nullptr,
-                                  sweeper);
+  return runtime::compare_methods(graph, model(), cluster(), o, sweeper);
 }
 
 /// Per-socket cap grids used by the paper's figures.

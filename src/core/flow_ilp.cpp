@@ -323,14 +323,14 @@ FlowIlpResult FlowBuilder::solve() {
     }
     std::vector<Term> one;
     for (const Variable& var : c_[e.id]) one.push_back({var, 1.0});
-    m.add_eq(one, 1.0, "one" + std::to_string(e.id));
+    m.add_eq(one, 1.0);
   }
 
   // Vertex firing after edge completion (also makes slack durations >= 0).
   for (const dag::Edge& e : graph_.edges()) {
     std::vector<Term> terms{{v_[e.dst], 1.0}, {v_[e.src], -1.0}};
     const double constant = duration_expr(e.id, -1.0, terms);
-    m.add_ge(terms, -constant, "fire" + std::to_string(e.id));
+    m.add_ge(terms, -constant);
   }
 
   // Sequencing binaries for free pairs (eq. 14).

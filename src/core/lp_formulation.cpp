@@ -116,13 +116,12 @@ BuiltModel LpFormulation::build_model(const LpScheduleOptions& options) const {
       for (std::size_t k = 0; k < c[e.id].size(); ++k) {
         terms.push_back({c[e.id][k], -frontiers_[e.id][k].duration});
       }
-      built.duration_row_of_edge[e.id] =
-          lp_model.add_ge(terms, 0.0, "dur" + std::to_string(e.id)).index;
+      built.duration_row_of_edge[e.id] = lp_model.add_ge(terms, 0.0).index;
     } else {
       built.duration_row_of_edge[e.id] =
           lp_model
               .add_ge({{v[e.dst], 1.0}, {v[e.src], -1.0}},
-                      message_duration_[e.id], "msg" + std::to_string(e.id))
+                      message_duration_[e.id])
               .index;
     }
   }
@@ -132,8 +131,7 @@ BuiltModel LpFormulation::build_model(const LpScheduleOptions& options) const {
     if (!e.is_task()) continue;
     std::vector<Term> terms;
     for (const Variable& var : c[e.id]) terms.push_back({var, 1.0});
-    built.convexity_row_of_edge[e.id] =
-        lp_model.add_eq(terms, 1.0, "one" + std::to_string(e.id)).index;
+    built.convexity_row_of_edge[e.id] = lp_model.add_eq(terms, 1.0).index;
   }
 
   // Event power rows (eqs. 8, 10, 11 combined): sum of active task power
@@ -147,8 +145,7 @@ BuiltModel LpFormulation::build_model(const LpScheduleOptions& options) const {
       }
     }
     built.power_row_of_group[g] =
-        lp_model.add_le(terms, options.power_cap, "pow" + std::to_string(g))
-            .index;
+        lp_model.add_le(terms, options.power_cap).index;
   }
 
   // Event-order rows (eqs. 12, 13): chain group leaders; pin group members

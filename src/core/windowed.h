@@ -59,8 +59,9 @@ struct WindowedLpResult {
   bool optimal() const { return status == lp::SolveStatus::kOptimal; }
 };
 
-/// Solves each window under the same job-level cap. Returns on first
-/// infeasible/failed window with that window's status.
+/// Solves each window under the same job-level cap: a one-shot
+/// WindowSweeper. Returns on first infeasible/failed window with that
+/// window's status.
 WindowedLpResult solve_windowed_lp(const dag::TaskGraph& graph,
                                    const machine::PowerModel& model,
                                    const machine::ClusterSpec& cluster,
@@ -83,8 +84,8 @@ WindowedLpResult solve_windowed_energy_lp(const dag::TaskGraph& graph,
 /// formulation (frontiers, initial schedule, event sets - all
 /// cap-independent) exactly once, then solves any number of caps against
 /// the prebuilt structures. Use this for Figure 9-style grids,
-/// `powerlim sweep`, and job profiling; a one-shot solve is equivalent to
-/// the free functions above.
+/// `powerlim sweep`, and job profiling. Its solve() holds the only
+/// windowed loop; the free functions above are one-shot sweepers.
 class WindowSweeper {
  public:
   /// `hooks` (optional, not owned; must outlive the sweeper) is the
@@ -108,6 +109,11 @@ class WindowSweeper {
   std::size_t num_windows() const;
 
  private:
+  // Runs the same loop with a deadline per window.
+  friend WindowedLpResult solve_windowed_energy_lp(
+      const dag::TaskGraph&, const machine::PowerModel&,
+      const machine::ClusterSpec&, double, double);
+
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

@@ -1,7 +1,5 @@
 #include "lp/branch_bound.h"
 
-#include "lp/presolve.h"
-
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -107,7 +105,7 @@ MipSolution solve_mip(const Model& model, const BranchBoundOptions& options) {
     }
     if (conflict) continue;
 
-    const Solution relax = solve_lp_presolved(sub, options.simplex);
+    const Solution relax = solve_lp(sub, options.simplex);
     if (relax.status == SolveStatus::kInfeasible) continue;
     if (relax.status == SolveStatus::kUnbounded) {
       out.status = SolveStatus::kUnbounded;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "util/rng.h"
 
@@ -68,12 +70,17 @@ Variable Model::add_binary(double obj, std::string name) {
 }
 
 Constraint Model::add_constraint(const std::vector<Term>& terms, double rlb,
-                                 double rub, std::string name) {
-  if (rlb > rub) throw std::invalid_argument("row lb > ub: " + name);
+                                 double rub) {
+  // A row has no name; an error names it by the index it would take.
+  if (rlb > rub) {
+    throw std::invalid_argument("row lb > ub: row " +
+                                std::to_string(row_lb_.size()));
+  }
   for (const Term& t : terms) {
     if (!t.var.valid() ||
         t.var.index >= static_cast<int>(var_lb_.size())) {
-      throw std::invalid_argument("constraint uses invalid variable: " + name);
+      throw std::invalid_argument("constraint uses invalid variable: row " +
+                                  std::to_string(row_lb_.size()));
     }
   }
   // Merge duplicate variables so callers can build expressions naively:
@@ -104,7 +111,6 @@ Constraint Model::add_constraint(const std::vector<Term>& terms, double rlb,
   row_start_.push_back(col_index_.size());
   row_lb_.push_back(rlb);
   row_ub_.push_back(rub);
-  row_name_.push_back(std::move(name));
   return Constraint{static_cast<int>(row_lb_.size()) - 1};
 }
 

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace powerlim::lp {
@@ -75,19 +74,16 @@ class Model {
   /// Adds a row  rlb <= sum(terms) <= rub. Duplicate variables in `terms`
   /// are merged. Throws std::invalid_argument on an invalid handle.
   Constraint add_constraint(const std::vector<Term>& terms, double rlb,
-                            double rub, std::string name = {});
+                            double rub);
 
-  Constraint add_eq(const std::vector<Term>& terms, double rhs,
-                    std::string name = {}) {
-    return add_constraint(terms, rhs, rhs, std::move(name));
+  Constraint add_eq(const std::vector<Term>& terms, double rhs) {
+    return add_constraint(terms, rhs, rhs);
   }
-  Constraint add_le(const std::vector<Term>& terms, double rhs,
-                    std::string name = {}) {
-    return add_constraint(terms, -kInfinity, rhs, std::move(name));
+  Constraint add_le(const std::vector<Term>& terms, double rhs) {
+    return add_constraint(terms, -kInfinity, rhs);
   }
-  Constraint add_ge(const std::vector<Term>& terms, double rhs,
-                    std::string name = {}) {
-    return add_constraint(terms, rhs, kInfinity, std::move(name));
+  Constraint add_ge(const std::vector<Term>& terms, double rhs) {
+    return add_constraint(terms, rhs, kInfinity);
   }
 
   /// Tightens the bounds of an existing variable (branch & bound uses this
@@ -104,7 +100,6 @@ class Model {
   bool is_integer(int j) const { return integer_[j] != 0; }
   bool has_integers() const;
   const std::string& variable_name(int j) const { return var_name_[j]; }
-  const std::string& constraint_name(int i) const { return row_name_[i]; }
 
   double row_lb(int i) const { return row_lb_[i]; }
   double row_ub(int i) const { return row_ub_[i]; }
@@ -138,7 +133,6 @@ class Model {
   std::vector<std::string> var_name_;
   // Rows in CSR-like storage.
   std::vector<double> row_lb_, row_ub_;
-  std::vector<std::string> row_name_;
   std::vector<std::size_t> row_start_;  // size rows+1
   std::vector<int> col_index_;
   std::vector<double> value_;

@@ -229,7 +229,8 @@ Status pooled_sweep(const dag::TaskGraph& graph,
     // Per-spawn wall budget: the cap deadline plus grace for the
     // fallback simulation and result serialization. Catches workers
     // wedged where the pivot-granularity deadline cannot reach.
-    pool.limits.wall_seconds = options.driver.cap_deadline_ms / 1000.0 + 2.0;
+    pool.limits.wall_seconds = options.driver.cap_deadline_ms / 1000.0 +
+                               kWallBudgetGraceMs / 1000.0;
   }
   pool.remote = std::move(remote);
 

@@ -192,6 +192,11 @@ struct RemoteWorkerOptions {
 
 /// Wall budget of one connect attempt to a remote endpoint, ms.
 inline constexpr double kConnectTimeoutMs = 1000.0;
+/// Wall grace a solve gets past its cap deadline before it is SIGKILLed,
+/// ms: time for the Static fallback simulation and the result's
+/// serialization. A pooled sweep's workers and powerlimd's solve children
+/// both get it.
+inline constexpr double kWallBudgetGraceMs = 2000.0;
 /// Capped exponential backoff between connect attempts, ms, with
 /// deterministic jitter in [0.5, 1.5).
 inline constexpr double kBackoffInitialMs = 25.0;

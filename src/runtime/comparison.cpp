@@ -29,7 +29,6 @@ ComparisonResult compare_methods(const dag::TaskGraph& graph,
                                  const machine::PowerModel& model,
                                  const machine::ClusterSpec& cluster,
                                  const ComparisonOptions& options,
-                                 const core::LpFormulation* formulation,
                                  const core::WindowSweeper* sweeper) {
   ComparisonResult out;
   const int ranks = graph.num_ranks();
@@ -43,35 +42,17 @@ ComparisonResult compare_methods(const dag::TaskGraph& graph,
   core::LpScheduleOptions lp_opt;
   lp_opt.power_cap = options.job_cap_watts;
   lp_opt.simplex = options.simplex;
-  if (options.windowed_lp) {
-    const core::WindowedLpResult lp_res =
-        sweeper != nullptr
-            ? sweeper->solve(lp_opt)
-            : core::solve_windowed_lp(graph, model, cluster, lp_opt);
-    if (lp_res.optimal()) {
-      sim::ReplayOptions replay;
-      replay.engine = engine;
-      const sim::SimResult replayed =
-          sim::replay_schedule(graph, lp_res.schedule, lp_res.frontiers,
-                               replay, &lp_res.vertex_time);
-      out.lp = from_sim(graph, replayed, options.discard_iterations);
-    }
-  } else {
-    std::optional<core::LpFormulation> local_form;
-    const core::LpFormulation* form = formulation;
-    if (form == nullptr) {
-      local_form.emplace(graph, model, cluster);
-      form = &*local_form;
-    }
-    const core::LpScheduleResult lp_res = form->solve(lp_opt);
-    if (lp_res.optimal()) {
-      sim::ReplayOptions replay;
-      replay.engine = engine;
-      const sim::SimResult replayed = sim::replay_schedule(
-          graph, lp_res.schedule, form->frontiers(), replay,
-          &lp_res.vertex_time);
-      out.lp = from_sim(graph, replayed, options.discard_iterations);
-    }
+  const core::WindowedLpResult lp_res =
+      sweeper != nullptr
+          ? sweeper->solve(lp_opt)
+          : core::solve_windowed_lp(graph, model, cluster, lp_opt);
+  if (lp_res.optimal()) {
+    sim::ReplayOptions replay;
+    replay.engine = engine;
+    const sim::SimResult replayed =
+        sim::replay_schedule(graph, lp_res.schedule, lp_res.frontiers, replay,
+                             &lp_res.vertex_time);
+    out.lp = from_sim(graph, replayed, options.discard_iterations);
   }
 
   // The simulations below are bounded (no LP), but a comparison under a

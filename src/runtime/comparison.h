@@ -11,11 +11,13 @@
 //                 LP, *replayed* on the simulator with DVFS-transition
 //                 overheads, as the paper validates (Section 6.1),
 // all measured from iteration `discard_iterations` onward (Section 5.3).
+//
+// The LP is always solved per barrier window (core::WindowSweeper), which
+// is exact for these traces (dag/windows.h). The monolithic trace LP the
+// paper's text describes is core::LpFormulation over the whole graph; the
+// ablation bench and the windowed-exactness tests solve it that way.
 #pragma once
 
-#include <optional>
-
-#include "core/lp_formulation.h"
 #include "core/windowed.h"
 #include "dag/graph.h"
 #include "machine/power_model.h"
@@ -38,10 +40,6 @@ struct ComparisonOptions {
   lp::SimplexOptions simplex;
   /// Also run the Adagio-only ablation.
   bool run_adagio = false;
-  /// Solve the LP per barrier window (exact for the iterative traces
-  /// generated here and dramatically faster; see dag/windows.h). Set false
-  /// to solve the monolithic trace LP as the paper's text describes.
-  bool windowed_lp = true;
 };
 
 struct MethodResult {
@@ -76,14 +74,12 @@ struct ComparisonResult {
 };
 
 /// Runs all methods on one trace under one cap. For multi-cap grids,
-/// pass a precomputed `sweeper` (windowed path) or `formulation`
-/// (monolithic path) so frontier/event construction is amortized.
+/// pass a precomputed `sweeper` so frontier/event construction is
+/// amortized.
 ComparisonResult compare_methods(const dag::TaskGraph& graph,
                                  const machine::PowerModel& model,
                                  const machine::ClusterSpec& cluster,
                                  const ComparisonOptions& options,
-                                 const core::LpFormulation* formulation =
-                                     nullptr,
                                  const core::WindowSweeper* sweeper =
                                      nullptr);
 

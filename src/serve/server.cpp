@@ -211,7 +211,8 @@ class Daemon {
   void absorb_pipe(Request& req, const char* bytes, std::size_t n);
   void answer_solve(Request& req, int wait_status);
   void executor_died(Request& req, int wait_status);
-  void degrade_unsettled(Request& req, const std::string& death);
+  void degrade_unsettled(Request& req, robust::StatusCode outcome,
+                         const std::string& death);
   void finish(Request& req, const std::string& status,
               const std::string& detail);
   std::vector<double> unsettled(const Request& req) const;
@@ -908,12 +909,12 @@ void Daemon::check_deadlines() {
       ::kill(req.pid, SIGKILL);
       req.deadline_killed = true;
     }
-    // A solve's wall budget: its cap deadline plus 2 s of grace for the
-    // fallback simulation and result serialization, exactly as for a
-    // local pool worker.
+    // A solve's wall budget: its cap deadline plus the grace a local
+    // pool worker gets.
     if (req.pid > 0 && req.solve() && req.cap_deadline_ms > 0.0 &&
         !req.deadline_killed &&
-        ms_since(req.exec_start) > req.cap_deadline_ms + 2000.0) {
+        ms_since(req.exec_start) >
+            req.cap_deadline_ms + robust::kWallBudgetGraceMs) {
       ::kill(req.pid, SIGKILL);
       req.deadline_killed = true;
     }
@@ -969,14 +970,16 @@ std::vector<int> Daemon::child_close_fds() const {
 void Daemon::spawn_executor(Request& req) {
   int pfd[2];
   if (::pipe(pfd) != 0) {
-    degrade_unsettled(req, "pipe() failed: " + std::string(strerror(errno)));
+    degrade_unsettled(req, robust::StatusCode::kWorkerCrashed,
+                      "pipe() failed: " + std::string(strerror(errno)));
     return;
   }
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(pfd[0]);
     ::close(pfd[1]);
-    degrade_unsettled(req, "fork() failed: " + std::string(strerror(errno)));
+    degrade_unsettled(req, robust::StatusCode::kWorkerCrashed,
+                      "fork() failed: " + std::string(strerror(errno)));
     return;
   }
   if (pid == 0) {
@@ -1286,24 +1289,24 @@ void Daemon::executor_died(Request& req, int wait_status) {
     return;
   }
 
-  std::ostringstream death;
-  if (WIFSIGNALED(wait_status)) {
-    death << "executor killed by signal " << WTERMSIG(wait_status);
-  } else if (req.pipe_poisoned) {
-    death << "executor result stream corrupt";
-  } else {
-    death << "executor exited with code " << code;
-  }
   if (req.spawns < 2) {
     // One fresh executor gets the unsettled caps; a request never
     // consumes more than two executors.
     spawn_executor(req);
     return;
   }
-  degrade_unsettled(req, death.str());
+  // Name the death as the worker pool names a dead worker's, so a
+  // degraded row reads exactly like an offline pooled sweep's. A corrupt
+  // result stream is SIGKILLed in absorb_pipe, so it classifies as a
+  // signal death.
+  const robust::WorkerAttemptVerdict death =
+      robust::classify_worker_exit(false, wait_status, {}, 0.0);
+  degrade_unsettled(req, robust::status_code_for(death.outcome),
+                    death.detail);
 }
 
-void Daemon::degrade_unsettled(Request& req, const std::string& death) {
+void Daemon::degrade_unsettled(Request& req, robust::StatusCode outcome,
+                               const std::string& death) {
   // Second executor death: the remaining caps degrade to the
   // Static-policy bound through the same path an offline parallel
   // sweep uses for a twice-dead worker, so daemon and offline tables
@@ -1320,7 +1323,7 @@ void Daemon::degrade_unsettled(Request& req, const std::string& death) {
     driver_opt.cancel = &never_cancelled;
     for (double cap : owed) {
       robust::WorkerFailure failure;
-      failure.outcome = robust::StatusCode::kWorkerCrashed;
+      failure.outcome = outcome;
       failure.detail = death;
       failure.spawns = req.spawns;
       const robust::JournalEntry entry = robust::degraded_entry_for_failure(

@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "apps/benchmarks.h"
+#include "core/lp_formulation.h"
 #include "core/windowed.h"
 #include "machine/power_model.h"
 
@@ -13,21 +14,19 @@ const machine::PowerModel kModel{machine::SocketSpec{}};
 const machine::ClusterSpec kCluster{};
 
 TEST(WindowSweeper, MatchesOneShotSolve) {
+  // solve_windowed_lp is itself a one-shot sweeper, so the reference is
+  // the monolithic trace LP: the barrier decomposition is exact, so the
+  // stitched window optima make the whole trace's optimum.
   const dag::TaskGraph g = apps::make_bt({.ranks = 4, .iterations = 4});
   const WindowSweeper sweeper(g, kModel, kCluster);
+  const LpFormulation mono(g, kModel, kCluster);
   for (double socket : {30.0, 45.0, 70.0}) {
     const double cap = 4 * socket;
     const auto a = sweeper.solve({.power_cap = cap});
-    const auto b = solve_windowed_lp(g, kModel, kCluster, {.power_cap = cap});
+    const auto b = mono.solve({.power_cap = cap});
     ASSERT_EQ(a.status, b.status) << socket;
     if (!a.optimal()) continue;
-    EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-    EXPECT_DOUBLE_EQ(a.energy_joules, b.energy_joules);
-    EXPECT_DOUBLE_EQ(a.power_price_s_per_watt, b.power_price_s_per_watt);
-    for (std::size_t e = 0; e < g.num_edges(); ++e) {
-      EXPECT_DOUBLE_EQ(a.schedule.duration[e], b.schedule.duration[e]);
-      EXPECT_DOUBLE_EQ(a.schedule.power[e], b.schedule.power[e]);
-    }
+    EXPECT_NEAR(a.makespan, b.makespan, 1e-9 * b.makespan) << socket;
   }
 }
 

@@ -61,19 +61,6 @@ TEST(Comparison, AdagioAblationRunsWhenRequested) {
   EXPECT_LE(r.lp.window_seconds, r.adagio.window_seconds * 1.005);
 }
 
-TEST(Comparison, WindowedAndMonolithicLpAgree) {
-  const int ranks = 4;
-  const dag::TaskGraph g = apps::make_comd({.ranks = ranks, .iterations = 4});
-  ComparisonOptions o = opts(45.0, ranks);
-  const auto windowed = compare_methods(g, kModel, kCluster, o);
-  o.windowed_lp = false;
-  const auto mono = compare_methods(g, kModel, kCluster, o);
-  ASSERT_TRUE(windowed.lp.feasible);
-  ASSERT_TRUE(mono.lp.feasible);
-  EXPECT_NEAR(windowed.lp.window_seconds, mono.lp.window_seconds,
-              0.002 * mono.lp.window_seconds);
-}
-
 TEST(Comparison, PeakPowerUnderCapForAllMethods) {
   const int ranks = 4;
   const dag::TaskGraph g = apps::make_lulesh({.ranks = ranks, .iterations = 4});

@@ -35,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "daemon_process.h"
 #include "forged_trace.h"
 #include "report_parts.h"
 #include "robust/wire.h"
@@ -82,93 +83,6 @@ std::string head_lines(const std::string& text, int lines) {
     if (pos != std::string::npos) ++pos;
   }
   return text.substr(0, pos == std::string::npos ? text.size() : pos);
-}
-
-/// A forked `powerlim serve` child (primary or standby).
-struct Daemon {
-  pid_t pid = -1;
-  util::Endpoint endpoint;
-  std::string state_dir;
-
-  Daemon() = default;
-  Daemon(Daemon&& o) noexcept
-      : pid(o.pid), endpoint(o.endpoint), state_dir(std::move(o.state_dir)) {
-    o.pid = -1;
-  }
-  Daemon& operator=(Daemon&& o) noexcept {
-    std::swap(pid, o.pid);
-    endpoint = o.endpoint;
-    state_dir = o.state_dir;
-    return *this;
-  }
-  Daemon(const Daemon&) = delete;
-  Daemon& operator=(const Daemon&) = delete;
-  ~Daemon() {
-    if (pid <= 0) return;
-    kill(pid, SIGKILL);
-    int status = 0;
-    waitpid(pid, &status, 0);
-  }
-
-  void sigkill() {
-    if (pid <= 0) return;
-    kill(pid, SIGKILL);
-    int status = 0;
-    waitpid(pid, &status, 0);
-    pid = -1;
-  }
-
-  /// Waits for exit (no signal sent); returns exit code or -signal.
-  int wait_exit() {
-    if (pid <= 0) return -1;
-    int status = 0;
-    const pid_t waited = waitpid(pid, &status, 0);
-    const pid_t was = pid;
-    pid = -1;
-    if (waited != was) return -1;
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
-  }
-
-  int stop() {
-    if (pid <= 0) return -1;
-    kill(pid, SIGTERM);
-    return wait_exit();
-  }
-};
-
-Daemon launch_daemon(const std::string& port_file,
-                     const std::string& state_dir,
-                     std::vector<std::string> extra_args) {
-  Daemon d;
-  d.state_dir = state_dir;
-  std::vector<std::string> args = {"serve",       "--listen",
-                                   "127.0.0.1:0", "--port-file",
-                                   port_file,     "--state-dir",
-                                   d.state_dir};
-  args.insert(args.end(), extra_args.begin(), extra_args.end());
-  const pid_t pid = fork();
-  if (pid == 0) {
-    install_signal_handlers();
-    std::ostringstream out, err;
-    _exit(run(args, out, err));
-  }
-  d.pid = pid;
-  for (int i = 0; i < 500; ++i) {
-    std::ifstream f(port_file);
-    int port = 0;
-    if (f >> port && port > 0) {
-      d.endpoint.host = "127.0.0.1";
-      d.endpoint.port = port;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  std::remove(port_file.c_str());
-  return d;
-}
-
-std::string endpoint_str(const Daemon& d) {
-  return "127.0.0.1:" + std::to_string(d.endpoint.port);
 }
 
 /// All replicated artifacts (journals + trace snapshots) of two state
@@ -261,15 +175,16 @@ class FailoverTest : public ::testing::Test {
 
   /// Starts a daemon whose port file lives in this test's scratch
   /// directory.
-  Daemon start_daemon(const std::string& state_dir,
-                      std::vector<std::string> extra_args) {
+  DaemonProcess start_daemon(const std::string& state_dir,
+                             std::vector<std::string> extra_args) {
     return launch_daemon(
         temp_path("port_" + std::to_string(daemons_started_++)), state_dir,
         std::move(extra_args));
   }
 
-  Daemon start_standby(const std::string& state_dir, const Daemon& primary,
-                       std::vector<std::string> extra_args) {
+  DaemonProcess start_standby(const std::string& state_dir,
+                              const DaemonProcess& primary,
+                              std::vector<std::string> extra_args) {
     std::vector<std::string> args = {"--standby-of", endpoint_str(primary),
                                      "--repl-heartbeat-ms", "25"};
     args.insert(args.end(), extra_args.begin(), extra_args.end());
@@ -301,10 +216,10 @@ std::string* FailoverTest::offline_report_ = nullptr;
 CliResult* FailoverTest::offline_ = nullptr;
 
 TEST_F(FailoverTest, StandbyReplicatesByteIdenticalAndServesReadOnly) {
-  Daemon primary = start_daemon(temp_path("ha_rep_p"),
-                                {"--repl-heartbeat-ms", "25"});
+  DaemonProcess primary = start_daemon(temp_path("ha_rep_p"),
+                                       {"--repl-heartbeat-ms", "25"});
   ASSERT_GT(primary.endpoint.port, 0);
-  Daemon standby = start_standby(temp_path("ha_rep_s"), primary, {});
+  DaemonProcess standby = start_standby(temp_path("ha_rep_s"), primary, {});
   ASSERT_GT(standby.endpoint.port, 0);
 
   const CliResult q = run_cli(query_args(endpoint_str(primary)));
@@ -363,11 +278,11 @@ TEST_F(FailoverTest, StandbyReplicatesByteIdenticalAndServesReadOnly) {
 }
 
 TEST_F(FailoverTest, SigkillPromoteServesByteIdenticalTableZeroResolves) {
-  Daemon primary = start_daemon(
+  DaemonProcess primary = start_daemon(
       temp_path("ha_kill_p"),
       {"--repl-heartbeat-ms", "25", "--max-active", "1"});
   ASSERT_GT(primary.endpoint.port, 0);
-  Daemon standby = start_standby(temp_path("ha_kill_s"), primary, {});
+  DaemonProcess standby = start_standby(temp_path("ha_kill_s"), primary, {});
   ASSERT_GT(standby.endpoint.port, 0);
 
   // A client child drives the sweep; the kill lands once the standby
@@ -435,10 +350,11 @@ TEST_F(FailoverTest, SigkillPromoteServesByteIdenticalTableZeroResolves) {
 }
 
 TEST_F(FailoverTest, StaleEpochDeposedPrimaryRefusedAndFenced) {
-  Daemon old_primary = start_daemon(temp_path("ha_split_p"),
-                                    {"--repl-heartbeat-ms", "25"});
+  DaemonProcess old_primary = start_daemon(temp_path("ha_split_p"),
+                                           {"--repl-heartbeat-ms", "25"});
   ASSERT_GT(old_primary.endpoint.port, 0);
-  Daemon standby = start_standby(temp_path("ha_split_s"), old_primary, {});
+  DaemonProcess standby =
+      start_standby(temp_path("ha_split_s"), old_primary, {});
   ASSERT_GT(standby.endpoint.port, 0);
 
   const CliResult q = run_cli({"query", *trace_, "--server",
@@ -482,18 +398,18 @@ TEST_F(FailoverTest, StaleEpochDeposedPrimaryRefusedAndFenced) {
   // And the replication link fences the deposed primary: a standby
   // carrying the promoted epoch dials it, the primary sees a newer
   // epoch in the hello, refuses the ack, and exits kExitFenced.
-  Daemon rejoin = start_standby(standby.state_dir, old_primary, {});
+  DaemonProcess rejoin = start_standby(standby.state_dir, old_primary, {});
   ASSERT_GT(rejoin.endpoint.port, 0);
   EXPECT_EQ(old_primary.wait_exit(), serve::kExitFenced);
   EXPECT_EQ(rejoin.stop(), 0);
 }
 
 TEST_F(FailoverTest, StandbyAutoPromotesOnHeartbeatSilence) {
-  Daemon primary = start_daemon(temp_path("ha_auto_p"),
-                                {"--repl-heartbeat-ms", "25"});
+  DaemonProcess primary = start_daemon(temp_path("ha_auto_p"),
+                                       {"--repl-heartbeat-ms", "25"});
   ASSERT_GT(primary.endpoint.port, 0);
-  Daemon standby = start_standby(temp_path("ha_auto_s"), primary,
-                                 {"--promote-after-ms", "300"});
+  DaemonProcess standby = start_standby(temp_path("ha_auto_s"), primary,
+                                        {"--promote-after-ms", "300"});
   ASSERT_GT(standby.endpoint.port, 0);
 
   const CliResult q = run_cli({"query", *trace_, "--server",
@@ -528,10 +444,10 @@ TEST_F(FailoverTest, StandbyAutoPromotesOnHeartbeatSilence) {
 }
 
 TEST_F(FailoverTest, SighupMidReplicationDoesNotTearTheStream) {
-  Daemon primary = start_daemon(temp_path("ha_hup_p"),
-                                {"--repl-heartbeat-ms", "25"});
+  DaemonProcess primary = start_daemon(temp_path("ha_hup_p"),
+                                       {"--repl-heartbeat-ms", "25"});
   ASSERT_GT(primary.endpoint.port, 0);
-  Daemon standby = start_standby(temp_path("ha_hup_s"), primary, {});
+  DaemonProcess standby = start_standby(temp_path("ha_hup_s"), primary, {});
   ASSERT_GT(standby.endpoint.port, 0);
 
   // Pepper the primary with journal-reopen requests while a sweep
@@ -565,8 +481,8 @@ TEST_F(FailoverTest, SighupMidReplicationDoesNotTearTheStream) {
 }
 
 TEST_F(FailoverTest, HostileReplBytesDropThatConnectionOnly) {
-  Daemon primary = start_daemon(temp_path("ha_hostile_p"),
-                                {"--repl-heartbeat-ms", "25"});
+  DaemonProcess primary = start_daemon(temp_path("ha_hostile_p"),
+                                       {"--repl-heartbeat-ms", "25"});
   ASSERT_GT(primary.endpoint.port, 0);
 
   auto raw_conn = [&]() {
@@ -627,7 +543,7 @@ TEST_F(FailoverTest, HostileReplBytesDropThatConnectionOnly) {
 }
 
 TEST_F(FailoverTest, LoadgenReplayDrivesQueuedRequestFile) {
-  Daemon primary = start_daemon(temp_path("ha_replay_p"), {});
+  DaemonProcess primary = start_daemon(temp_path("ha_replay_p"), {});
   ASSERT_GT(primary.endpoint.port, 0);
 
   const std::string replay = temp_path("ha_replay.txt");

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "apps/benchmarks.h"
+#include "daemon_process.h"
 #include "dag/trace_io.h"
 #include "machine/power_model.h"
 #include "robust/journal.h"
@@ -57,68 +58,13 @@ std::string trace_text(const dag::TaskGraph& g) {
   return os.str();
 }
 
-/// A forked `powerlim serve` child on an ephemeral port, with its state
-/// dir, port file and log in a scratch directory. The destructor
-/// SIGKILLs a daemon a failed assertion left behind.
-struct Daemon {
-  pid_t pid = -1;
-  util::Endpoint ep;
-  std::string log;
-
-  Daemon() = default;
-  Daemon(const Daemon&) = delete;
-  Daemon& operator=(const Daemon&) = delete;
-  ~Daemon() {
-    if (pid <= 0) return;
-    kill(pid, SIGKILL);
-    int status = 0;
-    waitpid(pid, &status, 0);
-  }
-
-  /// Graceful SIGTERM drain; returns the exit code (or -signal).
-  int stop() {
-    if (pid <= 0) return -1;
-    kill(pid, SIGTERM);
-    int status = 0;
-    const pid_t waited = waitpid(pid, &status, 0);
-    const pid_t was = pid;
-    pid = -1;
-    if (waited != was) return -1;
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
-  }
-};
-
-/// Starts a daemon named `name` under `dir`; its stdout and stderr land
-/// in `<name>.log` when it exits.
+/// Starts a daemon named `name` under `dir`: its state dir and port
+/// file are `<name>.state` and `<name>.port`, and its stdout and stderr
+/// land in `<name>.log` when it exits.
 void start_daemon(const ScratchDir& dir, const std::string& name,
-                  std::vector<std::string> extra_args, Daemon* d) {
-  const std::string port_file = dir.path(name + ".port");
-  d->log = dir.path(name + ".log");
-  std::vector<std::string> args = {"serve",       "--listen",
-                                   "127.0.0.1:0", "--port-file",
-                                   port_file,     "--state-dir",
-                                   dir.path(name + ".state")};
-  args.insert(args.end(), extra_args.begin(), extra_args.end());
-  const std::string log = d->log;
-  const pid_t pid = fork();
-  if (pid == 0) {
-    cli::install_signal_handlers();
-    std::ostringstream out, err;
-    const int rc = cli::run(args, out, err);
-    std::ofstream(log) << out.str() << err.str();
-    _exit(rc);
-  }
-  d->pid = pid;
-  d->ep.host = "127.0.0.1";
-  for (int i = 0; i < 500 && d->ep.port == 0; ++i) {
-    std::ifstream f(port_file);
-    int port = 0;
-    if (f >> port && port > 0) {
-      d->ep.port = port;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+                  std::vector<std::string> extra_args, DaemonProcess* d) {
+  *d = launch_daemon(dir.path(name + ".port"), dir.path(name + ".state"),
+                     extra_args, dir.path(name + ".log"));
 }
 
 std::string read_file(const std::string& path) {
@@ -208,11 +154,11 @@ std::string tags_of(const std::vector<WireFrame>& frames) {
 TEST(PowerlimdSolve, SolvesAJobEndToEndWithHeartbeatsAndArtifact) {
   ScratchDir dir("solve_e2e");
   ASSERT_TRUE(dir.ok());
-  Daemon d;
+  DaemonProcess d;
   start_daemon(dir, "d", {}, &d);
-  ASSERT_GT(d.ep.port, 0);
+  ASSERT_GT(d.endpoint.port, 0);
   RawClient client;
-  ASSERT_TRUE(client.connect(d.ep));
+  ASSERT_TRUE(client.connect(d.endpoint));
 
   const double cap = 120.0;
   ASSERT_TRUE(client.solve("s1", small_graph(), cap, 0));
@@ -249,12 +195,12 @@ TEST(PowerlimdSolve, SolvesAJobEndToEndWithHeartbeatsAndArtifact) {
 TEST(PowerlimdSolve, RejectsVersionSkewWithCleanAck) {
   ScratchDir dir("solve_skew");
   ASSERT_TRUE(dir.ok());
-  Daemon d;
+  DaemonProcess d;
   start_daemon(dir, "d", {}, &d);
-  ASSERT_GT(d.ep.port, 0);
+  ASSERT_GT(d.endpoint.port, 0);
   RawClient client;
   std::string error;
-  client.fd = util::connect_timeout(d.ep, 5.0, &error);
+  client.fd = util::connect_timeout(d.endpoint, 5.0, &error);
   ASSERT_GE(client.fd, 0) << error;
   ASSERT_TRUE(client.send_frame(serve::kTagHello,
                           std::string(serve::kServeProtoMagic) +
@@ -275,11 +221,11 @@ TEST(PowerlimdSolve, SigtermDrainsGracefullyMidConnection) {
   // never a hang.
   ScratchDir dir("solve_sigterm");
   ASSERT_TRUE(dir.ok());
-  Daemon d;
+  DaemonProcess d;
   start_daemon(dir, "d", {}, &d);
-  ASSERT_GT(d.ep.port, 0);
+  ASSERT_GT(d.endpoint.port, 0);
   RawClient client;
-  ASSERT_TRUE(client.connect(d.ep));
+  ASSERT_TRUE(client.connect(d.endpoint));
   const dag::TaskGraph g =
       apps::make_comd({.ranks = 4, .iterations = 16, .seed = 5});
   ASSERT_TRUE(client.solve("s1", g, 60.0 * 4, 0));
@@ -305,11 +251,11 @@ TEST(PowerlimdSolve, SigtermDrainsGracefullyMidConnection) {
 TEST(PowerlimdSolve, HeartbeatsWhileRunningThenRowArtifactDone) {
   ScratchDir dir("solve_beats");
   ASSERT_TRUE(dir.ok());
-  Daemon d;
+  DaemonProcess d;
   start_daemon(dir, "d", {}, &d);
-  ASSERT_GT(d.ep.port, 0);
+  ASSERT_GT(d.endpoint.port, 0);
   RawClient client;
-  ASSERT_TRUE(client.connect(d.ep));
+  ASSERT_TRUE(client.connect(d.endpoint));
   // A cap that takes several heartbeat intervals to solve.
   const dag::TaskGraph g =
       apps::make_comd({.ranks = 64, .iterations = 40, .seed = 17});
@@ -328,11 +274,11 @@ TEST(PowerlimdSolve, InjectedCrashAnswersWorkerCrashedWithoutRetry) {
   // The next attempt of the same cap is healthy.
   ScratchDir dir("solve_crash");
   ASSERT_TRUE(dir.ok());
-  Daemon d;
+  DaemonProcess d;
   start_daemon(dir, "d", {"--inject-fail", "worker-crash"}, &d);
-  ASSERT_GT(d.ep.port, 0);
+  ASSERT_GT(d.endpoint.port, 0);
   RawClient client;
-  ASSERT_TRUE(client.connect(d.ep));
+  ASSERT_TRUE(client.connect(d.endpoint));
 
   ASSERT_TRUE(client.solve("a0", small_graph(), 120.0, 0));
   const std::vector<WireFrame> crashed = client.answer();
@@ -367,17 +313,17 @@ TEST(PowerlimdSolve, BoundAndSweepClientsNeverSeeSolveFrames) {
   // frames load generators count as success or failure.
   ScratchDir dir("solve_mixed");
   ASSERT_TRUE(dir.ok());
-  Daemon d;
+  DaemonProcess d;
   start_daemon(dir, "d", {"--max-active", "2"}, &d);
-  ASSERT_GT(d.ep.port, 0);
+  ASSERT_GT(d.endpoint.port, 0);
   const dag::TaskGraph heavy =
       apps::make_comd({.ranks = 64, .iterations = 40, .seed = 17});
   RawClient solver;
-  ASSERT_TRUE(solver.connect(d.ep));
+  ASSERT_TRUE(solver.connect(d.endpoint));
   ASSERT_TRUE(solver.solve("s", heavy, 60.0 * 64, 0));
 
   RawClient client;
-  ASSERT_TRUE(client.connect(d.ep));
+  ASSERT_TRUE(client.connect(d.endpoint));
   serve::ServeRequest sweep;
   sweep.id = "sw";
   sweep.kind = "sweep";
@@ -451,11 +397,11 @@ int dead_port() {
 TEST(DistributedPool, AllCapsSettleRemotelyWithLocalWorkersDisabled) {
   ScratchDir dir("pool_remote");
   ASSERT_TRUE(dir.ok());
-  Daemon d;
+  DaemonProcess d;
   start_daemon(dir, "d", {}, &d);
-  ASSERT_GT(d.ep.port, 0);
+  ASSERT_GT(d.endpoint.port, 0);
   PoolFixture fix({120.0, 110.0, 100.0});
-  fix.remote.remotes = {d.ep};
+  fix.remote.remotes = {d.endpoint};
   robust::WorkerPoolOptions pool;
   pool.workers = 0;  // remote-only: locals exist only as ladder fallback
   pool.remote = fix.remote;
@@ -479,7 +425,7 @@ TEST(DistributedPool, AllCapsSettleRemotelyWithLocalWorkersDisabled) {
   ASSERT_EQ(transports.size(), 3u);
   for (const robust::TransportTelemetry& t : transports) {
     EXPECT_TRUE(t.remote);
-    EXPECT_EQ(t.endpoint, util::to_string(d.ep));
+    EXPECT_EQ(t.endpoint, util::to_string(d.endpoint));
     EXPECT_EQ(t.retries, 0);
   }
 }
@@ -510,11 +456,11 @@ TEST(DistributedPool, GateRejectionWalksReassignmentLadder) {
   // cap must still settle kOk via the forced-local rung.
   ScratchDir dir("pool_gate");
   ASSERT_TRUE(dir.ok());
-  Daemon d;
+  DaemonProcess d;
   start_daemon(dir, "d", {}, &d);
-  ASSERT_GT(d.ep.port, 0);
+  ASSERT_GT(d.endpoint.port, 0);
   PoolFixture fix({120.0});
-  fix.remote.remotes = {d.ep};
+  fix.remote.remotes = {d.endpoint};
   robust::WorkerPoolOptions pool;
   // No ordinary local mixing: the cap must go remote first, get
   // rejected, and come back through the ladder's forced-local rung.

@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "daemon_process.h"
 #include "dag/trace_io.h"
 #include "forged_trace.h"
 #include "robust/journal.h"
@@ -49,78 +50,6 @@ using serve::CollectResult;
 using serve::CollectStatus;
 using serve::ServeClient;
 using serve::ServeRequest;
-
-/// A forked `powerlim serve` child. The destructor SIGKILLs a daemon a
-/// failed assertion left behind - otherwise the orphan inherits the
-/// test's stdio and wedges any pipeline reading it.
-struct Daemon {
-  pid_t pid = -1;
-  util::Endpoint endpoint;
-  std::string state_dir;
-
-  Daemon() = default;
-  Daemon(Daemon&& o) noexcept
-      : pid(o.pid), endpoint(o.endpoint), state_dir(std::move(o.state_dir)) {
-    o.pid = -1;
-  }
-  Daemon& operator=(Daemon&& o) noexcept {
-    std::swap(pid, o.pid);
-    endpoint = o.endpoint;
-    state_dir = o.state_dir;
-    return *this;
-  }
-  Daemon(const Daemon&) = delete;
-  Daemon& operator=(const Daemon&) = delete;
-  ~Daemon() {
-    if (pid <= 0) return;
-    kill(pid, SIGKILL);
-    int status = 0;
-    waitpid(pid, &status, 0);
-  }
-
-  /// Graceful SIGTERM drain; returns the exit code (or -signal).
-  int stop() {
-    if (pid <= 0) return -1;
-    kill(pid, SIGTERM);
-    int status = 0;
-    const pid_t waited = waitpid(pid, &status, 0);
-    const pid_t was = pid;
-    pid = -1;
-    if (waited != was) return -1;
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
-  }
-};
-
-Daemon launch_daemon(const std::string& port_file,
-                     const std::string& state_dir,
-                     std::vector<std::string> extra_args) {
-  Daemon d;
-  d.state_dir = state_dir;
-  std::vector<std::string> args = {"serve",       "--listen",
-                                   "127.0.0.1:0", "--port-file",
-                                   port_file,     "--state-dir",
-                                   d.state_dir};
-  args.insert(args.end(), extra_args.begin(), extra_args.end());
-  const pid_t pid = fork();
-  if (pid == 0) {
-    install_signal_handlers();
-    std::ostringstream out, err;
-    _exit(run(args, out, err));
-  }
-  d.pid = pid;
-  for (int i = 0; i < 500; ++i) {
-    std::ifstream f(port_file);
-    int port = 0;
-    if (f >> port && port > 0) {
-      d.endpoint.host = "127.0.0.1";
-      d.endpoint.port = port;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  std::remove(port_file.c_str());
-  return d;
-}
 
 /// Shared fixture: a light CoMD trace (2 ranks - requests finish in
 /// tens of ms) and a heavy one (16 ranks x 30 iterations - a 16-cap
@@ -166,7 +95,7 @@ class PowerlimdLifecycle : public ::testing::Test {
 
   /// Starts a daemon with a fresh state dir and port file in this
   /// test's scratch directory.
-  Daemon start_daemon(std::vector<std::string> extra_args) {
+  DaemonProcess start_daemon(std::vector<std::string> extra_args) {
     const std::string tag = std::to_string(daemons_started_++);
     return launch_daemon(scratch_.path("port_" + tag),
                          scratch_.path("state_" + tag),
@@ -206,7 +135,7 @@ std::string* PowerlimdLifecycle::trace_text_ = nullptr;
 std::string* PowerlimdLifecycle::heavy_text_ = nullptr;
 
 TEST_F(PowerlimdLifecycle, SigtermDrainsActiveAndShedsQueued) {
-  Daemon d = start_daemon({"--max-active", "1"});
+  DaemonProcess d = start_daemon({"--max-active", "1"});
   ASSERT_GT(d.endpoint.port, 0);
 
   // A large request occupies the single active slot; a second queues
@@ -239,7 +168,7 @@ TEST_F(PowerlimdLifecycle, SigtermDrainsActiveAndShedsQueued) {
 }
 
 TEST_F(PowerlimdLifecycle, StalledClientCannotBlockOthers) {
-  Daemon d = start_daemon({"--io-timeout-s", "1"});
+  DaemonProcess d = start_daemon({"--io-timeout-s", "1"});
   ASSERT_GT(d.endpoint.port, 0);
 
   // A peer that sends two bytes of a frame and then nothing.
@@ -266,7 +195,7 @@ TEST_F(PowerlimdLifecycle, StalledClientCannotBlockOthers) {
 }
 
 TEST_F(PowerlimdLifecycle, QueueFullShedsPromptlyWhileAdmittedComplete) {
-  Daemon d = start_daemon({"--max-active", "1", "--max-queue", "1"});
+  DaemonProcess d = start_daemon({"--max-active", "1", "--max-queue", "1"});
   ASSERT_GT(d.endpoint.port, 0);
 
   ServeClient a, b, c;
@@ -308,7 +237,7 @@ TEST_F(PowerlimdLifecycle, QueueFullShedsPromptlyWhileAdmittedComplete) {
 }
 
 TEST_F(PowerlimdLifecycle, HostileFramesDropOnlyTheirConnection) {
-  Daemon d = start_daemon({"--io-timeout-s", "2"});
+  DaemonProcess d = start_daemon({"--io-timeout-s", "2"});
   ASSERT_GT(d.endpoint.port, 0);
 
   // An oversized length prefix (past kMaxWirePayload, i.e. past the
@@ -358,7 +287,7 @@ TEST_F(PowerlimdLifecycle, HostileFramesDropOnlyTheirConnection) {
 }
 
 TEST_F(PowerlimdLifecycle, SighupReopensJournalsWithoutDisturbingService) {
-  Daemon d = start_daemon({});
+  DaemonProcess d = start_daemon({});
   ASSERT_GT(d.endpoint.port, 0);
 
   ServeClient client;
@@ -393,7 +322,7 @@ TEST_F(PowerlimdLifecycle, TraceHashCollisionIsRefusedNotServed) {
     ASSERT_NO_THROW((void)dag::read_trace(in, "forged"));
   }
 
-  Daemon d = start_daemon({});
+  DaemonProcess d = start_daemon({});
   ASSERT_GT(d.endpoint.port, 0);
   ServeClient client;
   ASSERT_TRUE(client.connect(d.endpoint).ok());
@@ -432,7 +361,7 @@ TEST_F(PowerlimdLifecycle, FailedSnapshotWriteLeavesNoTornSnapshot) {
   // EFBIG instead of killing it with SIGXFSZ.
   const auto prev = ::signal(SIGXFSZ, SIG_IGN);
   ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &limited), 0);
-  Daemon d = start_daemon({});
+  DaemonProcess d = start_daemon({});
   ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &unlimited), 0);
   ::signal(SIGXFSZ, prev);
   ASSERT_GT(d.endpoint.port, 0);
@@ -448,7 +377,7 @@ TEST_F(PowerlimdLifecycle, FailedSnapshotWriteLeavesNoTornSnapshot) {
   }
   EXPECT_EQ(d.stop(), 0);
 
-  Daemon again = launch_daemon(d.state_dir + ".port", d.state_dir, {});
+  DaemonProcess again = launch_daemon(d.state_dir + ".port", d.state_dir, {});
   ASSERT_GT(again.endpoint.port, 0);
   ServeClient client;
   ASSERT_TRUE(client.connect(again.endpoint).ok());
@@ -469,7 +398,7 @@ TEST_F(PowerlimdLifecycle, LintFailingTraceGetsBadInputRows) {
                           "vertex 0 init -1 Init\n"
                           "vertex 1 finalize -1 Finalize\n"
                           "task 0 1 0 0 0 0 0.95 4 0 8\n";
-  Daemon d = start_daemon({});
+  DaemonProcess d = start_daemon({});
   ASSERT_GT(d.endpoint.port, 0);
 
   const std::string report = suite_dir_->path("powerlimd_zero_work.json");
@@ -500,7 +429,7 @@ TEST_F(PowerlimdLifecycle, LintFailingTraceGetsBadInputRows) {
 }
 
 TEST_F(PowerlimdLifecycle, VersionSkewedClientIsRejectedAtHello) {
-  Daemon d = start_daemon({});
+  DaemonProcess d = start_daemon({});
   ASSERT_GT(d.endpoint.port, 0);
 
   std::string error;

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "daemon_process.h"
 #include "journal_records.h"
 #include "report_parts.h"
 #include "robust/journal.h"
@@ -61,82 +62,6 @@ std::string head_lines(const std::string& text, int lines) {
     if (pos != std::string::npos) ++pos;
   }
   return text.substr(0, pos == std::string::npos ? text.size() : pos);
-}
-
-/// A forked `powerlim serve` child. The destructor SIGKILLs a daemon a
-/// failed assertion left behind - otherwise the orphan inherits the
-/// test's stdio and wedges any pipeline reading it.
-struct Daemon {
-  pid_t pid = -1;
-  util::Endpoint endpoint;
-  std::string state_dir;
-
-  Daemon() = default;
-  Daemon(Daemon&& o) noexcept
-      : pid(o.pid), endpoint(o.endpoint), state_dir(std::move(o.state_dir)) {
-    o.pid = -1;
-  }
-  Daemon& operator=(Daemon&& o) noexcept {
-    std::swap(pid, o.pid);
-    endpoint = o.endpoint;
-    state_dir = o.state_dir;
-    return *this;
-  }
-  Daemon(const Daemon&) = delete;
-  Daemon& operator=(const Daemon&) = delete;
-  ~Daemon() {
-    if (pid <= 0) return;
-    kill(pid, SIGKILL);
-    int status = 0;
-    waitpid(pid, &status, 0);
-  }
-
-  /// Graceful SIGTERM drain; returns the exit code (or -signal).
-  int stop() {
-    if (pid <= 0) return -1;
-    kill(pid, SIGTERM);
-    int status = 0;
-    const pid_t waited = waitpid(pid, &status, 0);
-    const pid_t was = pid;
-    pid = -1;
-    if (waited != was) return -1;
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
-  }
-};
-
-Daemon launch_daemon(const std::string& port_file,
-                     const std::string& state_dir,
-                     std::vector<std::string> extra_args) {
-  Daemon d;
-  d.state_dir = state_dir;
-  std::vector<std::string> args = {"serve",       "--listen",
-                                   "127.0.0.1:0", "--port-file",
-                                   port_file,     "--state-dir",
-                                   d.state_dir};
-  args.insert(args.end(), extra_args.begin(), extra_args.end());
-  const pid_t pid = fork();
-  if (pid == 0) {
-    install_signal_handlers();
-    std::ostringstream out, err;
-    _exit(run(args, out, err));
-  }
-  d.pid = pid;
-  for (int i = 0; i < 500; ++i) {
-    std::ifstream f(port_file);
-    int port = 0;
-    if (f >> port && port > 0) {
-      d.endpoint.host = "127.0.0.1";
-      d.endpoint.port = port;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  std::remove(port_file.c_str());
-  return d;
-}
-
-std::string endpoint_str(const Daemon& d) {
-  return "127.0.0.1:" + std::to_string(d.endpoint.port);
 }
 
 /// Count journaled result rows across every sweep journal in a daemon
@@ -195,8 +120,8 @@ class ServeEquivalence : public ::testing::Test {
 
   /// Starts a daemon whose port file lives in this test's scratch
   /// directory.
-  Daemon start_daemon(const std::string& state_dir,
-                      std::vector<std::string> extra_args) {
+  DaemonProcess start_daemon(const std::string& state_dir,
+                             std::vector<std::string> extra_args) {
     return launch_daemon(
         temp_path("port_" + std::to_string(daemons_started_++)), state_dir,
         std::move(extra_args));
@@ -207,7 +132,7 @@ class ServeEquivalence : public ::testing::Test {
             "--step", "2.5"};
   }
 
-  static std::vector<std::string> query_args(const Daemon& d) {
+  static std::vector<std::string> query_args(const DaemonProcess& d) {
     return {"query", *trace_,        "--server", endpoint_str(d), "--from",
             "30",    "--to", "60",   "--step",   "2.5"};
   }
@@ -232,7 +157,7 @@ std::string* ServeEquivalence::offline_report_ = nullptr;
 CliResult* ServeEquivalence::offline_ = nullptr;
 
 TEST_F(ServeEquivalence, DaemonServedSweepMatchesOffline) {
-  Daemon d = start_daemon(temp_path("eq_state_clean"), {});
+  DaemonProcess d = start_daemon(temp_path("eq_state_clean"), {});
   ASSERT_GT(d.endpoint.port, 0);
 
   const std::string report = temp_path("eq_clean.json");
@@ -292,7 +217,7 @@ TEST_F(ServeEquivalence, WorkerCrashInjectionMatchesOffline) {
   const CliResult offline_faulted = run_cli(offline_args);
   ASSERT_EQ(offline_faulted.code, 0) << offline_faulted.err;
 
-  Daemon d = start_daemon(
+  DaemonProcess d = start_daemon(
       temp_path("eq_state_crash"),
       {"--inject-fail", "worker-crash", "--workers", "2"});
   ASSERT_GT(d.endpoint.port, 0);
@@ -341,7 +266,7 @@ TEST_F(ServeEquivalence, NetFaultAgainstRemoteWorkersMatchesOffline) {
   ASSERT_EQ(offline_faulted.code, 0) << offline_faulted.err;
   EXPECT_EQ(head_lines(offline_faulted.out, 2 + kCaps), offline_table());
 
-  Daemon d = start_daemon(
+  DaemonProcess d = start_daemon(
       temp_path("eq_state_net"),
       {"--remote", remote, "--workers", "2", "--inject-fail", "net-drop"});
   ASSERT_GT(d.endpoint.port, 0);
@@ -357,7 +282,7 @@ TEST_F(ServeEquivalence, NetFaultAgainstRemoteWorkersMatchesOffline) {
 
 TEST_F(ServeEquivalence, SigkillThenResumeServesByteIdenticalTable) {
   const std::string state = temp_path("eq_state_kill");
-  Daemon first = start_daemon(state, {"--max-active", "1"});
+  DaemonProcess first = start_daemon(state, {"--max-active", "1"});
   ASSERT_GT(first.endpoint.port, 0);
 
   // A client child drives the sweep; the parent SIGKILLs the daemon as
@@ -391,7 +316,7 @@ TEST_F(ServeEquivalence, SigkillThenResumeServesByteIdenticalTable) {
   // Restart with --resume and let the daemon finish the owed caps on
   // its own (--max-requests 1 drains after the internal resume
   // request), proving recovery needs no client.
-  Daemon second =
+  DaemonProcess second =
       start_daemon(state, {"--resume", "--max-requests", "1"});
   ASSERT_GT(second.endpoint.port, 0);
   ASSERT_EQ(waitpid(second.pid, &status, 0), second.pid);
@@ -401,7 +326,7 @@ TEST_F(ServeEquivalence, SigkillThenResumeServesByteIdenticalTable) {
 
   // A fresh daemon over the same state dir serves the whole table from
   // the journal, byte-identically to the offline oracle.
-  Daemon third = start_daemon(state, {});
+  DaemonProcess third = start_daemon(state, {});
   ASSERT_GT(third.endpoint.port, 0);
   const std::string report = temp_path("eq_resumed.json");
   std::vector<std::string> args = query_args(third);
@@ -424,7 +349,7 @@ TEST_F(ServeEquivalence, SigkillThenResumeServesByteIdenticalTable) {
 TEST_F(ServeEquivalence, OldSchemaRecordIsResolvedOnceThenServed) {
   const std::string state = temp_path("eq_state_old_schema");
   {
-    Daemon d = start_daemon(state, {});
+    DaemonProcess d = start_daemon(state, {});
     ASSERT_GT(d.endpoint.port, 0);
     const CliResult q = run_cli(query_args(d));
     ASSERT_EQ(q.code, 0) << q.err;
@@ -438,7 +363,7 @@ TEST_F(ServeEquivalence, OldSchemaRecordIsResolvedOnceThenServed) {
                                            : payload;
                        });
 
-  Daemon d = start_daemon(state, {});
+  DaemonProcess d = start_daemon(state, {});
   ASSERT_GT(d.endpoint.port, 0);
   const std::string report = temp_path("eq_old_schema.json");
   std::vector<std::string> args = query_args(d);

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "daemon_process.h"
 #include "report_parts.h"
 #include "scratch_dir.h"
 #include "tools/cli.h"
@@ -86,54 +87,6 @@ int stat_before(const std::string& out, const std::string& suffix) {
   return best.empty() ? -1 : std::stoi(best);
 }
 
-/// One powerlimd child process started through the real CLI.
-struct Worker {
-  pid_t pid = -1;
-  int port = 0;
-};
-
-Worker launch_worker(const std::string& port_file,
-                     const std::string& state_dir,
-                     std::vector<std::string> extra_args) {
-  std::vector<std::string> args = {"serve",       "--listen",
-                                   "127.0.0.1:0", "--port-file",
-                                   port_file,     "--state-dir",
-                                   state_dir};
-  args.insert(args.end(), extra_args.begin(), extra_args.end());
-  const pid_t pid = fork();
-  if (pid == 0) {
-    install_signal_handlers();
-    std::ostringstream out, err;
-    _exit(run(args, out, err));
-  }
-  Worker w;
-  w.pid = pid;
-  for (int i = 0; i < 500 && w.port == 0; ++i) {
-    std::ifstream f(port_file);
-    int port = 0;
-    if (f >> port && port > 0) {
-      w.port = port;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  std::remove(port_file.c_str());
-  return w;
-}
-
-/// SIGTERMs a worker and returns its exit code (or -signal).
-int stop_worker(const Worker& w) {
-  if (w.pid <= 0) return -1;
-  kill(w.pid, SIGTERM);
-  int status = 0;
-  if (waitpid(w.pid, &status, 0) != w.pid) return -1;
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
-}
-
-std::string endpoint(const Worker& w) {
-  return "127.0.0.1:" + std::to_string(w.port);
-}
-
 /// Shared fixture: one trace + one serial reference sweep, built once
 /// per test process in its own scratch directory (the serial run is the
 /// byte-identity oracle for every leg); every test also gets a scratch
@@ -172,10 +125,10 @@ class DistributedSweepCli : public ::testing::Test {
 
   /// Starts a powerlimd whose port file and state dir live in this
   /// test's scratch directory.
-  Worker start_worker(std::vector<std::string> extra_args) {
+  DaemonProcess start_worker(std::vector<std::string> extra_args) {
     const std::string n = std::to_string(workers_started_++);
-    return launch_worker(temp_path("port_" + n), temp_path("state_" + n),
-                         std::move(extra_args));
+    return launch_daemon(temp_path("port_" + n), temp_path("state_" + n),
+                         extra_args);
   }
 
   // 30..107.5 step 2.5 = 32 caps (the acceptance sweep).
@@ -204,17 +157,17 @@ std::string* DistributedSweepCli::serial_report_ = nullptr;
 CliResult* DistributedSweepCli::serial_ = nullptr;
 
 TEST_F(DistributedSweepCli, TwoWorkersByteIdenticalToSerialAndResumes) {
-  const Worker w1 = start_worker({});
-  const Worker w2 = start_worker({});
-  ASSERT_GT(w1.port, 0);
-  ASSERT_GT(w2.port, 0);
+  DaemonProcess w1 = start_worker({});
+  DaemonProcess w2 = start_worker({});
+  ASSERT_GT(w1.endpoint.port, 0);
+  ASSERT_GT(w2.endpoint.port, 0);
 
   const std::string report = temp_path("dist_two.json");
   const std::string journal = temp_path("dist_two.jnl");
   std::vector<std::string> args = base_args();
   args.insert(args.end(),
-              {"--remote", endpoint(w1) + "," + endpoint(w2), "--workers",
-               "2", "--report", report, "--journal", journal});
+              {"--remote", endpoint_str(w1) + "," + endpoint_str(w2),
+               "--workers", "2", "--report", report, "--journal", journal});
   const CliResult dist = run_cli(args);
   ASSERT_EQ(dist.code, 0) << dist.err;
 
@@ -234,8 +187,8 @@ TEST_F(DistributedSweepCli, TwoWorkersByteIdenticalToSerialAndResumes) {
   // All 32 caps landed durably; a resume serves them from the journal
   // without touching the (now gone) workers, byte-identically.
   EXPECT_EQ(count_records(journal), kCaps);
-  EXPECT_EQ(stop_worker(w1), 0);
-  EXPECT_EQ(stop_worker(w2), 0);
+  EXPECT_EQ(w1.stop(), 0);
+  EXPECT_EQ(w2.stop(), 0);
   std::vector<std::string> resume_args = args;
   resume_args.push_back("--resume");
   const CliResult resumed = run_cli(resume_args);
@@ -246,10 +199,10 @@ TEST_F(DistributedSweepCli, TwoWorkersByteIdenticalToSerialAndResumes) {
 }
 
 TEST_F(DistributedSweepCli, SurvivesSigkillOfAWorkerMidSweep) {
-  const Worker w1 = start_worker({});
-  const Worker w2 = start_worker({});
-  ASSERT_GT(w1.port, 0);
-  ASSERT_GT(w2.port, 0);
+  DaemonProcess w1 = start_worker({});
+  DaemonProcess w2 = start_worker({});
+  ASSERT_GT(w1.endpoint.port, 0);
+  ASSERT_GT(w2.endpoint.port, 0);
 
   // A helper process SIGKILLs w1 as soon as the journal shows progress,
   // so the kill lands while caps are still in flight (or immediately
@@ -268,8 +221,8 @@ TEST_F(DistributedSweepCli, SurvivesSigkillOfAWorkerMidSweep) {
 
   std::vector<std::string> args = base_args();
   args.insert(args.end(),
-              {"--remote", endpoint(w1) + "," + endpoint(w2), "--workers",
-               "2", "--journal", journal});
+              {"--remote", endpoint_str(w1) + "," + endpoint_str(w2),
+               "--workers", "2", "--journal", journal});
   const CliResult dist = run_cli(args);
   ASSERT_EQ(dist.code, 0) << dist.err;
   EXPECT_EQ(head_lines(dist.out, 2 + kCaps), serial_table());
@@ -277,8 +230,8 @@ TEST_F(DistributedSweepCli, SurvivesSigkillOfAWorkerMidSweep) {
 
   int ignored = 0;
   waitpid(killer, &ignored, 0);
-  waitpid(w1.pid, &ignored, 0);  // SIGKILLed by the helper
-  EXPECT_EQ(stop_worker(w2), 0);
+  w1.wait_exit();  // SIGKILLed by the helper
+  EXPECT_EQ(w2.stop(), 0);
 }
 
 TEST_F(DistributedSweepCli, LyingWorkerIsRejectedAndResolvedLocally) {
@@ -286,14 +239,14 @@ TEST_F(DistributedSweepCli, LyingWorkerIsRejectedAndResolvedLocally) {
   // skipped) and one honest worker: the certificate gate must reject
   // the forged result(s), re-solve locally/elsewhere, and converge to
   // the serial table anyway.
-  const Worker liar = start_worker({"--inject-fail", "net-lie"});
-  const Worker honest = start_worker({});
-  ASSERT_GT(liar.port, 0);
-  ASSERT_GT(honest.port, 0);
+  DaemonProcess liar = start_worker({"--inject-fail", "net-lie"});
+  DaemonProcess honest = start_worker({});
+  ASSERT_GT(liar.endpoint.port, 0);
+  ASSERT_GT(honest.endpoint.port, 0);
 
   std::vector<std::string> args = base_args();
-  args.insert(args.end(), {"--remote", endpoint(liar) + "," +
-                                           endpoint(honest),
+  args.insert(args.end(), {"--remote", endpoint_str(liar) + "," +
+                                           endpoint_str(honest),
                            "--workers", "2"});
   const CliResult dist = run_cli(args);
   ASSERT_EQ(dist.code, 0) << dist.err;
@@ -301,8 +254,8 @@ TEST_F(DistributedSweepCli, LyingWorkerIsRejectedAndResolvedLocally) {
   EXPECT_GE(stat_before(dist.out, "certificate-rejected"), 1) << dist.out;
   EXPECT_GE(stat_before(dist.out, "remote failure(s)"), 1) << dist.out;
 
-  EXPECT_EQ(stop_worker(liar), 0);
-  EXPECT_EQ(stop_worker(honest), 0);
+  EXPECT_EQ(liar.stop(), 0);
+  EXPECT_EQ(honest.stop(), 0);
 }
 
 TEST_F(DistributedSweepCli, WorkerSideFaultMatrixStaysByteIdentical) {
@@ -326,11 +279,11 @@ TEST_F(DistributedSweepCli, WorkerSideFaultMatrixStaysByteIdentical) {
   };
   for (const auto& leg : kLegs) {
     SCOPED_TRACE(leg.mode);
-    const Worker w = start_worker(leg.worker_extra);
-    ASSERT_GT(w.port, 0);
+    DaemonProcess w = start_worker(leg.worker_extra);
+    ASSERT_GT(w.endpoint.port, 0);
     const std::string report = temp_path(std::string(leg.mode) + ".json");
     std::vector<std::string> args = base_args();
-    args.insert(args.end(), {"--remote", endpoint(w), "--workers", "2",
+    args.insert(args.end(), {"--remote", endpoint_str(w), "--workers", "2",
                              "--report", report});
     args.insert(args.end(), leg.sweep_extra.begin(), leg.sweep_extra.end());
     const CliResult dist = run_cli(args);
@@ -338,7 +291,7 @@ TEST_F(DistributedSweepCli, WorkerSideFaultMatrixStaysByteIdentical) {
     EXPECT_EQ(head_lines(dist.out, 2 + kCaps), serial_table());
     EXPECT_EQ(report_results(read_file(report)),
               report_results(read_file(*serial_report_)));
-    stop_worker(w);
+    w.stop();
   }
 }
 
@@ -357,11 +310,11 @@ TEST_F(DistributedSweepCli, SchedulerSideFaultMatrixStaysByteIdentical) {
   };
   for (const auto& leg : kLegs) {
     SCOPED_TRACE(leg.mode);
-    const Worker w = start_worker({});
-    ASSERT_GT(w.port, 0);
+    DaemonProcess w = start_worker({});
+    ASSERT_GT(w.endpoint.port, 0);
     const std::string report = temp_path(std::string(leg.mode) + ".json");
     std::vector<std::string> args = base_args();
-    args.insert(args.end(), {"--remote", endpoint(w), "--workers", "2",
+    args.insert(args.end(), {"--remote", endpoint_str(w), "--workers", "2",
                              "--inject-fail", leg.mode, "--report", report});
     args.insert(args.end(), leg.extra.begin(), leg.extra.end());
     const CliResult dist = run_cli(args);
@@ -369,7 +322,7 @@ TEST_F(DistributedSweepCli, SchedulerSideFaultMatrixStaysByteIdentical) {
     EXPECT_EQ(head_lines(dist.out, 2 + kCaps), serial_table());
     EXPECT_EQ(report_results(read_file(report)),
               report_results(read_file(*serial_report_)));
-    stop_worker(w);
+    w.stop();
   }
 }
 
